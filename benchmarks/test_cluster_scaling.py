@@ -125,7 +125,7 @@ def test_cluster_worker_scaling():
         # one mapped weight copy per host, proven by the versioned
         # header each worker advertises in its hello frame
         for _proc, address in workers:
-            client = WorkerClient(address, connect_timeout_s=60)
+            client = WorkerClient.connect(address, connect_timeout_s=60)
             try:
                 header = client.info["shared_weights"]
                 assert header is not None, "worker is not sharing weights"

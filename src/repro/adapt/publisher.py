@@ -19,9 +19,9 @@ generation **without pausing serving**:
   wire via the worker's ``publish`` op — once per worker *address*
   (sibling slots observe the same host-side swap and only sync their
   parent-side version counters);
-* local fork+pipe :class:`~repro.serve.ProcessReplica` children hold
-  private weight copies with no update channel — publishing to such a
-  pool is a configuration error unless it was built with
+* local :class:`~repro.serve.ProcessReplica` children hold private
+  forked weight copies and have no ``publish`` op — publishing to such
+  a pool is a configuration error unless it was built with
   ``shared_weights=True``.
 
 Requests in flight during a swap complete on whichever generation their
@@ -86,7 +86,7 @@ class WeightPublisher:
             bad = [r.name for r in local if isinstance(r, ProcessReplica)]
             if bad:
                 raise PublishError(
-                    f"pool has fork+pipe replicas {bad} but no shared "
+                    f"pool has forked process replicas {bad} but no shared "
                     "weight store; build it with shared_weights=True to "
                     "hot-swap process-mode replicas"
                 )

@@ -33,6 +33,7 @@ import threading
 import time
 
 from .remote import RemoteReplica
+from .transport import DEFAULT_TIMEOUT_S, round_trip_timeout
 from .wire import format_address, parse_address
 
 
@@ -56,13 +57,14 @@ class Autoscaler:
     interval_s / cooldown_s:
         loop period and post-action quiet time.
     timeout_s:
-        per-round-trip deadline for replicas the autoscaler connects.
+        per-round-trip deadline for replicas the autoscaler connects;
+        finite (see :func:`~repro.cluster.transport.round_trip_timeout`).
     """
 
     def __init__(self, server, workers, *, min_replicas=1,
                  max_replicas=None, p99_high_ms=50.0, p99_low_ms=10.0,
                  queue_high=0.5, interval_s=1.0, cooldown_s=3.0,
-                 timeout_s=None):
+                 timeout_s=DEFAULT_TIMEOUT_S):
         self.server = server
         self.workers = [
             parse_address(w) if isinstance(w, str) else (str(w[0]), int(w[1]))
@@ -85,7 +87,7 @@ class Autoscaler:
         self.queue_high = float(queue_high)
         self.interval_s = float(interval_s)
         self.cooldown_s = float(cooldown_s)
-        self.timeout_s = timeout_s
+        self.timeout_s = round_trip_timeout(timeout_s)
         self._lock = threading.Lock()
         self._events = []        # protected by _lock
         self._remotes = []       # replicas we added; protected by _lock

@@ -1,11 +1,13 @@
 """A :class:`~repro.serve.Replica` whose sessions live across TCP.
 
-:class:`RemoteReplica` is the cluster analogue of
-:class:`~repro.serve.ProcessReplica`: same ``run/health/stats/refresh``
-surface, so it drops into an existing :class:`~repro.serve.ReplicaPool`
+:class:`RemoteReplica` is the cluster sibling of
+:class:`~repro.serve.ProcessReplica`: both are
+:class:`~repro.serve.pool.ChannelReplica` objects, so they share one
+``run`` round trip, one health and tier accounting, and one trace-span
+return, and drop into an existing :class:`~repro.serve.ReplicaPool`
 unchanged — the scheduler cannot tell (and must not care) whether a
-lease crosses a pipe or a socket.  Each instance owns one
-:class:`~repro.cluster.WorkerClient` connection, and the worker
+lease crosses a socketpair or a network.  Each instance owns one
+:class:`~repro.cluster.WorkerClient` TCP connection, and the worker
 advertises how many local replicas it hosts; :func:`connect_worker`
 opens that many connections and returns one :class:`RemoteReplica` per
 slot, so the pool's least-outstanding routing and the scheduler's
@@ -14,26 +16,20 @@ connection, parallelism = number of slots).
 
 Health accounting is parent-side and typed: ``PeerGone`` / ``OSError``
 (worker died) and ``TimeoutError`` (deadline passed; connection
-survives via sequence-id discard) count toward ``unhealthy_after``
-exactly like pipe failures do.  Statistics are parent-side round-trip
-latency — the latency the serving layer actually delivers.  Trace
-spans collected worker-side ship back with the reply and re-parent
-under the ambient dispatch span, mirroring PR 5's fork ingestion.
+survives via sequence-id discard) count toward ``unhealthy_after``.
 """
 
 from __future__ import annotations
 
 import time
 
-import numpy as np
-
 from ..runtime import SessionStats
-from ..serve.pool import Replica
-from .transport import WorkerClient
+from ..serve.pool import ChannelReplica
+from .transport import DEFAULT_TIMEOUT_S, WorkerClient, round_trip_timeout
 from .wire import format_address, parse_address
 
 
-class RemoteReplica(Replica):
+class RemoteReplica(ChannelReplica):
     """One replica slot on a remote cluster worker.
 
     Parameters
@@ -48,7 +44,8 @@ class RemoteReplica(Replica):
         notionally occupies (labelling only — the worker routes every
         request through its own least-outstanding pool).
     timeout_s:
-        per-round-trip deadline forwarded to the transport.
+        per-round-trip deadline, finite (see
+        :func:`~repro.cluster.transport.round_trip_timeout`).
     unhealthy_after:
         consecutive failures before routing skips this replica.
     client:
@@ -56,83 +53,33 @@ class RemoteReplica(Replica):
         of (used by :func:`connect_worker` to avoid a second hello).
     """
 
-    def __init__(self, address, *, name=None, slot=0, timeout_s=None,
-                 unhealthy_after=3, connect_timeout_s=10.0, client=None):
-        if isinstance(address, str):
-            address = parse_address(address)
+    def __init__(self, address, *, name=None, slot=0,
+                 timeout_s=DEFAULT_TIMEOUT_S, unhealthy_after=3,
+                 connect_timeout_s=10.0, client=None):
+        timeout_s = round_trip_timeout(timeout_s)
+        host, port = (
+            parse_address(address) if isinstance(address, str) else address
+        )
         if client is None:
-            client = WorkerClient(
-                address, timeout_s=timeout_s,
+            client = WorkerClient.connect(
+                (host, port), timeout_s=timeout_s,
                 connect_timeout_s=connect_timeout_s,
             )
-        self._client = client
         info = client.info
+        where = format_address((host, int(port)))
         if name is None:
-            name = f"{format_address(client.address)}/r{int(slot)}"
+            name = f"{where}/r{int(slot)}"
         # session-less by construction: the sessions live on the worker
-        super().__init__(name, None, None, unhealthy_after=unhealthy_after)
+        tiers = {str(t): None for t in info.get("tiers", ())}
+        super().__init__(name, None, tiers, unhealthy_after, client,
+                         timeout_s)
+        #: the worker's ``host:port``
+        self.address = where
         self.slot = int(slot)
-        self.timeout_s = timeout_s
         #: the worker's hello self-description (model, profile, tiers,
         #: replica count, shared weight store header, pid)
         self.info = dict(info)
-        self.tier_sessions = {str(t): None for t in info.get("tiers", ())}
-        self.dispatches_by_tier = {t: 0 for t in self.tier_sessions}
         self.weights_version = int(info.get("weights_version", 1))
-        self._stats = SessionStats()
-
-    # ------------------------------------------------------------------
-    @property
-    def address(self) -> str:
-        """The worker's ``host:port``."""
-        return format_address(self._client.address)
-
-    @property
-    def stats(self) -> SessionStats:
-        """Parent-side statistics (round-trip serving latency)."""
-        return self._stats
-
-    def run(self, samples, tier=None, degraded=False) -> np.ndarray:
-        """Round-trip one batch through the remote worker.
-
-        Tier routing is decided here (parent-side, like the pipe
-        protocol) against the ladder the worker advertised; the worker
-        executes it on its local sessions.  Failures feed the same
-        health accounting as every other replica kind.
-        """
-        from ..trace import current_tracer
-
-        if degraded and tier is None:
-            tier = "reduced"
-        used = tier if tier in self.tier_sessions else None
-        samples = np.asarray(samples)
-        tracer = current_tracer()
-        start = time.perf_counter()
-        try:
-            out, spans = self._client.request(
-                "run",
-                {
-                    "tier": used,
-                    "samples": samples,
-                    "want_trace": tracer is not None,
-                },
-                timeout_s=self.timeout_s,
-            )
-            if tracer is not None and spans:
-                # worker spans attach under the ambient dispatch span
-                tracer.ingest(spans)
-        except Exception:
-            self.consecutive_failures += 1
-            if self.consecutive_failures >= self.unhealthy_after:
-                self.healthy = False
-            raise
-        self.consecutive_failures = 0
-        self.dispatches += 1
-        if used is not None:
-            self.degraded_dispatches += 1
-            self.dispatches_by_tier[used] += 1
-        self._stats.record(samples.shape[0], time.perf_counter() - start)
-        return out
 
     # ------------------------------------------------------------------
     def health(self) -> dict:
@@ -162,13 +109,6 @@ class RemoteReplica(Replica):
         self._client.request("ping", timeout_s=self.timeout_s)
         return time.perf_counter() - start
 
-    def refresh(self) -> None:
-        """Ask the worker to re-freeze its sessions; adopts the new
-        shared ``weights_version`` the worker reports back."""
-        self.weights_version = int(
-            self._client.request("refresh", timeout_s=self.timeout_s)
-        )
-
     def publish(self, state) -> int:
         """Push a new weight generation to the worker hosting this slot.
 
@@ -187,13 +127,10 @@ class RemoteReplica(Replica):
         )
         return self.weights_version
 
-    def close(self) -> None:
-        """Close this slot's connection (the worker keeps serving)."""
-        self._client.close()
 
-
-def connect_worker(address, *, timeout_s=None, unhealthy_after=3,
-                   connect_timeout_s=10.0, slots=None, name_prefix=None):
+def connect_worker(address, *, timeout_s=DEFAULT_TIMEOUT_S,
+                   unhealthy_after=3, connect_timeout_s=10.0, slots=None,
+                   name_prefix=None):
     """Open one :class:`RemoteReplica` per replica slot of a worker.
 
     The first connection's hello frame advertises how many local
@@ -203,17 +140,17 @@ def connect_worker(address, *, timeout_s=None, unhealthy_after=3,
     """
     if isinstance(address, str):
         address = parse_address(address)
-    first = WorkerClient(
+    first = WorkerClient.connect(
         address, timeout_s=timeout_s, connect_timeout_s=connect_timeout_s
     )
     advertised = max(1, int(first.info.get("replicas", 1)))
     count = advertised if slots is None else max(1, min(int(slots),
                                                         advertised))
-    prefix = name_prefix or format_address(first.address)
+    prefix = name_prefix or format_address(address)
     replicas = []
     try:
         for slot in range(count):
-            client = first if slot == 0 else WorkerClient(
+            client = first if slot == 0 else WorkerClient.connect(
                 address, timeout_s=timeout_s,
                 connect_timeout_s=connect_timeout_s,
             )

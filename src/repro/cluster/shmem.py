@@ -1,6 +1,6 @@
 """mmap-backed shared packed weights: one weight set per host.
 
-Every fork+pipe :class:`~repro.serve.ProcessReplica` on a host used to
+Every forked :class:`~repro.serve.ProcessReplica` on a host used to
 carry its own private copy of the model weights — N replicas, N copies
 of the same arrays.  :class:`SharedWeightStore` lays the full
 ``state_dict`` into **one anonymous shared mmap** instead; replicas

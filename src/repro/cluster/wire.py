@@ -1,9 +1,9 @@
-"""Length-prefixed, versioned TCP framing for the cluster layer.
+"""Length-prefixed, versioned framing for the replica transport.
 
-The fork+pipe :class:`~repro.serve.ProcessReplica` protocol rides on
-``multiprocessing.Connection``, which frames and pickles for free.  A
-TCP socket gives neither, so this module supplies the missing layer:
-every message travels as one **frame** —
+A stream socket — a TCP connection to a worker host, or the
+``socketpair`` between a :class:`~repro.serve.ProcessReplica` and its
+forked child — carries bytes, not messages, so this module supplies
+the missing layer: every message travels as one **frame** —
 
 ::
 
@@ -33,12 +33,12 @@ matching):
 * ``TimeoutError`` — a deadline passed while waiting for bytes; the
   caller decides whether the connection survives (the sequence-id
   protocol in :mod:`~repro.cluster.transport` lets a later request
-  discard the late reply, exactly like the pipe protocol).
+  discard the late reply).
 
-Pickle is the payload encoding — the same choice the pipe protocol
-makes — because both ends are this codebase by construction.  The
-worker port must only be reachable by trusted hosts; see
-``docs/CLUSTER.md`` for the deployment note.
+Pickle is the payload encoding because both ends are this codebase by
+construction.  A socketpair never leaves the host, but the worker port
+must only be reachable by trusted hosts; see ``docs/CLUSTER.md`` for
+the deployment note.
 """
 
 from __future__ import annotations

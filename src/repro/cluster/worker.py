@@ -1,17 +1,23 @@
 """Cluster worker: N local replicas behind one socket acceptor.
 
 ``python -m repro.cluster.worker --listen host:port ...`` builds a
-normal :class:`~repro.serve.ReplicaPool` (thread or fork+pipe process
-replicas, optionally with :class:`~repro.cluster.SharedWeightStore`
-weights so the host maps one weight set) and serves it over the
+normal :class:`~repro.serve.ReplicaPool` (thread or process replicas,
+optionally with :class:`~repro.cluster.SharedWeightStore` weights so
+the host maps one weight set) and serves it over the
 :mod:`repro.cluster.wire` protocol.  Each accepted connection gets a
-handler thread that speaks hello-first, then answers ``(op, seq,
-payload)`` requests sequentially — one connection is one serialized
-channel, which is exactly what a parent-side
-:class:`~repro.cluster.RemoteReplica` expects.  Parallelism comes from
-*multiple* connections: :func:`~repro.cluster.connect_worker` opens one
-per advertised replica slot, and the worker's own least-outstanding
-pool spreads their concurrent batches over its local replicas.
+handler thread running :meth:`ClusterWorker.serve_connection`, which
+speaks hello-first, then answers ``(op, seq, payload)`` requests
+sequentially — one connection is one serialized channel, which is
+exactly what a parent-side :class:`~repro.cluster.WorkerClient`
+expects.  Parallelism comes from *multiple* connections:
+:func:`~repro.cluster.connect_worker` opens one per advertised replica
+slot, and the worker's own least-outstanding pool spreads their
+concurrent batches over its local replicas.
+
+The same handler serves a :class:`~repro.serve.ProcessReplica`: its
+forked child wraps a one-replica pool in a listener-less worker and
+runs :meth:`~ClusterWorker.serve_connection` on its end of a
+``socket.socketpair()`` — no acceptor, same frames.
 
 Ops: ``run`` (one batch, optional worker-side trace capture shipped
 back with the reply), ``health`` (the worker pool's own report),
@@ -35,6 +41,7 @@ import socket
 import sys
 import threading
 
+from .transport import DEFAULT_TIMEOUT_S, round_trip_timeout, shut
 from .wire import (
     WIRE_VERSION,
     PeerGone,
@@ -49,16 +56,17 @@ from .wire import (
 class ClusterWorker:
     """Serve a :class:`~repro.serve.ReplicaPool` over loopback/LAN TCP.
 
-    Build one with :meth:`build` (registry model + pool knobs) or wrap
-    a pre-built pool.  :meth:`start` runs the acceptor in a background
-    thread (tests); :meth:`serve_forever` runs it in the calling thread
-    (the CLI).  :meth:`close` stops the acceptor, closes live
-    connections, and closes the pool.
+    Build one with :meth:`build` (registry model + pool knobs, bound
+    listener) or wrap a pre-built pool and, optionally, a listening
+    socket.  :meth:`start` runs the acceptor in a background thread
+    (tests); :meth:`serve_forever` runs it in the calling thread (the
+    CLI).  Without a listener the worker serves only the connections
+    handed to :meth:`serve_connection`.  :meth:`close` stops the
+    acceptor, closes live connections, and closes the pool.
     """
 
     def __init__(self, pool, *, model="?", profile="?", mode="thread",
-                 backend=None, host="127.0.0.1", port=0,
-                 weight_store=None):
+                 backend=None, weight_store=None, listener=None):
         self.pool = pool
         self.model = str(model)
         self.profile = str(profile)
@@ -69,29 +77,29 @@ class ClusterWorker:
         self._stopping = False   # protected by _lock
         self._conns = set()      # protected by _lock
         self._accept_thread = None
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((str(host), int(port)))
-        listener.listen(64)
         self._listener = listener
-        #: the bound ``(host, port)`` (resolved when ``port=0``)
-        self.address = listener.getsockname()[:2]
+        #: the bound ``(host, port)``; ``None`` without a listener
+        self.address = (
+            None if listener is None else listener.getsockname()[:2]
+        )
 
     # ------------------------------------------------------------------
     @classmethod
     def build(cls, model="ode_botnet", profile="tiny", replicas=2, *,
               backend=None, mode="thread", tiers=None, shared_weights=False,
-              timeout_s=None, seed=0, unhealthy_after=3, config=None,
-              host="127.0.0.1", port=0):
-        """Build the local pool from the registry, then wrap it.
+              timeout_s=DEFAULT_TIMEOUT_S, seed=0, unhealthy_after=3,
+              config=None, host="127.0.0.1", port=0):
+        """Build the local pool from the registry, then bind and wrap it.
 
         The pool — including any fork for process-mode replicas — is
-        constructed *before* the acceptor socket and threads exist, so
-        children never inherit live connections.
+        constructed *before* the listening socket and threads exist, so
+        children never inherit live connections.  ``timeout_s`` bounds
+        each round trip to a process-mode replica's child.
         """
         from ..runtime import SessionConfig
         from ..serve.pool import ReplicaPool
 
+        timeout_s = round_trip_timeout(timeout_s)
         if config is None:
             config = SessionConfig()
         if backend is not None:
@@ -101,13 +109,15 @@ class ClusterWorker:
             tiers=tiers, mode=mode, unhealthy_after=unhealthy_after,
             shared_weights=shared_weights,
         )
-        if mode == "process" and timeout_s is not None:
+        if mode == "process":
             for replica in pool:
                 replica.timeout_s = timeout_s
         return cls(
             pool, model=model, profile=profile, mode=mode,
-            backend=config.backend, host=host, port=port,
+            backend=config.backend,
             weight_store=getattr(pool, "weight_store", None),
+            listener=socket.create_server((str(host), int(port)),
+                                          backlog=64),
         )
 
     # ------------------------------------------------------------------
@@ -228,20 +238,25 @@ class ClusterWorker:
                 conn, _peer = self._listener.accept()
             except OSError:
                 return  # listener closed by close()
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             with self._lock:
                 if self._stopping:
                     conn.close()
                     return
                 self._conns.add(conn)
             threading.Thread(
-                target=self._handle, args=(conn,),
+                target=self.serve_connection, args=(conn,),
                 name="cluster-conn", daemon=True,
             ).start()
 
-    def _handle(self, conn):
-        """One connection: hello first, then sequential request frames."""
+    def serve_connection(self, conn):
+        """Serve one connected socket until the peer leaves.
+
+        Hello first, then sequential request frames, each answered on
+        the same connection; returns (and closes *conn*) on EOF or a
+        transport failure.
+        """
         try:
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             send_frame(conn, ("hello", self.hello()))
             while True:
                 try:
@@ -295,19 +310,10 @@ class ClusterWorker:
                 return
             self._stopping = True
             conns = list(self._conns)
-        try:
+        if self._listener is not None:
             self._listener.close()
-        except OSError:
-            pass
         for conn in conns:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
+            shut(conn)
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5)
         self.pool.close()
@@ -363,8 +369,10 @@ def build_parser():
     parser.add_argument("--shared-weights", action="store_true",
                         help="map one shared weight set for all local "
                              "replicas (mmap, versioned header)")
-    parser.add_argument("--timeout-s", type=float, default=None,
-                        help="per-batch deadline for process replicas")
+    parser.add_argument("--timeout-s", type=float,
+                        default=DEFAULT_TIMEOUT_S,
+                        help="per-batch deadline for process replicas "
+                             "(default: %(default)s)")
     parser.add_argument("--seed", type=int, default=0,
                         help="weight seed (default: %(default)s)")
     return parser

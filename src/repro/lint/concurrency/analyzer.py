@@ -33,8 +33,8 @@ CON004 — **state captured across a fork.**  A
     ``multiprocessing.Process`` whose target is a bound method of a
     lock- or pipe-owning class ships those objects into the child via
     ``self``; a lock forked while held is permanently stuck in the
-    child, and a duplicated parent pipe end keeps the channel open
-    after the parent closes it.  Targets must be ``@staticmethod``\\ s
+    child, and a duplicated parent pipe (or ``socketpair``) end keeps
+    the channel open after the parent closes it.  Targets must be ``@staticmethod``\\ s
     taking explicit arguments, and locks must never ride along.
 """
 
@@ -364,7 +364,7 @@ def check_fork_safety(model):
                     elif attr in cls.pipe_attrs:
                         yield _diag(
                             "CON004", cls, fk.line,
-                            f"parent pipe end self.{attr} is passed into "
+                            f"parent channel end self.{attr} is passed into "
                             f"the forked child via args=; the duplicated "
                             f"fd keeps the channel open after the parent "
                             f"closes it, so EOF never arrives",

@@ -21,8 +21,9 @@ What the extraction records, per class:
   graph follow ``self.queue.close()`` into another class's lock.
   Parameter annotations (``other: "SessionStats"``) resolve the same
   way.  Assignments to stdlib factories (``threading.Thread``,
-  ``queue.SimpleQueue``, ``ctx.Pipe()``) record opaque markers used by
-  the blocking-call and fork-safety passes.
+  ``queue.SimpleQueue``, ``ctx.Pipe()``, ``socket.socketpair()``)
+  record opaque markers used by the blocking-call and fork-safety
+  passes.
 * **events** — a structured walk of every method body tracking the
   lexically held lock set through ``with self._lock:`` blocks:
   attribute writes (including subscript stores, mutating method calls
@@ -214,7 +215,7 @@ class ClassInfo:
     bases: tuple = ()
     methods: dict = field(default_factory=dict)
     lock_attrs: dict = field(default_factory=dict)   # attr -> kind
-    pipe_attrs: set = field(default_factory=set)     # attrs from Pipe()
+    pipe_attrs: set = field(default_factory=set)     # channel ends
     attr_types: dict = field(default_factory=dict)   # attr -> type name
 
     def lock_node(self, attr) -> str:
@@ -324,6 +325,19 @@ def _call_tail(node):
     return None
 
 
+def _channel_pair_kind(node):
+    """The end type of a two-ended channel factory call, else ``None``:
+    ``"pipe"`` for ``Pipe()``, ``"socket.socket"`` for
+    ``socket.socketpair()``."""
+    if not isinstance(node, ast.Call):
+        return None
+    if _call_tail(node) == "Pipe":
+        return "pipe"
+    if dotted_parts(node.func) == ["socket", "socketpair"]:
+        return "socket.socket"
+    return None
+
+
 def _annotation_name(node):
     """A parameter annotation as a plain class name, if that simple."""
     if isinstance(node, ast.Name):
@@ -397,14 +411,15 @@ class _ClassExtractor:
     def _scan_assign(self, targets, value):
         for target in targets:
             if isinstance(target, ast.Tuple):
-                # self.a, b = ctx.Pipe() — both ends are pipes
-                if (isinstance(value, ast.Call)
-                        and _call_tail(value) == "Pipe"):
+                # self.a, b = ctx.Pipe() / socket.socketpair() — both
+                # are ends of one channel, which must not cross a fork
+                kind = _channel_pair_kind(value)
+                if kind is not None:
                     for elt in target.elts:
                         attr = _self_attr(elt)
                         if attr is not None:
                             self.info.pipe_attrs.add(attr)
-                            self.info.attr_types[attr] = "pipe"
+                            self.info.attr_types[attr] = kind
                 continue
             attr = _self_attr(target)
             if attr is None:

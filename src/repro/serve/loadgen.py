@@ -508,7 +508,8 @@ def main(argv=None) -> int:  # repro-lint: ignore[SRV001] seed arrives via --see
         server.close()
     if sanitizer is not None:
         # cross-check after close() so shutdown's lock traffic (the
-        # drain, executor joins, the pipe sentinel) is in the record too
+        # drain, executor joins, closing replica channels) is in the
+        # record too
         sanitizer.uninstall()
         verdict = sanitizer.cross_check()
         print(sanitizer.summary(verdict))

@@ -28,16 +28,18 @@ Two execution modes:
     zero-copy, deterministic, and bit-exact with a direct
     ``InferenceSession.predict_batch``.
 ``process``
-    each replica forks a worker process hosting its sessions and serves
-    batches over a pipe.  Forked workers sidestep the GIL, so on a
-    multi-core machine N replicas genuinely scale; results remain
-    bit-exact (same numpy code, same weights).  Requires a platform
-    with ``fork`` (Linux); construct the pool *before* starting any
-    scheduler threads.
+    each replica forks a child hosting its sessions and serves batches
+    over one end of a ``socket.socketpair()`` — the
+    :mod:`repro.cluster` wire and handler, without the TCP listener.
+    Forked children sidestep the GIL, so on a multi-core machine N
+    replicas genuinely scale; results remain bit-exact (same numpy
+    code, same weights).  Requires a platform with ``fork`` (Linux);
+    construct the pool *before* starting any scheduler threads.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -48,27 +50,6 @@ from ..nn import Module
 from ..runtime import InferenceSession, SessionConfig, SessionStats
 from .errors import ReplicaUnavailable
 from .tiers import resolve_ladder
-
-#: pipe sentinel (in the ``tier`` slot) asking a forked worker to
-#: re-freeze its sessions after a shared-store weight swap
-_REFRESH = "__refresh__"
-
-
-def _as_tier_sessions(tier_sessions, degraded_session):
-    """Normalise the two ways of passing tier sessions into one dict."""
-    if degraded_session is not None:
-        if tier_sessions is not None:
-            raise TypeError(
-                "pass either tier_sessions= or the legacy "
-                "degraded_session= keyword, not both"
-            )
-        return {"reduced": degraded_session}
-    if tier_sessions is None:
-        return {}
-    if isinstance(tier_sessions, dict):
-        return dict(tier_sessions)
-    # a bare session is the legacy single-rung ladder
-    return {"reduced": tier_sessions}
 
 
 class Replica:
@@ -82,20 +63,17 @@ class Replica:
         the full-quality :class:`~repro.runtime.InferenceSession`.
     tier_sessions:
         mapping of degrade-ladder tier name to that tier's session
-        (all sharing the primary's weight set).  A bare session is
-        accepted as the legacy single-rung ``{"reduced": session}``
-        ladder, as is the ``degraded_session=`` keyword.
+        (all sharing the primary's weight set).
     unhealthy_after:
         consecutive failures before the replica is taken out of
         routing.
     """
 
     def __init__(self, name, session, tier_sessions=None,
-                 unhealthy_after=3, *, degraded_session=None):
+                 unhealthy_after=3):
         self.name = str(name)
         self.session = session
-        self.tier_sessions = _as_tier_sessions(tier_sessions,
-                                               degraded_session)
+        self.tier_sessions = dict(tier_sessions or {})
         self.unhealthy_after = int(unhealthy_after)
         self.outstanding = 0
         self.consecutive_failures = 0
@@ -109,36 +87,20 @@ class Replica:
 
     # ------------------------------------------------------------------
     @property
-    def degraded_session(self):
-        """The legacy single-rung alias: the ``reduced`` tier session."""
-        return self.tier_sessions.get("reduced")
-
-    @property
     def stats(self) -> SessionStats:
         """The replica's serving statistics."""
         return self.session.stats
 
-    def _session_for(self, tier):
-        """The (tier, session) actually serving *tier* — full quality
-        when the replica has no session for it (a less-degraded answer
-        is always an acceptable substitute)."""
-        if tier is None:
-            return None, self.session
-        session = self.tier_sessions.get(tier)
-        if session is None:
-            return None, self.session
-        return tier, session
+    def run(self, samples, tier=None) -> np.ndarray:
+        """Execute one batch on *tier*, with health and tier accounting.
 
-    def run(self, samples, tier=None, degraded=False) -> np.ndarray:
-        """Execute one batch on *tier*'s session, with health accounting.
-
-        ``degraded=True`` is the legacy spelling of ``tier="reduced"``.
+        A tier this replica has no session for runs at full quality (a
+        less-degraded answer is always an acceptable substitute) and
+        counts as a full-quality dispatch.
         """
-        if degraded and tier is None:
-            tier = "reduced"
-        used, session = self._session_for(tier)
+        used = tier if tier in self.tier_sessions else None
         try:
-            out = session.predict_batch(samples)
+            out = self._execute(samples, used)
         except Exception:
             self.consecutive_failures += 1
             if self.consecutive_failures >= self.unhealthy_after:
@@ -150,6 +112,11 @@ class Replica:
             self.degraded_dispatches += 1
             self.dispatches_by_tier[used] += 1
         return out
+
+    def _execute(self, samples, tier):
+        """Run one batch on *tier*'s session (``None``: full quality)."""
+        session = self.session if tier is None else self.tier_sessions[tier]
+        return session.predict_batch(samples)
 
     def load_weights(self, state) -> None:
         """Load *state* into the primary model **and** every tier's
@@ -201,169 +168,146 @@ class Replica:
         )
 
 
-class ProcessReplica(Replica):
-    """A replica whose sessions live in a forked worker process.
+class ChannelReplica(Replica):
+    """A replica whose sessions run in another process.
 
-    The parent sends ``(seq, tier, samples, want_trace)`` over a
-    pipe and receives ``(seq, kind, payload, spans)`` — the output
-    batch or the worker-side exception, with the request's ``seq``
-    echoed back.  ``tier`` is the degrade-ladder tier name (or ``None``
-    for full quality); the worker holds the same tier-session mapping
-    the parent built before forking, so tier routing is decided
-    parent-side and executed child-side on identical objects.  When the
-    parent's dispatch is being traced (``want_trace``), the worker runs
-    the batch under a private :class:`repro.trace.Tracer` and ships the
-    collected spans back as the fourth element; the parent re-parents
-    them under its ambient ``dispatch`` span with :meth:`Tracer.ingest`
+    Every batch is one ``run`` round trip over a
+    :class:`repro.cluster.WorkerClient` channel to a
+    :class:`repro.cluster.ClusterWorker` connection handler: a forked
+    child for :class:`ProcessReplica`, a worker host for
+    :class:`repro.cluster.RemoteReplica`.  Tier routing is decided here,
+    parent-side, against the tier names in :attr:`tier_sessions`; the
+    worker executes it on its own sessions.  Statistics are parent-side
+    round-trip latency — the latency the serving layer actually
+    delivers.  When the dispatch is traced, the worker runs the batch
+    under a private :class:`repro.trace.Tracer` and ships its spans
+    back; they re-parent under the ambient ``dispatch`` span
     (``perf_counter`` is ``CLOCK_MONOTONIC`` on Linux, so timestamps
-    line up across the fork).  The echo is what keeps the pipe
-    usable after a timeout: when ``timeout_s`` expires the worker's
-    late reply stays buffered in the pipe, and the *next* ``run`` must
-    discard it by sequence id — not mistake it for its own answer and
-    hand the previous batch's outputs to the wrong callers.  Statistics
-    are recorded parent-side (batch size + round-trip latency, i.e. the
-    latency the serving layer actually delivers).  A dead or wedged
-    worker surfaces as an ``EOFError``/``OSError``/``TimeoutError``
-    dispatch failure and health tracking takes the replica out of
-    routing.
+    line up across processes on one host).
+
+    A dead worker surfaces as :class:`~repro.cluster.PeerGone`, a
+    wedged one as ``TimeoutError`` after :attr:`timeout_s`; both count
+    against health like any other dispatch failure.
     """
 
-    def __init__(self, name, session, tier_sessions=None,
-                 unhealthy_after=3, timeout_s=None, *,
-                 degraded_session=None):
-        import multiprocessing as mp
-
-        if "fork" not in mp.get_all_start_methods():
-            raise ValueError(
-                "process-mode replicas need a fork platform (Linux); "
-                "use mode='thread' here"
-            )
+    def __init__(self, name, session, tier_sessions, unhealthy_after,
+                 client, timeout_s):
         super().__init__(name, session, tier_sessions,
-                         unhealthy_after=unhealthy_after,
-                         degraded_session=degraded_session)
-        self._stats = SessionStats()
-        self._pipe_lock = threading.Lock()
-        self._seq = 0  # protected by _pipe_lock
+                         unhealthy_after=unhealthy_after)
+        self._client = client
+        #: per-round-trip deadline in seconds
         self.timeout_s = timeout_s
-        ctx = mp.get_context("fork")
-        self._parent_conn, child_conn = ctx.Pipe()
-        self._proc = ctx.Process(
-            target=self._worker_loop,
-            args=(child_conn, session, self.tier_sessions),
-            name=f"repro-serve-{self.name}",
-            daemon=True,
-        )
-        self._proc.start()
-        child_conn.close()
-
-    @staticmethod
-    def _worker_loop(conn, session, tier_sessions):
-        """Child: answer ``(seq, tier, samples, want_trace)`` until the
-        pipe closes, echoing each request's ``seq`` in its reply."""
-        from ..trace import Tracer
-
-        while True:
-            try:
-                msg = conn.recv()
-            except EOFError:
-                return
-            if msg is None:
-                return
-            seq, tier, samples, want_trace = msg
-            if tier == _REFRESH:
-                # shared-store swap: floats updated in place through the
-                # inherited mapping; re-freeze so quantized tier plans
-                # re-derive their integer weights from the new arrays
-                try:
-                    session.refresh()
-                    for extra in tier_sessions.values():
-                        extra.refresh()
-                    conn.send((seq, "ok", None, None))
-                except Exception as exc:
-                    conn.send((seq, "err", exc, None))
-                continue
-            use = tier_sessions.get(tier, session) if tier else session
-            try:
-                if want_trace:
-                    tracer = Tracer(capacity=8192)
-                    with tracer.activate():
-                        out = use.predict_batch(samples)
-                    conn.send((seq, "ok", out, tracer.spans()))
-                else:
-                    conn.send((seq, "ok", use.predict_batch(samples), None))
-            except Exception as exc:  # ship the failure to the parent
-                conn.send((seq, "err", exc, None))
+        self._stats = SessionStats()
 
     @property
     def stats(self) -> SessionStats:
         """Parent-side statistics (round-trip serving latency)."""
         return self._stats
 
-    def run(self, samples, tier=None, degraded=False) -> np.ndarray:
-        """Round-trip one batch through the worker process.
-
-        Replies are matched to this request by sequence id; buffered
-        replies to earlier timed-out requests are discarded, never
-        returned as this batch's answer.
-        """
+    def _execute(self, samples, tier):
         from ..trace import current_tracer
 
-        if degraded and tier is None:
-            tier = "reduced"
-        used = tier if tier in self.tier_sessions else None
         samples = np.asarray(samples)
         tracer = current_tracer()
         start = time.perf_counter()
-        try:
-            with self._pipe_lock:
-                self._seq += 1
-                seq = self._seq
-                # The next three suppressions are one deliberate design:
-                # _pipe_lock exists precisely to serialize the whole
-                # send->recv round-trip (the seq-echo protocol assumes
-                # one in-flight request), and every blocking call under
-                # it is bounded by timeout_s.
-                self._parent_conn.send(  # repro-lint: ignore[CON003] lock serializes the round-trip; timeout-bounded
-                    (seq, used, samples, tracer is not None)
-                )
-                deadline = (
-                    None if self.timeout_s is None
-                    else time.perf_counter() + self.timeout_s
-                )
-                while True:
-                    if deadline is not None:
-                        remaining = deadline - time.perf_counter()
-                        if remaining <= 0 or not self._parent_conn.poll(  # repro-lint: ignore[CON003] lock serializes the round-trip; timeout-bounded
-                            remaining
-                        ):
-                            raise TimeoutError(
-                                f"replica {self.name} did not answer "
-                                f"within {self.timeout_s}s"
-                            )
-                    reply_seq, kind, payload, spans = self._parent_conn.recv()  # repro-lint: ignore[CON003] lock serializes the round-trip; timeout-bounded
-                    if reply_seq == seq:
-                        break
-                    # stale reply to a request that already timed out
-            if kind == "err":
-                raise payload
-            if tracer is not None and spans:
-                # worker spans attach under the ambient dispatch span
-                tracer.ingest(spans)
-        except Exception:
-            self.consecutive_failures += 1
-            if self.consecutive_failures >= self.unhealthy_after:
-                self.healthy = False
-            raise
-        self.consecutive_failures = 0
-        self.dispatches += 1
-        if used is not None:
-            self.degraded_dispatches += 1
-            self.dispatches_by_tier[used] += 1
+        out, spans = self._client.request(
+            "run",
+            {"tier": tier, "samples": samples,
+             "want_trace": tracer is not None},
+            timeout_s=self.timeout_s,
+        )
+        if tracer is not None and spans:
+            # worker spans attach under the ambient dispatch span
+            tracer.ingest(spans)
         self._stats.record(samples.shape[0], time.perf_counter() - start)
-        return payload
+        return out
+
+    def refresh(self) -> None:
+        """Have the worker re-freeze its sessions (all tiers); adopts
+        the ``weights_version`` it reports back."""
+        self.weights_version = int(
+            self._client.request("refresh", timeout_s=self.timeout_s)
+        )
+
+    def close(self) -> None:
+        """Close the channel; the worker sees EOF."""
+        self._client.close()
+
+
+# repro.cluster subclasses Replica and ChannelReplica, so its import
+# has to wait until both exist
+from ..cluster.transport import (  # noqa: E402
+    DEFAULT_TIMEOUT_S,
+    WorkerClient,
+    round_trip_timeout,
+)
+
+
+class ProcessReplica(ChannelReplica):
+    """A replica whose sessions live in a forked child process.
+
+    The child wraps the sessions in a one-replica pool and serves it
+    with :meth:`repro.cluster.ClusterWorker.serve_connection` on one
+    end of a ``socket.socketpair()``; this parent talks to it through a
+    :class:`repro.cluster.WorkerClient` on the other end — the cluster
+    transport's frames, hello check, sequence echo, typed failures and
+    trace-span return, without a listener.  The child holds the same
+    tier-session mapping the parent built before forking, so tier
+    routing is decided parent-side and executed child-side on identical
+    objects.  The sequence echo is what keeps the channel usable after
+    a timeout: the child's late reply is discarded by the next round
+    trip, never handed to its callers.
+
+    The child's weights are private copies, except for arrays mapped
+    from a shared :class:`repro.cluster.SharedWeightStore`; there is no
+    ``publish`` channel, so a hot swap reaches a forked child only
+    through such a store (then :meth:`refresh` re-derives the child's
+    quantized tier plans from the shared floats).
+    """
+
+    def __init__(self, name, session, tier_sessions=None,
+                 unhealthy_after=3, timeout_s=DEFAULT_TIMEOUT_S):
+        import multiprocessing as mp
+        import socket
+
+        if "fork" not in mp.get_all_start_methods():
+            raise ValueError(
+                "process-mode replicas need a fork platform (Linux); "
+                "use mode='thread' here"
+            )
+        timeout_s = round_trip_timeout(timeout_s)
+        parent_end, child_end = socket.socketpair()
+        self._proc = mp.get_context("fork").Process(
+            target=ProcessReplica._serve,
+            args=(parent_end, child_end, name, session, tier_sessions),
+            name=f"repro-serve-{name}",
+            daemon=True,
+        )
+        self._proc.start()
+        child_end.close()
+        try:
+            client = WorkerClient(parent_end, timeout_s=timeout_s)
+        except BaseException:
+            self._proc.kill()
+            self._proc.join(timeout=5)
+            raise
+        super().__init__(name, session, tier_sessions, unhealthy_after,
+                         client, timeout_s)
+
+    @staticmethod
+    def _serve(parent_end, conn, name, session, tier_sessions):
+        """Child: answer the parent over *conn* until it closes."""
+        from ..cluster.worker import ClusterWorker
+
+        parent_end.close()
+        # health is accounted parent-side: the child's one replica
+        # must never leave its pool's routing
+        replica = Replica(name, session, tier_sessions,
+                          unhealthy_after=sys.maxsize)
+        ClusterWorker(ReplicaPool([replica])).serve_connection(conn)
 
     def load_weights(self, state) -> None:
-        """Fork+pipe replicas have no weight channel to the child's
+        """Forked replicas have no weight channel to the child's
         private copies — only a shared store can move them (and then a
         swap is an in-place store write, not a state load)."""
         raise RuntimeError(
@@ -372,58 +316,13 @@ class ProcessReplica(Replica):
             "hot-swap process-mode replicas"
         )
 
-    def refresh(self) -> None:
-        """Re-freeze the *child's* forked sessions, then the parent's.
-
-        The worker process holds its own forked session objects; the
-        primary (and any float tier) serves straight out of the shared
-        mapping, but quantized tier plans carry privately derived
-        integer weights that must be re-derived child-side after a
-        store swap.  The sentinel round-trips under the same
-        one-in-flight pipe discipline as :meth:`run`.
-        """
-        with self._pipe_lock:
-            self._seq += 1
-            seq = self._seq
-            self._parent_conn.send(  # repro-lint: ignore[CON003] lock serializes the round-trip; timeout-bounded
-                (seq, _REFRESH, None, False)
-            )
-            deadline = (
-                None if self.timeout_s is None
-                else time.perf_counter() + self.timeout_s
-            )
-            while True:
-                if deadline is not None:
-                    remaining = deadline - time.perf_counter()
-                    if remaining <= 0 or not self._parent_conn.poll(  # repro-lint: ignore[CON003] lock serializes the round-trip; timeout-bounded
-                        remaining
-                    ):
-                        raise TimeoutError(
-                            f"replica {self.name} did not refresh "
-                            f"within {self.timeout_s}s"
-                        )
-                reply_seq, kind, payload, _spans = self._parent_conn.recv()  # repro-lint: ignore[CON003] lock serializes the round-trip; timeout-bounded
-                if reply_seq == seq:
-                    break
-                # stale reply to a request that already timed out
-        if kind == "err":
-            raise payload
-        super().refresh()
-
     def close(self) -> None:
-        """Stop the worker process and join it."""
-        try:
-            with self._pipe_lock:
-                # under the same round-trip discipline as run(): the
-                # sentinel must not interleave with an in-flight request
-                self._parent_conn.send(None)  # repro-lint: ignore[CON003] lock serializes shutdown against in-flight run()
-        except (OSError, ValueError):
-            pass  # worker already gone; join below still reaps it
+        """Close the channel and join the child."""
+        super().close()
         self._proc.join(timeout=5)
         if self._proc.is_alive():
             self._proc.terminate()
             self._proc.join(timeout=5)
-        self._parent_conn.close()
 
 
 class ReplicaPool:
@@ -457,7 +356,7 @@ class ReplicaPool:
     @classmethod
     def build(cls, model="ode_botnet", profile="tiny", n_replicas=2, *,
               config=None, backends=None, seed=0, pretrained_state=None,
-              tiers=None, degraded=False, mode="thread", unhealthy_after=3,
+              tiers=None, mode="thread", unhealthy_after=3,
               instrument=False, shared_weights=False):
         """Build *n_replicas* identical-weight replicas from the registry.
 
@@ -484,8 +383,6 @@ class ReplicaPool:
             tier session is built from the shared ``state`` dict, so
             quantized tiers derive their integer weights from the same
             weight generation the primary serves.
-        degraded:
-            legacy single-rung spelling of ``tiers=("reduced",)``.
         mode:
             ``"thread"`` or ``"process"`` (see the module docstring).
         shared_weights:
@@ -516,11 +413,7 @@ class ReplicaPool:
         if backends is None or isinstance(backends, str):
             backends = [backends if backends is not None
                         else config.backend] * n_replicas
-        ladder = ()
-        if tiers is not None:
-            ladder = resolve_ladder(tiers)
-        elif degraded:
-            ladder = resolve_ladder(("reduced",))
+        ladder = () if tiers is None else resolve_ladder(tiers)
         reference = build_model(model, profile=profile, seed=seed,
                                 pretrained_state=pretrained_state,
                                 inference=True)
@@ -555,7 +448,7 @@ class ReplicaPool:
             }
             kind = Replica if mode == "thread" else ProcessReplica
             replicas.append(
-                kind(f"replica-{i}", session, tier_sessions or None,
+                kind(f"replica-{i}", session, tier_sessions,
                      unhealthy_after=unhealthy_after)
             )
         pool = cls(replicas)
@@ -680,4 +573,4 @@ class ReplicaPool:
             return iter(list(self.replicas))
 
 
-__all__ = ["Replica", "ProcessReplica", "ReplicaPool"]
+__all__ = ["Replica", "ChannelReplica", "ProcessReplica", "ReplicaPool"]

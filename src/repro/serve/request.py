@@ -85,22 +85,6 @@ class Request:
         self.label = None if label is None else int(label)
 
     # ------------------------------------------------------------------
-    @property
-    def degraded(self) -> bool:
-        """True when admission placed this request on a degrade tier."""
-        return self.tier is not None
-
-    @degraded.setter
-    def degraded(self, value):
-        # back-compat shim for the single-rung PR 4 API: flagging a
-        # request degraded puts it on the ladder's shallowest tier
-        if value:
-            if self.tier is None:
-                self.tier = "reduced"
-        else:
-            self.tier = None
-
-    # ------------------------------------------------------------------
     def waited_ms(self, now=None) -> float:
         """Milliseconds spent since submission."""
         now = time.perf_counter() if now is None else now

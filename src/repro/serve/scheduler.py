@@ -312,13 +312,11 @@ class Scheduler:
                             trace_ids=[req.trace_id],
                             priority=req.priority.name,
                             tier=req.tier or "full",
-                            degraded=req.degraded,
                         )
                     with tracer.span(
                         "batch",
                         trace_ids=[r.trace_id for r in traced],
                         size=len(live), tier=tier or "full",
-                        degraded=tier is not None,
                         replica=replica.name,
                     ):
                         self._execute(replica, live, tier, tracer)

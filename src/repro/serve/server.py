@@ -121,7 +121,7 @@ class Server:
                 certify_ladder(ladder, model, profile, seed=seed)
         if config is not None and config.adapt is not None and \
                 mode == "process":
-            # fork+pipe children hold private weight copies; a shared
+            # forked children hold private weight copies; a shared
             # store is the only hot-swap channel into them
             shared_weights = True
         pool = ReplicaPool.build(

@@ -57,7 +57,7 @@ class TierSpec:
     ----------
     name:
         the tier's stable identifier (used in counters, span
-        attributes, metrics and the pipe protocol).
+        attributes, metrics and the replica wire protocol).
     qformat:
         ``None`` for a float tier, otherwise a paper-notation format
         pair string (``"8(4)-8(4)"``) the tier's

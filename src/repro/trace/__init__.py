@@ -4,7 +4,8 @@ The observability layer under the serving stack: a thread-safe
 :class:`Tracer` records nestable, monotonic-clock spans into a bounded
 ring buffer; per-request trace ids propagate from
 ``serve.Server.submit`` through scheduler batches, replica dispatch
-(process replicas ship worker-side spans back over their pipe),
+(process and remote replicas ship worker-side spans back with the
+reply),
 ``InferenceSession.predict``, the ODE solver step loop and every
 ``repro.kernels`` dispatch.  Exporters turn the spans into Chrome
 trace / Perfetto JSON, a text flame summary and per-stage latency

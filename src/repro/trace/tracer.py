@@ -26,8 +26,9 @@ Span nesting is per-thread: ``tracer.span(...)`` pushes onto a
 thread-local stack and records the previous top as its parent, so the
 serving chain batch → dispatch → session → solver.step → kernel links
 up naturally on the executor thread that runs it.  Cross-process spans
-(forked replicas) come back over the pipe and are re-parented with
-:meth:`Tracer.ingest`.
+(forked and remote replicas) come back with the reply frame over the
+replica's :class:`repro.cluster.WorkerClient` channel and are
+re-parented with :meth:`Tracer.ingest`.
 """
 
 from __future__ import annotations
@@ -80,7 +81,8 @@ class Span:
             "attrs": dict(self.attrs),
         }
 
-    # pickling support for the ProcessReplica pipe (slots-only class)
+    # pickling support for reply frames on the replica transport
+    # (slots-only class)
     def __getstate__(self):
         return (self.span_id, self.parent_id, self.name, self.t0,
                 self.dur, self.thread, self.trace_ids, self.attrs)
@@ -180,9 +182,11 @@ class _SpanCtx:
 class _ActivateCtx:
     """Make a tracer ambient on this thread without opening a span.
 
-    Used by forked replica workers: the worker activates its private
-    tracer around ``predict_batch`` so the session/solver/kernel seams
-    trace into it, then ships the collected spans back over the pipe.
+    Used by replica workers (:class:`repro.cluster.ClusterWorker`'s
+    ``run`` op, in a forked child or on a worker host): the worker
+    activates its private tracer around the batch so the
+    session/solver/kernel seams trace into it, then ships the collected
+    spans back with the reply.
     """
 
     __slots__ = ("_tracer", "_prev_tracer", "_prev_stack")
@@ -325,8 +329,9 @@ class Tracer:
         with ours; internal parent links are preserved, and any root
         (parentless) span is attached to *parent_id* — defaulting to
         the calling thread's innermost open span, which is exactly the
-        ``dispatch`` span when a :class:`~repro.serve.ProcessReplica`
-        ingests its worker's reply.
+        ``dispatch`` span when a :class:`~repro.serve.ProcessReplica` or
+        :class:`~repro.cluster.RemoteReplica` ingests its worker's
+        reply.
         """
         if parent_id is None:
             parent_id = current_span_id()

@@ -332,8 +332,8 @@ class TestWeightPublisher:
 
     def test_process_shared_store_publish_moves_forked_tiers(self):
         """Forked workers must re-derive quantized tier weights from
-        the shared floats after a swap (refresh sentinel over the
-        pipe)."""
+        the shared floats after a swap (the worker refresh op over the
+        socketpair)."""
         from repro.serve.tiers import BUILTIN_TIERS
 
         pool = ReplicaPool.build("ode_botnet", "tiny", 1, seed=0,

@@ -8,7 +8,9 @@ The cluster layer's contract, pinned:
   mid-frame, undecodable payload — and never hands garbage upward;
 * a :class:`~repro.cluster.WorkerClient` round trip survives a
   timeout: the late reply is discarded by sequence id, never returned
-  as a later request's answer (the PR 4 pipe regression, on TCP);
+  as a later request's answer — over TCP and over the socketpair a
+  :class:`~repro.serve.ProcessReplica` uses — and every round trip is
+  bounded by a finite default deadline;
 * :class:`~repro.cluster.RemoteReplica` responses are bit-exact with a
   direct :class:`~repro.runtime.InferenceSession` for every registry
   model — distribution reschedules computation, never changes it;
@@ -50,6 +52,8 @@ from repro.cluster import (
     connect_worker,
     parse_address,
 )
+from repro.cluster.transport import DEFAULT_TIMEOUT_S
+from repro.cluster.worker import build_parser as worker_cli_parser
 from repro.cluster.wire import (
     HEADER_BYTES,
     MAGIC,
@@ -65,6 +69,7 @@ from repro.models import build_model
 from repro.models.registry import MODELS, PROFILES
 from repro.runtime import InferenceSession, SessionConfig
 from repro.serve import (
+    ProcessReplica,
     Replica,
     ReplicaPool,
     Server,
@@ -206,24 +211,41 @@ def _hello(**over):
 
 
 class _ScriptedPeer:
-    """A loopback listener that speaks one scripted connection."""
+    """A worker stand-in that speaks one scripted connection.
 
-    def __init__(self, script, hello=_hello):
-        self._listener = socket.socket()
-        self._listener.bind(("127.0.0.1", 0))
-        self._listener.listen(1)
-        self.address = self._listener.getsockname()[:2]
+    Over ``"tcp"`` it listens on loopback; over ``"socketpair"`` it
+    serves one end of a ``socket.socketpair()`` — the channel a
+    :class:`~repro.serve.ProcessReplica` holds to its forked child.
+    """
+
+    def __init__(self, script, hello=_hello, transport="tcp"):
+        self._listener = self._pair_end = None
+        if transport == "tcp":
+            self._listener = socket.socket()
+            self._listener.bind(("127.0.0.1", 0))
+            self._listener.listen(1)
+            self.address = self._listener.getsockname()[:2]
+            serve_end = None
+        else:
+            self._pair_end, serve_end = socket.socketpair()
         self.error = None
         self._thread = threading.Thread(
-            target=self._run, args=(script, hello), daemon=True
+            target=self._run, args=(script, hello, serve_end), daemon=True
         )
         self._thread.start()
 
-    def _run(self, script, hello):
-        try:
-            conn, _ = self._listener.accept()
-        except OSError:
-            return
+    def client(self, **kw):
+        """A :class:`WorkerClient` on the other end of the channel."""
+        if self._listener is not None:
+            return WorkerClient.connect(self.address, **kw)
+        return WorkerClient(self._pair_end, **kw)
+
+    def _run(self, script, hello, conn):
+        if conn is None:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                return
         conn.settimeout(10)
         try:
             if hello is not None:
@@ -238,40 +260,47 @@ class _ScriptedPeer:
                 pass
 
     def close(self):
-        self._listener.close()
+        if self._listener is not None:
+            self._listener.close()
         self._thread.join(timeout=5)
         if self.error is not None:
             raise self.error
 
 
 class TestWorkerClient:
+    #: the channel every scripted peer below speaks over
+    transport = "tcp"
+
+    def _peer(self, script, hello=_hello):
+        return _ScriptedPeer(script, hello, transport=self.transport)
+
     def test_rejects_peer_that_does_not_say_hello(self):
         def script(conn):
             pass
 
-        peer = _ScriptedPeer(script, hello=lambda: None)
+        peer = self._peer(script, hello=lambda: None)
 
         def bad_hello(conn):
             send_frame(conn, ("nothello", {}))
 
-        peer2 = _ScriptedPeer(bad_hello, hello=None)
+        peer2 = self._peer(bad_hello, hello=None)
         try:
             with pytest.raises((WireProtocolError, PeerGone)):
-                WorkerClient(peer.address, connect_timeout_s=5)
+                peer.client(connect_timeout_s=5)
             with pytest.raises(WireProtocolError, match="hello"):
-                WorkerClient(peer2.address, connect_timeout_s=5)
+                peer2.client(connect_timeout_s=5)
         finally:
             peer.close()
             peer2.close()
 
     def test_rejects_wire_version_mismatch(self):
-        peer = _ScriptedPeer(
+        peer = self._peer(
             lambda conn: None,
             hello=lambda: _hello(wire_version=WIRE_VERSION + 1),
         )
         try:
             with pytest.raises(WireProtocolError, match="wire version"):
-                WorkerClient(peer.address, connect_timeout_s=5)
+                peer.client(connect_timeout_s=5)
         finally:
             peer.close()
 
@@ -280,9 +309,9 @@ class TestWorkerClient:
             recv_frame(conn)
             send_frame(conn, ["not", "a-3-tuple"])
 
-        peer = _ScriptedPeer(script)
+        peer = self._peer(script)
         try:
-            client = WorkerClient(peer.address, connect_timeout_s=5)
+            client = peer.client(connect_timeout_s=5)
             with pytest.raises(WireProtocolError, match="malformed reply"):
                 client.request("ping", timeout_s=5)
             assert client.closed
@@ -297,9 +326,9 @@ class TestWorkerClient:
             send_frame(conn, (seq - 1, "ok", "stale"))
             send_frame(conn, (seq, "ok", "fresh"))
 
-        peer = _ScriptedPeer(script)
+        peer = self._peer(script)
         try:
-            client = WorkerClient(peer.address, connect_timeout_s=5)
+            client = peer.client(connect_timeout_s=5)
             assert client.request("ping", timeout_s=5) == "fresh"
             assert not client.closed
             client.close()
@@ -307,9 +336,9 @@ class TestWorkerClient:
             peer.close()
 
     def test_timeout_survives_and_late_reply_is_discarded(self):
-        # the PR 4 pipe regression on TCP: a timed-out request's reply
-        # stays buffered in the socket; the next request must discard
-        # it by sequence id, not hand the old answer to a new caller
+        # a timed-out request's reply stays buffered in the socket; the
+        # next request must discard it by sequence id, not hand the old
+        # answer to a new caller
         def script(conn):
             _op, seq1, _ = recv_frame(conn)
             time.sleep(0.5)
@@ -317,9 +346,9 @@ class TestWorkerClient:
             _op, seq2, _ = recv_frame(conn)
             send_frame(conn, (seq2, "ok", "right answer"))
 
-        peer = _ScriptedPeer(script)
+        peer = self._peer(script)
         try:
-            client = WorkerClient(peer.address, connect_timeout_s=5)
+            client = peer.client(connect_timeout_s=5)
             with pytest.raises(TimeoutError):
                 client.request("ping", timeout_s=0.1)
             assert not client.closed  # a timeout is survivable
@@ -332,9 +361,9 @@ class TestWorkerClient:
         def script(conn):
             recv_frame(conn)  # take the request, answer with nothing
 
-        peer = _ScriptedPeer(script)
+        peer = self._peer(script)
         try:
-            client = WorkerClient(peer.address, connect_timeout_s=5)
+            client = peer.client(connect_timeout_s=5)
             with pytest.raises(PeerGone):
                 client.request("run", {"x": 1}, timeout_s=5)
             assert client.closed
@@ -346,15 +375,21 @@ class TestWorkerClient:
             _op, seq, _ = recv_frame(conn)
             send_frame(conn, (seq, "err", ValueError("worker says no")))
 
-        peer = _ScriptedPeer(script)
+        peer = self._peer(script)
         try:
-            client = WorkerClient(peer.address, connect_timeout_s=5)
+            client = peer.client(connect_timeout_s=5)
             with pytest.raises(ValueError, match="worker says no"):
                 client.request("run", timeout_s=5)
             assert not client.closed  # an op error is not a wire error
             client.close()
         finally:
             peer.close()
+
+
+class TestWorkerClientSocketpair(TestWorkerClient):
+    """Every scripted-peer case again, over a ``socketpair``."""
+
+    transport = "socketpair"
 
 
 # ----------------------------------------------------------------------
@@ -370,7 +405,7 @@ def worker():
 
 class TestClusterWorker:
     def test_hello_advertises_the_pool(self, worker):
-        client = WorkerClient(worker.address, connect_timeout_s=5)
+        client = WorkerClient.connect(worker.address, connect_timeout_s=5)
         try:
             info = client.info
             assert info["wire_version"] == WIRE_VERSION
@@ -398,7 +433,7 @@ class TestClusterWorker:
                 replica.close()
 
     def test_unknown_op_is_typed_and_survivable(self, worker):
-        client = WorkerClient(worker.address, connect_timeout_s=5)
+        client = WorkerClient.connect(worker.address, connect_timeout_s=5)
         try:
             with pytest.raises(ValueError, match="unknown cluster op"):
                 client.request("frobnicate", timeout_s=5)
@@ -499,6 +534,44 @@ class TestClusterWorker:
             assert tracer.spans(), "worker-side spans should be ingested"
         finally:
             replica.close()
+
+
+# ----------------------------------------------------------------------
+# every round trip is bounded
+# ----------------------------------------------------------------------
+class TestRoundTripBounds:
+    def test_every_channel_has_a_finite_default(self, worker):
+        process = ProcessReplica("p0", _echo_session())
+        remote = RemoteReplica(worker.address)
+        slots = connect_worker(worker.address, slots=1)
+        client = WorkerClient.connect(worker.address)
+        scaler = Autoscaler(_FakeServer(1), [worker.address])
+        try:
+            for bounded in (process, remote, *slots, client, scaler):
+                assert 0 < bounded.timeout_s < float("inf"), bounded
+            assert process.timeout_s == DEFAULT_TIMEOUT_S
+            assert worker_cli_parser().parse_args([]).timeout_s == (
+                DEFAULT_TIMEOUT_S)
+        finally:
+            for channel in (process, remote, *slots, client):
+                channel.close()
+
+    def test_waiting_forever_is_rejected(self, worker):
+        unbounded = {"timeout_s": None}
+        with pytest.raises(ValueError, match="finite"):
+            ProcessReplica("p0", _echo_session(), **unbounded)
+        with pytest.raises(ValueError, match="finite"):
+            RemoteReplica(worker.address, **unbounded)
+        with pytest.raises(ValueError, match="finite"):
+            connect_worker(worker.address, **unbounded)
+        with pytest.raises(ValueError, match="finite"):
+            WorkerClient.connect(worker.address, **unbounded)
+        with pytest.raises(ValueError, match="finite"):
+            Autoscaler(_FakeServer(1), [worker.address], **unbounded)
+        with pytest.raises(ValueError, match="finite"):
+            ClusterWorker.build("ode_botnet", "tiny", 1, **unbounded)
+        with pytest.raises(ValueError, match="finite"):
+            WorkerClient.connect(worker.address, timeout_s=float("inf"))
 
 
 # ----------------------------------------------------------------------
@@ -970,7 +1043,7 @@ class TestCLI:
             address = parse_address(line.split()[1])
             assert f"pid={proc.pid}" in line
             assert "replicas=1" in line
-            client = WorkerClient(address, connect_timeout_s=30)
+            client = WorkerClient.connect(address, connect_timeout_s=30)
             try:
                 assert client.request("ping", timeout_s=30) == "pong"
                 x = _samples(1)

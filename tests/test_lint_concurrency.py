@@ -524,6 +524,51 @@ class TestCON004:
                     pass
         """)
 
+    def test_parent_socketpair_end_in_args_fires(self):
+        # the parent's end of a socketpair crossing the fork is the
+        # same trap as a parent pipe end: the child's duplicate keeps
+        # the channel open, so the parent's close never arrives as EOF
+        text = """
+            import multiprocessing as mp
+            import socket
+
+            class Replica:
+                def start(self):
+                    self._sock, child = socket.socketpair()
+                    mp.Process(
+                        target=Replica._serve, args=(self._sock, child)
+                    ).start()
+                    child.close()
+
+                @staticmethod
+                def _serve(parent, conn):
+                    pass
+        """
+        diags = _fired(text, "CON004")
+        assert diags and "channel end self._sock" in diags[0].message
+        src = SourceFile("<s>", textwrap.dedent(text),
+                         rel="serve/snippet.py", domain="library")
+        assert build_model([src]).classes["Replica"].attr_types == {
+            "_sock": "socket.socket"}
+
+    def test_child_socketpair_end_in_args_quiet(self):
+        assert_quiet("CON004", """
+            import multiprocessing as mp
+            import socket
+
+            class Replica:
+                def start(self):
+                    self._sock, child = socket.socketpair()
+                    mp.Process(
+                        target=Replica._serve, args=(child,)
+                    ).start()
+                    child.close()
+
+                @staticmethod
+                def _serve(conn):
+                    pass
+        """)
+
     def test_fork_under_held_lock_fires(self):
         assert_fires("CON004", """
             import multiprocessing as mp
@@ -557,21 +602,20 @@ class TestCleanTree:
     def test_package_lock_graph_is_acyclic(self):
         assert not _find_cycles(package_lock_graph())
 
-    def test_sanctioned_con003_suppressions_exist(self):
-        # ProcessReplica serializes its pipe round-trips (run, the
-        # refresh sentinel, and close's shutdown) under _pipe_lock on
-        # purpose; the suppressions documenting that must stay
+    def test_pool_carries_no_con003_suppressions(self):
+        # ProcessReplica round-trips through WorkerClient, so the only
+        # serialized round trip in the tree — and its suppressions —
+        # live in cluster/transport.py
         import repro.serve.pool as pool
 
         src = SourceFile(pool.__file__, open(pool.__file__).read())
-        con003 = [ids for ids in src.suppressions.values()
-                  if "CON003" in ids]
-        assert len(con003) == 7
+        assert src.suppressions == {}
 
     def test_sanctioned_transport_suppressions_exist(self):
         # WorkerClient serializes its socket round-trip under _lock on
-        # purpose (mirrors ProcessReplica's pipe); exactly the sendall
-        # and recv suppressions documenting that must stay
+        # purpose — for TCP workers and forked process replicas alike;
+        # exactly the sendall and recv suppressions documenting that
+        # must stay
         import repro.cluster.transport as transport
 
         src = SourceFile(transport.__file__,
@@ -582,7 +626,7 @@ class TestCleanTree:
 
     def test_model_covers_the_threaded_classes(self):
         model = package_lock_model()
-        for name in ("Scheduler", "AdmissionQueue", "ProcessReplica",
+        for name in ("Scheduler", "AdmissionQueue",
                      "MicroBatcher", "SessionStats", "Tracer",
                      "WorkerClient", "ClusterWorker", "Autoscaler",
                      "SharedWeightStore", "SampleTap", "WeightPublisher",

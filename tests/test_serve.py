@@ -130,7 +130,8 @@ class TestAdmissionQueue:
         reqs = [self._request(q) for _ in range(5)]
         admitted = [q.offer(r) for r in reqs]
         assert admitted == [True, True, True, True, False]
-        assert [r.degraded for r in reqs[:4]] == [False, False, True, True]
+        assert [r.tier is not None for r in reqs[:4]] == [
+            False, False, True, True]
         with pytest.raises(QueueFull):
             reqs[4].future.result(timeout=1)
         snap = q.snapshot()
@@ -207,11 +208,11 @@ class TestReplicaPool:
 
     def test_degraded_session_reuses_weights(self):
         pool = ReplicaPool.build("ode_botnet", "tiny", 1, seed=0,
-                                 degraded=True)
+                                 tiers=("reduced",))
         replica = pool.replicas[0]
         x = _samples(2, shape=(3, 32, 32))
         full = replica.run(x)
-        degraded = replica.run(x, degraded=True)
+        degraded = replica.run(x, tier="reduced")
         reference = InferenceSession(
             build_model("ode_botnet", profile=reduced_profile("tiny"),
                         seed=0, inference=True)
@@ -233,7 +234,7 @@ class TestReplicaPool:
 
     def test_process_timeout_never_returns_stale_batch(self):
         # regression: a timed-out request leaves the worker's eventual
-        # reply buffered in the pipe.  The next run() must discard that
+        # reply buffered in the socket.  The next run() must discard that
         # stale reply (matched by sequence id), not hand the previous
         # batch's outputs to the new batch's callers.
         def marker_sleep(batch):
@@ -274,6 +275,77 @@ class TestReplicaPool:
         finally:
             pool.close()
         assert not pool.replicas[0]._proc.is_alive()
+
+    def test_process_pool_close_reaches_every_child(self):
+        # the second fork inherits the parent's end of the first
+        # replica's socketpair, so a plain close() of that end never
+        # reaches the first child as EOF; only shutdown() does — and a
+        # child that misses it holds close() for the 5 s join timeout
+        pool = ReplicaPool([
+            ProcessReplica(f"p{i}", _echo_session()) for i in range(2)
+        ])
+        x = _samples(2)
+        for replica in pool:
+            replica.run(x)
+        start = time.perf_counter()
+        pool.close()
+        assert time.perf_counter() - start < 2.0
+        for replica in pool:
+            assert not replica._proc.is_alive()
+            assert replica._proc.exitcode == 0  # left on EOF, not killed
+
+    def test_killed_child_fails_its_batch_typed_once_then_leaves_routing(
+            self):
+        import os
+        import select
+        import signal
+
+        from repro.cluster import PeerGone
+
+        started_r, started_w = os.pipe()
+
+        def stall(batch):
+            # runs in the child: report the batch size, then hang until
+            # the test kills the process
+            os.write(started_w, bytes([len(batch)]))
+            time.sleep(60)
+
+        replica = ProcessReplica("p0", InferenceSession(stall),
+                                 unhealthy_after=2, timeout_s=30)
+        os.close(started_w)
+        try:
+            with Server(ReplicaPool([replica]), max_batch_size=4,
+                        max_wait_ms=500.0) as server:
+                resolved = []
+                batch = [server.submit(np.zeros(2, np.float32))
+                         for _ in range(4)]
+                for fut in batch:
+                    fut.add_done_callback(resolved.append)
+                ready, _, _ = select.select([started_r], [], [], 30)
+                assert ready, "the child never started the batch"
+                assert os.read(started_r, 1) == bytes([4])
+                os.kill(replica._proc.pid, signal.SIGKILL)
+                for fut in batch:
+                    assert isinstance(fut.exception(timeout=10), PeerGone)
+                assert len(resolved) == 4  # each future resolved once
+                deadline = time.monotonic() + 5
+                while (server.scheduler.snapshot()["failed"] < 4
+                       and time.monotonic() < deadline):
+                    time.sleep(0.01)
+                assert server.scheduler.snapshot()["failed"] == 4
+                assert replica.healthy  # one failure of two so far
+                # the dead channel fails fast and typed, then the
+                # replica leaves routing
+                second = server.submit(np.zeros(2, np.float32))
+                assert isinstance(second.exception(timeout=10), PeerGone)
+                assert not replica.healthy
+                third = server.submit(np.zeros(2, np.float32))
+                assert isinstance(third.exception(timeout=10),
+                                  ReplicaUnavailable)
+        finally:
+            os.close(started_r)
+            replica.close()
+        assert not replica._proc.is_alive()
 
 
 # ----------------------------------------------------------------------
@@ -358,7 +430,7 @@ class TestServer:
 
     def test_degrade_policy_serves_overflow_degraded(self):
         full = Replica("r0", _echo_session(scale=1.0, delay_s=0.05),
-                       degraded_session=_echo_session(scale=-1.0))
+                       tier_sessions={"reduced": _echo_session(scale=-1.0)})
         pool = ReplicaPool([full])
         with Server(pool, max_batch_size=1, max_wait_ms=0.1,
                     queue_capacity=1, shed_policy="degrade",
@@ -602,18 +674,6 @@ class TestTierLadder:
         assert [r.tier for r in reqs] == [None, "int8", "int8"]
         assert not q.offer(self._request(q))  # hard cap still holds
 
-    def test_request_degraded_backcompat(self):
-        req = Request(np.zeros(2, np.float32), seq=0)
-        assert req.tier is None and not req.degraded
-        req.degraded = True
-        assert req.tier == "reduced" and req.degraded
-        req.tier = "int4"
-        assert req.degraded  # setter does not clobber a deeper tier
-        req.degraded = True
-        assert req.tier == "int4"
-        req.degraded = False
-        assert req.tier is None
-
     def test_resolve_ladder_forms(self):
         from repro.serve import DEFAULT_LADDER, TierSpec, resolve_ladder
 
@@ -645,11 +705,10 @@ class TestTierLadder:
         assert full.run(x, tier="int8")[0, 0] == 4.0
         # unknown tier falls back to the full session, counted as full
         assert full.run(x, tier="int4")[0, 0] == 2.0
-        assert full.run(x, degraded=True)[0, 0] == -2.0  # legacy kwarg
         health = full.health()
-        assert health["dispatches"] == 5
-        assert health["degraded_dispatches"] == 3
-        assert health["dispatches_by_tier"] == {"reduced": 2, "int8": 1}
+        assert health["dispatches"] == 4
+        assert health["degraded_dispatches"] == 2
+        assert health["dispatches_by_tier"] == {"reduced": 1, "int8": 1}
         assert list(health["tiers"]) == ["reduced", "int8"]
         assert health["weights_version"] == 1
         full.refresh()

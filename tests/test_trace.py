@@ -311,7 +311,7 @@ class TestServePropagation:
         spans = tracer.spans()
         by_id = {s.span_id: s for s in spans}
         sessions = [s for s in spans if s.name == "session"]
-        assert sessions, "worker session spans came back over the pipe"
+        assert sessions, "worker session spans came back with the reply"
         for session in sessions:
             assert by_id[session.parent_id].name == "dispatch"
         steps = [s for s in spans if s.name == "solver.step"]

@@ -1,12 +1,13 @@
-"""The compiled backend's speed gate: ≥1.3× fused on the packed forward.
+"""The compiled plan's speed gate: ≥1.3× the module forward on fused.
 
-The ``compiled`` backend exists to beat ``fused`` — same numerics
-(≤1e-6 of ``reference``), better schedule: BN folded into conv weights,
-the Euler step body running out of one preallocated arena, per-machine
-autotuned conv strategies.  This bench times the packed eval forward
-(the serving hot path) under both backends for each compilable registry
-model, asserts the headline ≥1.3× claim, prints the table and persists
-it as ``BENCH_compile_speedup.json`` for CI artifact upload.
+:class:`~repro.compile.CompiledPlan` is the float fast executor — same
+numerics as the module-forward oracle (≤1e-6 of ``reference``), better
+schedule: BN folded into conv weights, the Euler step body running out
+of one preallocated arena, per-machine autotuned conv strategies.  This
+bench times it against the module forward (:class:`ModulePlan`) on the
+same ``fused`` kernels for each compilable registry model, asserts the
+headline ≥1.3× claim, prints the table and persists it as
+``BENCH_compile_speedup.json`` for CI artifact upload.
 """
 
 import time
@@ -17,9 +18,9 @@ import pytest
 from _artifacts import record_bench
 from conftest import show
 from repro import kernels
-from repro.compile import autotune
+from repro.compile import autotune, lower
 from repro.models import build_model
-from repro.runtime import InferenceSession, PackedODENet, SessionConfig
+from repro.runtime import InferenceSession, ModulePlan, SessionConfig
 
 RNG = np.random.default_rng(0)
 
@@ -41,41 +42,43 @@ def _best_of(fn, repeats=7, inner=5):
 
 @pytest.fixture(scope="module")
 def compile_speedup_rows():
-    """Autotune, time fused vs compiled per model, persist the artifact."""
+    """Autotune, time module forward vs compiled per model, persist."""
     x = RNG.standard_normal((BATCH, 3, 32, 32)).astype(np.float32)
     rows = []
     for name in MODELS:
         model = build_model(name, profile="tiny", inference=True)
         # Tune + warm the on-disk schedule cache so the compiled
-        # backend below picks the tuned schedule up transparently.
-        schedule, report = autotune(PackedODENet(model), x, save=True)
+        # session below picks the tuned schedule up transparently.
+        schedule, report = autotune(lower(model), x, save=True)
 
-        timings = {}
-        for backend in ("fused", "compiled"):
-            session = InferenceSession(
-                model, config=SessionConfig(backend=backend)
-            )
-            session.predict_batch(x)  # warm: workspaces / plan binding
-            timings[backend] = _best_of(
-                lambda s=session: s.predict_batch(x)
-            )
+        compiled = InferenceSession(
+            model, config=SessionConfig(backend="fused")
+        )
+        assert compiled.plan_kind == "compiled"
+        compiled.predict_batch(x)  # warm: plan binding
+        compiled_s = _best_of(lambda: compiled.predict_batch(x))
+        module = ModulePlan(model)
+        with kernels.use_backend("fused"):
+            module(x)  # warm: fused workspaces
+            module_s = _best_of(lambda: module(x))
         rows.append({
             "model": name,
             "batch": BATCH,
-            "fused_ms": timings["fused"] * 1e3,
-            "compiled_ms": timings["compiled"] * 1e3,
-            "speedup": timings["fused"] / timings["compiled"],
+            "baseline": "module forward on fused kernels",
+            "fused_ms": module_s * 1e3,
+            "compiled_ms": compiled_s * 1e3,
+            "speedup": module_s / compiled_s,
             "schedule": schedule,
             "autotune_best_ms": report["best_ms"],
         })
 
     body = "\n".join(
-        f"{r['model']:12s} fused {r['fused_ms']:7.3f} ms   "
+        f"{r['model']:12s} module/fused {r['fused_ms']:7.3f} ms   "
         f"compiled {r['compiled_ms']:7.3f} ms   "
         f"speedup {r['speedup']:.2f}x  (need >={REQUIRED_SPEEDUP}x)"
         for r in rows
     )
-    show("compiled vs fused — packed eval forward", body)
+    show("compiled plan vs module forward on fused kernels", body)
     record_bench(
         "compile_speedup",
         {"required_speedup": REQUIRED_SPEEDUP, "rows": rows},
@@ -85,11 +88,11 @@ def compile_speedup_rows():
 
 @pytest.mark.parametrize("name", MODELS)
 def test_compiled_beats_fused(compile_speedup_rows, name):
-    """`compiled` ≥ 1.3x `fused` on the packed eval forward."""
+    """The compiled plan ≥ 1.3x the module forward on fused kernels."""
     row = next(r for r in compile_speedup_rows if r["model"] == name)
     assert row["speedup"] >= REQUIRED_SPEEDUP, (
-        f"compiled speedup {row['speedup']:.2f}x over fused on {name} "
-        f"(need >={REQUIRED_SPEEDUP}x)"
+        f"compiled speedup {row['speedup']:.2f}x over the module forward "
+        f"on fused kernels on {name} (need >={REQUIRED_SPEEDUP}x)"
     )
 
 
@@ -98,9 +101,10 @@ def test_compiled_parity_with_reference(name):
     """The speed claim only counts if outputs agree (≤1e-6 of reference)."""
     model = build_model(name, profile="tiny", inference=True)
     x = RNG.standard_normal((4, 3, 32, 32)).astype(np.float32)
-    session = InferenceSession(model)
-    with kernels.use_backend("reference"):
-        ref = session.predict_batch(x)
-    with kernels.use_backend("compiled"):
-        out = session.predict_batch(x)
+    ref = InferenceSession(
+        model, config=SessionConfig(backend="reference")
+    ).predict_batch(x)
+    out = InferenceSession(
+        model, config=SessionConfig(backend="compiled")
+    ).predict_batch(x)
     np.testing.assert_allclose(out, ref, rtol=0, atol=1e-6)

@@ -6,8 +6,8 @@ Two contracts from the kernel-layer refactor:
   dispatcher (thread-state lookup + collector truthiness check) costs
   <5% over calling the backend method directly;
 * **`fused` earns its keep** — on the paper model's eval forward
-  (packed InferenceSession plan) the fused backend is ≥1.2× the
-  reference backend.
+  (the module forward, :class:`~repro.runtime.ModulePlan`) the fused
+  kernels are ≥1.2× the reference kernels.
 
 Wall-clock asserts use best-of-N minima, which are robust to scheduler
 noise on shared CI runners.
@@ -20,7 +20,7 @@ import numpy as np
 from _artifacts import record_bench
 from repro import kernels
 from repro.models import build_model
-from repro.runtime import InferenceSession
+from repro.runtime import ModulePlan
 
 RNG = np.random.default_rng(0)
 
@@ -54,21 +54,21 @@ def test_dispatch_overhead_under_5_percent():
 
 
 def test_fused_beats_reference_on_odenet_eval_forward():
-    """`fused` ≥ 1.2x `reference` on the packed ODENet eval forward."""
-    model = build_model("odenet", profile="tiny", inference=True)
-    session = InferenceSession(model)
+    """`fused` ≥ 1.2x `reference` on the ODENet module forward."""
+    plan = ModulePlan(build_model("odenet", profile="tiny", inference=True))
     x = RNG.standard_normal((8, 3, 32, 32)).astype(np.float32)
 
     def run_with(backend):
         with kernels.use_backend(backend):
-            session.predict_batch(x)  # warm-up (fused workspace fill)
-            return _best_of(lambda: session.predict_batch(x))
+            plan(x)  # warm-up (fused workspace fill)
+            return _best_of(lambda: plan(x))
 
     ref_s = run_with("reference")
     fused_s = run_with("fused")
     speedup = ref_s / fused_s
     record_bench("kernel_dispatch", {
         "model": "odenet",
+        "plan": "module forward",
         "batch": int(x.shape[0]),
         "reference_ms": ref_s * 1e3,
         "fused_ms": fused_s * 1e3,
@@ -80,12 +80,11 @@ def test_fused_beats_reference_on_odenet_eval_forward():
 
 def test_fused_parity_on_benchmark_model():
     """The speed claim only counts if outputs still agree (<=1e-6 rel)."""
-    model = build_model("odenet", profile="tiny", inference=True)
-    session = InferenceSession(model)
+    plan = ModulePlan(build_model("odenet", profile="tiny", inference=True))
     x = RNG.standard_normal((4, 3, 32, 32)).astype(np.float32)
     with kernels.use_backend("reference"):
-        ref = session.predict_batch(x)
+        ref = plan(x)
     with kernels.use_backend("fused"):
-        fused = session.predict_batch(x)
+        fused = plan(x)
     scale = max(1.0, float(np.abs(ref).max()))
     assert float(np.abs(ref - fused).max()) <= 1e-6 * scale

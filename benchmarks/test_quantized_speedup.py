@@ -1,6 +1,6 @@
-"""The quantized backend's speed gate: ≥5× the scalar fixed-point path.
+"""The quantized plan's speed gate: ≥5× the scalar fixed-point path.
 
-The ``quantized`` backend exists to make full-network fixed-point
+The fixed-point fast executor exists to make full-network fixed-point
 inference *fast enough to serve*: the scalar reference path
 (``QuantizedODENetExecutor.run`` under the ``reference`` backend) walks
 every integer GEMM in pure numpy loops over int64 raws, while the
@@ -85,7 +85,7 @@ def quantized_speedup_row():
 
 
 def test_quantized_plan_beats_scalar_reference(quantized_speedup_row):
-    """`quantized` plan ≥ 5x the scalar fixed-point reference path."""
+    """The quantized plan ≥ 5x the scalar fixed-point reference path."""
     row = quantized_speedup_row
     show(
         "quantized plan vs scalar fixed point — full-model forward",
@@ -106,8 +106,8 @@ def test_quantized_plan_beats_scalar_reference(quantized_speedup_row):
 
 
 def test_quantized_backend_alone_accelerates_executor():
-    """Even without the plan, the executor under the quantized backend
-    must beat its own scalar path — the seam reroute carries weight."""
+    """Even without the plan, the executor on the fused kernels must
+    beat its own scalar path — the integer reroute carries weight."""
     model = build_model(MODEL, profile="tiny", inference=True)
     ffmt, pfmt = parse_format_pair(FORMAT)
     executor = QuantizedODENetExecutor(model, ffmt, pfmt)
@@ -115,7 +115,7 @@ def test_quantized_backend_alone_accelerates_executor():
     with kernels.use_backend("reference"):
         ref = executor.run(x)
         scalar_s = _best_of(lambda: executor.run(x))
-    with kernels.use_backend("quantized"):
+    with kernels.use_backend("fused"):
         out = executor.run(x)
         fast_s = _best_of(lambda: executor.run(x))
     np.testing.assert_array_equal(ref, out)

@@ -1,11 +1,12 @@
 """Smoke benchmark: the batched runtime vs per-sample graph forwards.
 
-The inference runtime's pitch is throughput: one packed, graph-free
+The inference runtime's pitch is throughput: one batched, graph-free
 ``predict_batch`` over N images should beat N single-image forwards that
 each build an autograd graph.  This pins the claim at >= 2x on the tiny
-proposed model — a deliberately loose bound so the smoke test passes on
-any CI machine while still catching a runtime that silently regresses
-to per-sample dispatch.
+proposed model, on the ``reference`` session (the module-forward
+oracle, so the compiler's own speedup is not counted) — a deliberately
+loose bound so the smoke test passes on any CI machine while still
+catching a runtime that silently regresses to per-sample dispatch.
 
 Runs standalone (no ``--benchmark-only`` needed):
 
@@ -17,7 +18,7 @@ import time
 import numpy as np
 
 from repro.models import build_model
-from repro.runtime import InferenceSession
+from repro.runtime import InferenceSession, SessionConfig
 from repro.tensor import Tensor
 
 from _artifacts import record_bench
@@ -43,9 +44,10 @@ def test_predict_batch_at_least_2x_over_per_sample():
 
     model = build_model("ode_botnet", profile="tiny", seed=0)
     session = InferenceSession(
-        build_model("ode_botnet", profile="tiny", seed=0, inference=True)
+        build_model("ode_botnet", profile="tiny", seed=0, inference=True),
+        config=SessionConfig(backend="reference"),
     )
-    assert session.backend == "packed"
+    assert session.plan_kind == "module"
 
     def per_sample():
         # the pre-runtime idiom: one graph-building forward per image
@@ -71,6 +73,7 @@ def test_predict_batch_at_least_2x_over_per_sample():
     )
     record_bench("runtime_throughput", {
         "model": "ode_botnet",
+        "plan": session.plan_kind,
         "n_samples": N_SAMPLES,
         "per_sample_ms": t_loop * 1e3,
         "batched_ms": t_batch * 1e3,

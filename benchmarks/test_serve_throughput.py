@@ -8,9 +8,9 @@ Three claims, in decreasing strictness:
 2. **Overload is bounded** — at ~2x one replica's calibrated capacity
    the admission queue's high-water mark never exceeds its bound and
    the overflow is shed with typed errors.  Asserted on every machine.
-3. **Replicas scale** — an N-replica *process-mode* pool (fork + pipe
-   IPC, one OS process per replica) sustains >= 1.6x the completed
-   throughput of a single replica on the fused backend.  Only asserted
+3. **Replicas scale** — an N-replica *process-mode* pool (a forked
+   child per replica, wire frames over a socketpair) sustains >= 1.6x
+   the completed throughput of a single replica on the fused backend.  Only asserted
    when the machine has >= 3 usable cores: a 1-core box cannot scale
    anything, and on exactly 2 cores the collector/loadgen threads
    compete with the two replica processes, making a hard 1.6x gate a
@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from repro.models import build_model
-from repro.runtime import InferenceSession
+from repro.runtime import InferenceSession, SessionConfig
 from repro.serve import Server, arrival_offsets, calibrate_rate, run_load
 
 from _artifacts import record_bench
@@ -36,6 +36,7 @@ from conftest import show
 
 PROFILE = "tiny"
 BACKEND = "fused"
+CONFIG = SessionConfig(backend=BACKEND)
 N_REPLICAS = 2
 DURATION_S = 2.0
 SEED = 0
@@ -57,7 +58,7 @@ def _serve_under_load(n_replicas, rate_hz, *, mode, duration_s=DURATION_S,
                       **server_kw):
     """Build a server, replay a seeded schedule, return the LoadReport."""
     kw = dict(
-        backends=BACKEND,
+        config=CONFIG,
         mode=mode,
         queue_capacity=32,
         max_batch_size=8,
@@ -79,10 +80,10 @@ def test_served_responses_bit_exact_and_never_hang():
     direct = InferenceSession(
         build_model("ode_botnet", profile=PROFILE, seed=SEED,
                     inference=True),
-        backend=BACKEND,
+        config=CONFIG,
     ).predict_batch(x)
     with Server.build("ode_botnet", PROFILE, N_REPLICAS, seed=SEED,
-                      backends=BACKEND, max_batch_size=8,
+                      config=CONFIG, max_batch_size=8,
                       max_wait_ms=20.0) as server:
         futures = [server.submit(xi) for xi in x]
         rows = np.stack([f.result(timeout=120) for f in futures])
@@ -92,7 +93,7 @@ def test_served_responses_bit_exact_and_never_hang():
 
 def test_overload_sheds_with_bounded_queue_and_zero_hangs():
     with Server.build("ode_botnet", PROFILE, 1, seed=SEED,
-                      backends=BACKEND, queue_capacity=16,
+                      config=CONFIG, queue_capacity=16,
                       max_batch_size=8, shed_policy="reject") as server:
         per_replica = calibrate_rate(server, _samples(1)[0], seed=SEED)
     report, queue_snap = _serve_under_load(
@@ -117,7 +118,7 @@ def test_n_replica_scaling():
     # common offered rate: enough to saturate one replica so the extra
     # replicas have work to win on, finite so the run stays ~2s/leg
     with Server.build("ode_botnet", PROFILE, 1, seed=SEED,
-                      backends=BACKEND, mode=mode) as server:
+                      config=CONFIG, mode=mode) as server:
         per_replica = calibrate_rate(server, _samples(1)[0], seed=SEED)
     rate = 1.8 * per_replica
 

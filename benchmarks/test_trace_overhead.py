@@ -3,8 +3,9 @@
 `repro.trace`'s first design commitment (docs/OBSERVABILITY.md) is that
 the *disabled* path costs nothing: every traced seam guards on one
 thread-local read before running the exact pre-trace code. This file
-pins that promise on the hottest traced path — the packed
-`ode_botnet`/`tiny` eval forward — with a <2% budget, and *prints* the
+pins that promise on the hottest traced path — the compiled
+`ode_botnet`/`tiny` eval forward the serve path runs — with a <2%
+budget, and *prints* the
 enabled-tracing cost (full spans, and `kernel_spans=False`) so
 regressions of the opt-in path are visible in CI logs without flaking
 the suite on it.
@@ -19,7 +20,7 @@ import numpy as np
 
 from _artifacts import record_bench
 from repro.models import build_model
-from repro.runtime import InferenceSession
+from repro.runtime import InferenceSession, SessionConfig
 from repro.trace import Tracer
 
 RNG = np.random.default_rng(0)
@@ -38,9 +39,10 @@ def _best_of(fn, repeats=9, inner=3):
 
 def _session_and_input():
     model = build_model("ode_botnet", profile="tiny", seed=0, inference=True)
-    session = InferenceSession(model)
+    session = InferenceSession(model, config=SessionConfig(backend="fused"))
+    assert session.plan_kind == "compiled"
     x = RNG.standard_normal((8, 3, 32, 32)).astype(np.float32)
-    session.predict_batch(x)  # warm-up: packed-plan build, BLAS threads
+    session.predict_batch(x)  # warm-up: plan binding, BLAS threads
     return session, x
 
 
@@ -84,7 +86,8 @@ def test_enabled_tracing_cost_printed():
     coarse_s, coarse_n = traced(kernel_spans=False)
     full_s, full_n = traced(kernel_spans=True)
 
-    print("\ntrace overhead on packed ode_botnet/tiny eval forward (batch 8):")
+    print("\ntrace overhead on compiled ode_botnet/tiny eval forward "
+          "(batch 8):")
     print(f"  tracing off            {off_s * 1e3 / 3:8.2f} ms/call")
     print(
         f"  on, kernel_spans=False {coarse_s * 1e3 / 3:8.2f} ms/call"
@@ -97,6 +100,7 @@ def test_enabled_tracing_cost_printed():
 
     record_bench("trace_overhead", {
         "model": "ode_botnet",
+        "plan": session.plan_kind,
         "batch": 8,
         "off_ms_per_call": off_s * 1e3 / 3,
         "coarse_ms_per_call": coarse_s * 1e3 / 3,

@@ -123,7 +123,7 @@ def main():
     ).astype(np.float32)
     y = session.predict_batch(x)
     snap = session.stats.snapshot()
-    print(f"backend={session.backend}: batch {x.shape} -> {y.shape}, "
+    print(f"plan={session.plan_kind}: batch {x.shape} -> {y.shape}, "
           f"{snap['batches']} dispatch, p50 {snap['p50_ms']:.2f} ms")
 
     print("\n=== Execution schedule (512ch fixed, sequential) ===")

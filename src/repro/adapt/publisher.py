@@ -93,7 +93,7 @@ class WeightPublisher:
             for replica in local:
                 # load_weights moves the primary *and* every tier's
                 # float model (tiers hold private copies without a
-                # store); refresh re-derives packed/quantized plans
+                # store); refresh re-derives compiled/quantized plans
                 replica.load_weights(state)
                 replica.refresh()
         else:

@@ -1,6 +1,6 @@
-"""repro.compile — the fused-plan compiler behind the ``compiled`` backend.
+"""repro.compile — the float fast executor for Euler ODENets.
 
-Compiles :meth:`repro.runtime.PackedODENet.graph` into a fused,
+Lowers an eval-mode :class:`~repro.models.ODENet` into a fused,
 arena-backed execution plan (see ``docs/COMPILE.md``):
 
 * :mod:`~repro.compile.ir` — lowering: BatchNorm folding into fused
@@ -18,10 +18,11 @@ arena-backed execution plan (see ``docs/COMPILE.md``):
 * :mod:`~repro.compile.autotune` — per-machine schedule search with a
   disk cache keyed by graph hash × machine fingerprint.
 
-Most callers never import this package: selecting the ``compiled``
-kernel backend (``SessionConfig(backend="compiled")``, ambient
-``with kernels.use_backend("compiled")``, or ``REPRO_BACKEND=compiled``)
-routes packed plans through :func:`compile_packed` automatically.
+Most callers never import this package: an
+:class:`~repro.runtime.InferenceSession` on any kernel backend but
+``reference`` (``SessionConfig(backend="fused")``, ambient
+``with kernels.use_backend("fused")``, or ``REPRO_BACKEND=fused``)
+binds :func:`compile_model`'s plan for every model it supports.
 """
 
 from .arena import Arena, OpList, PlanValidationError
@@ -29,7 +30,7 @@ from .autotune import (
     autotune,
     cache_dir,
     cache_path,
-    compile_packed,
+    compile_model,
     default_schedule,
     graph_hash,
     graph_signature,
@@ -38,8 +39,8 @@ from .autotune import (
     save_schedule,
     schedule_axes,
 )
-from .ir import COMPILE_VERSION
-from .plan import CompiledPlan, CompileError
+from .ir import COMPILE_VERSION, CompileError, lower
+from .plan import CompiledPlan
 
 __all__ = [
     "COMPILE_VERSION",
@@ -48,7 +49,8 @@ __all__ = [
     "PlanValidationError",
     "CompiledPlan",
     "CompileError",
-    "compile_packed",
+    "compile_model",
+    "lower",
     "autotune",
     "default_schedule",
     "schedule_axes",

@@ -17,10 +17,14 @@ Winning schedules are cached as JSON keyed by
 × ``machine_fingerprint``, so a tuned machine never re-tunes until the
 model structure, the compiler version or the machine changes.  Cache
 location: ``$REPRO_COMPILE_CACHE`` if set, else
-``~/.cache/repro/compile``.  :func:`compile_packed` consults the cache
+``~/.cache/repro/compile``.  :func:`compile_model` consults the cache
 transparently; a miss falls back to the heuristic
 :func:`default_schedule` without timing anything, so sessions never pay
 a tuning cost they didn't ask for.
+
+Every function here takes the lowered stages
+(:func:`repro.compile.ir.lower`), so one compile lowers the model once
+and derives its cache key, schedule axes and plan from that one list.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .plan import CompiledPlan
 
 __all__ = [
     "autotune",
-    "compile_packed",
+    "compile_model",
     "default_schedule",
     "schedule_axes",
     "machine_fingerprint",
@@ -82,21 +86,22 @@ def cache_dir() -> str:
     )
 
 
-def cache_path(packed) -> str:
-    """The cache file a packed plan's schedule lives at on this machine."""
+def cache_path(stages) -> str:
+    """The cache file the schedule of lowered *stages* lives at on this
+    machine."""
     return os.path.join(
         cache_dir(),
-        f"schedule-{graph_hash(packed)}-{machine_fingerprint()}.json",
+        f"schedule-{graph_hash(stages)}-{machine_fingerprint()}.json",
     )
 
 
-def load_schedule(packed):
-    """The cached schedule entry for *packed* on this machine, or None.
+def load_schedule(stages):
+    """The cached schedule entry for *stages* on this machine, or None.
 
     Entries carry the compiler version and are ignored (treated as a
     miss) when it moved — a version bump invalidates every cache.
     """
-    path = cache_path(packed)
+    path = cache_path(stages)
     try:
         with open(path, encoding="utf-8") as fh:
             entry = json.load(fh)
@@ -109,14 +114,14 @@ def load_schedule(packed):
     return entry
 
 
-def save_schedule(packed, schedule, *, tuned=False, best_ms=None,
+def save_schedule(stages, schedule, *, tuned=False, best_ms=None,
                   input_shape=None, timings=None) -> str:
-    """Persist *schedule* for *packed* on this machine; returns the path."""
-    path = cache_path(packed)
+    """Persist *schedule* for *stages* on this machine; returns the path."""
+    path = cache_path(stages)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     entry = {
         "compile_version": COMPILE_VERSION,
-        "graph_hash": graph_hash(packed),
+        "graph_hash": graph_hash(stages),
         "machine": machine_fingerprint(),
         "schedule": dict(schedule),
         "tuned": bool(tuned),
@@ -131,15 +136,15 @@ def save_schedule(packed, schedule, *, tuned=False, best_ms=None,
     return path
 
 
-def schedule_axes(packed):
-    """The tunable axes of a packed plan: ``[(key, [choices...])]``.
+def schedule_axes(stages):
+    """The tunable axes of lowered *stages*: ``[(key, [choices...])]``.
 
     One dense-conv axis per conv/fconv stage, one depthwise axis per
     DSC time conv inside the ODE dynamics, plus the global time-plane
     mode.  The first choice of each axis is the heuristic default.
     """
     axes = []
-    for stage in lower(packed):
+    for stage in stages:
         if stage.op in ("conv", "fconv"):
             groups = getattr(stage.ir, "groups", 1)
             # the gemm alternative reorders the reduction; that is only
@@ -164,15 +169,15 @@ def schedule_axes(packed):
     return axes
 
 
-def default_schedule(packed) -> dict:
+def default_schedule(stages) -> dict:
     """The heuristic schedule: first choice of every axis, no timing."""
-    return {key: choices[0] for key, choices in schedule_axes(packed)}
+    return {key: choices[0] for key, choices in schedule_axes(stages)}
 
 
-def _time_plan(packed, schedule, x, repeats, inner):
+def _time_plan(stages, schedule, x, repeats, inner):
     """Best-of-*repeats* mean-of-*inner* wall time of one forward, in
     seconds — the benchmark harness's estimator."""
-    plan = CompiledPlan(packed, schedule)
+    plan = CompiledPlan(stages, schedule)
     plan(x)  # warm: bind geometry, allocate the arena
     best = float("inf")
     for _ in range(repeats):
@@ -183,8 +188,8 @@ def _time_plan(packed, schedule, x, repeats, inner):
     return best
 
 
-def autotune(packed, x, *, repeats=5, inner=4, save=True):
-    """Search fusion/tile/unroll schedules for *packed* on this machine.
+def autotune(stages, x, *, repeats=5, inner=4, save=True):
+    """Search fusion/tile/unroll schedules for *stages* on this machine.
 
     Greedy coordinate descent: start from :func:`default_schedule`,
     sweep each axis in turn keeping the best choice found so far, timing
@@ -194,17 +199,17 @@ def autotune(packed, x, *, repeats=5, inner=4, save=True):
     the winner to the schedule cache.
     """
     x = np.asarray(x)
-    best = default_schedule(packed)
+    best = default_schedule(stages)
     timings = {}
-    best_t = _time_plan(packed, best, x, repeats, inner)
+    best_t = _time_plan(stages, best, x, repeats, inner)
     timings["default"] = best_t * 1e3
-    for key, choices in schedule_axes(packed):
+    for key, choices in schedule_axes(stages):
         for choice in choices:
             if best.get(key) == choice:
                 continue
             candidate = dict(best)
             candidate[key] = choice
-            t = _time_plan(packed, candidate, x, repeats, inner)
+            t = _time_plan(stages, candidate, x, repeats, inner)
             timings[f"{key}={choice}"] = t * 1e3
             if t < best_t:
                 best, best_t = candidate, t
@@ -215,22 +220,23 @@ def autotune(packed, x, *, repeats=5, inner=4, save=True):
     }
     if save:
         report["cache_path"] = save_schedule(
-            packed, best, tuned=True, best_ms=best_t * 1e3,
+            stages, best, tuned=True, best_ms=best_t * 1e3,
             input_shape=x.shape, timings=timings,
         )
     return best, report
 
 
-def compile_packed(packed, *, schedule=None):
-    """Compile a packed plan: explicit schedule > cached > heuristic.
+def compile_model(model, *, schedule=None):
+    """Compile an eval-mode Euler ODENet: lower it once, then bind the
+    explicit schedule, else the cached one, else the heuristic default.
 
-    The entry point :class:`repro.kernels.compiled.CompiledBackend`
-    routes through; never tunes implicitly.
+    Never tunes implicitly.
     """
+    stages = lower(model)
     if schedule is None:
-        entry = load_schedule(packed)
+        entry = load_schedule(stages)
         schedule = (
             entry["schedule"] if entry is not None
-            else default_schedule(packed)
+            else default_schedule(stages)
         )
-    return CompiledPlan(packed, schedule)
+    return CompiledPlan(stages, schedule)

@@ -1,15 +1,15 @@
-"""Lowering: a packed plan's graph, folded into compile-ready arrays.
+"""Lowering: an Euler ODENet, folded into compile-ready arrays.
 
-The compiler consumes :meth:`repro.runtime.PackedODENet.graph` — the
-``(name, op, payload)`` triples the packed plan executes — and lowers
-each payload into a small IR object holding *folded* float64 arrays:
+:func:`lower` walks an eval-mode :class:`~repro.models.ODENet` in
+execution order and lowers each layer into a :class:`Stage` holding
+*folded* float64 arrays:
 
 * **BatchNorm folding** — an eval BN is an affine map, so ``BN → ReLU``
   becomes one fused ``relu(x * scale + shift)`` (:func:`bn_scale_shift`)
   and ``conv → BN`` becomes a conv with rescaled weights and a folded
   bias (:func:`fold_bn_after_conv`).  Folding happens in float64, the
-  dtype the running-stat buffers already force onto the packed forward,
-  so the fold changes results only at the 1e-15 level.
+  dtype the running-stat buffers already force onto the module
+  forward, so the fold changes results only at the 1e-15 level.
 * **Time-channel decomposition** — the ODE dynamics' time-concat convs
   (``conv([x, t·1])``) split into a conv over the data channels plus a
   precomputed additive map: ``conv_x(x) + t·M + bias``, where ``M`` is
@@ -19,10 +19,11 @@ each payload into a small IR object holding *folded* float64 arrays:
   from every conv inside the Euler loop.
 
 Lowering never copies activations and never runs a kernel — it only
-reshapes and rescales weights — so compiling a packed net costs
-microseconds.  :func:`graph_signature` / :func:`graph_hash` derive the
-*structural* cache key (op kinds, shapes, solver grid — not weight
-values) the autotuner's schedule cache is keyed by.
+reshapes and rescales weights.  A compile lowers exactly once:
+:func:`graph_signature` / :func:`graph_hash` derive the *structural*
+cache key (op kinds, shapes, solver grids — not weight values) the
+autotuner's schedule cache is keyed by from the lowered stages, and so
+do the schedule axes.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ import json
 
 import numpy as np
 
+from ..nn import DepthwiseSeparableConv2d, MHSA2d, functional as F
+from ..ode import ConvODEFunc, MHSABottleneckODEFunc
+
 #: bump to invalidate every cached schedule across releases
 #: (2: float32 convs lost their gemm axis — cached schedules carrying
 #: one would now silently bind as tensordot)
@@ -40,11 +44,15 @@ COMPILE_VERSION = 2
 _F64 = np.float64
 
 
-def bn_scale_shift(params):
-    """Fold packed BN params into ``(scale, shift)`` so that
+class CompileError(RuntimeError):
+    """The model contains a construct the compiler cannot lower."""
+
+
+def bn_scale_shift(bn):
+    """Fold an eval-mode BatchNorm2d into ``(scale, shift)`` so that
     ``bn(x) == x * scale + shift`` — the (1, C, 1, 1) float64 affine
     form the fused scale-shift-ReLU step consumes."""
-    mean, inv, weight, bias = params
+    mean, inv, weight, bias = F.batchnorm2d_params(bn)
     scale = inv if weight is None else inv * weight
     shift = -mean * scale
     if bias is not None:
@@ -54,32 +62,35 @@ def bn_scale_shift(params):
     )
 
 
-def fold_bn_after_conv(weight, bias, params):
-    """Fold ``BN(conv(x, weight) + bias)`` into ``conv(x, w') + b'``.
-
-    Returns float64 ``(w', b')`` with ``b'`` shaped (1, F, 1, 1); valid
-    because an eval BN is affine per output channel.
-    """
-    mean, inv, bn_w, bn_b = params
+def fold_bn_after_conv(conv, bn):
+    """Fold ``bn(conv(x))`` into one :class:`ConvSpec` with weights
+    ``w'`` and bias ``b'`` (float64, bias shaped (1, F, 1, 1)); valid
+    because an eval BN is affine per output channel."""
+    mean, inv, bn_w, bn_b = F.batchnorm2d_params(bn)
+    bias = None if conv.bias is None else conv.bias.data
     scale = (inv if bn_w is None else inv * bn_w).reshape(-1)
-    w = np.ascontiguousarray(
-        weight * scale[:, None, None, None].astype(_F64), dtype=_F64
-    )
+    w = conv.weight.data * scale[:, None, None, None].astype(_F64)
     base = -mean.reshape(-1) * scale if bias is None else (
         bias - mean.reshape(-1)
     ) * scale
     if bn_b is not None:
         base = base + bn_b.reshape(-1)
-    return w, np.ascontiguousarray(base.reshape(1, -1, 1, 1), dtype=_F64)
+    return ConvSpec(w.astype(_F64), base.astype(_F64), conv.stride,
+                    conv.padding, conv.groups)
 
 
 class ConvSpec:
-    """A dense conv frozen to compile-ready arrays (float64 weights)."""
+    """A dense conv frozen to compile-ready arrays.
+
+    The weight keeps its dtype: the stem conv stays float32 (its input
+    is the float32 batch, so float64 weights would change the dtype the
+    module forward computes in); folded convs arrive as float64.
+    """
 
     def __init__(self, weight, bias, stride, padding, groups=1):
-        self.weight = np.ascontiguousarray(weight, dtype=_F64)
+        self.weight = np.ascontiguousarray(weight)
         self.bias = None if bias is None else np.ascontiguousarray(
-            bias.reshape(1, -1, 1, 1), dtype=_F64
+            bias.reshape(1, -1, 1, 1)
         )
         self.stride = tuple(stride)
         self.padding = tuple(padding)
@@ -107,39 +118,42 @@ class TimeConvIR:
     ``t_i · M + bias`` as a single fused plane per solver step.
     """
 
-    def __init__(self, ptc):
-        conv = ptc.conv
-        if hasattr(conv, "depthwise"):  # _PackedDSC
-            dw, pw = conv.depthwise, conv.pointwise
-            cin = dw.weight.shape[0] - 1  # last channel was the t plane
+    def __init__(self, layer):
+        conv = layer.conv
+        if isinstance(conv, DepthwiseSeparableConv2d):
+            dw = conv.depthwise.weight.data
+            pw = conv.pointwise.weight.data
+            pw_bias = conv.pointwise.bias
+            cin = dw.shape[0] - 1  # last channel was the t plane
             self.kind = "dsc"
-            self.stride = tuple(dw.stride)
-            self.padding = tuple(dw.padding)
-            self.dw_x = np.ascontiguousarray(dw.weight[:cin], dtype=_F64)
+            self.stride = tuple(conv.depthwise.stride)
+            self.padding = tuple(conv.depthwise.padding)
+            self.dw_x = np.ascontiguousarray(dw[:cin], dtype=_F64)
             self.dw_t = np.ascontiguousarray(
-                dw.weight[cin : cin + 1], dtype=_F64
+                dw[cin : cin + 1], dtype=_F64
             )  # (1, 1, kh, kw)
-            pw2d = pw.weight.reshape(pw.weight.shape[0], cin + 1)
+            pw2d = pw.reshape(pw.shape[0], cin + 1)
             self.pw_x = np.ascontiguousarray(pw2d[:, :cin], dtype=_F64)
             self.pw_t = np.ascontiguousarray(pw2d[:, cin], dtype=_F64)
-            self.bias = None if pw.bias is None else np.ascontiguousarray(
-                pw.bias, dtype=_F64
+            self.bias = None if pw_bias is None else np.ascontiguousarray(
+                pw_bias.data, dtype=_F64
             )
-            self.out_channels = pw.weight.shape[0]
+            self.out_channels = pw.shape[0]
             self.in_channels = cin
-        else:  # _PackedConv over C+1 channels
-            cin = conv.weight.shape[1] - 1
+        else:  # a plain conv over C+1 channels
+            weight = conv.weight.data
+            cin = weight.shape[1] - 1
             self.kind = "dense"
             self.stride = tuple(conv.stride)
             self.padding = tuple(conv.padding)
-            self.w_x = np.ascontiguousarray(conv.weight[:, :cin], dtype=_F64)
+            self.w_x = np.ascontiguousarray(weight[:, :cin], dtype=_F64)
             self.w_t = np.ascontiguousarray(
-                conv.weight[:, cin : cin + 1], dtype=_F64
+                weight[:, cin : cin + 1], dtype=_F64
             )  # (F, 1, kh, kw)
             self.bias = None if conv.bias is None else np.ascontiguousarray(
-                conv.bias, dtype=_F64
+                conv.bias.data, dtype=_F64
             )
-            self.out_channels = conv.weight.shape[0]
+            self.out_channels = weight.shape[0]
             self.in_channels = cin
 
     @property
@@ -183,33 +197,35 @@ class ConvFuncIR:
 
 
 class MHSAIR:
-    """A packed MHSA frozen to float64 GEMM operands.
+    """An eval-mode :class:`~repro.nn.MHSA2d` frozen to float64 GEMM
+    operands.
 
-    ``rel_t`` is the relative-position table pre-transposed to
+    ``rel_t`` is the fused relative-position table pre-transposed to
     (heads, d_h, N) so the score correction is one broadcast matmul.
     """
 
     def __init__(self, mhsa):
-        self.w_q = np.ascontiguousarray(mhsa.w_q, dtype=_F64)
-        self.w_k = np.ascontiguousarray(mhsa.w_k, dtype=_F64)
-        self.w_v = np.ascontiguousarray(mhsa.w_v, dtype=_F64)
+        self.w_q = np.ascontiguousarray(mhsa.w_q.data, dtype=_F64)
+        self.w_k = np.ascontiguousarray(mhsa.w_k.data, dtype=_F64)
+        self.w_v = np.ascontiguousarray(mhsa.w_v.data, dtype=_F64)
         self.heads = mhsa.heads
-        self.activation = mhsa.activation
-        self.rel_t = None if mhsa.rel_table is None else np.ascontiguousarray(
-            mhsa.rel_table.transpose(0, 2, 1), dtype=_F64
+        self.activation = mhsa.attention_activation
+        self.rel_t = None if mhsa.pos_enc != "relative" else (
+            np.ascontiguousarray(
+                F.mhsa_rel_table(mhsa).transpose(0, 2, 1), dtype=_F64
+            )
         )
-        self.abs_table = None if mhsa.abs_table is None else (
-            np.ascontiguousarray(mhsa.abs_table, dtype=_F64)
+        self.abs_table = None if mhsa.pos_enc != "absolute" else (
+            np.ascontiguousarray(mhsa.abs.table, dtype=_F64)
         )
-        if mhsa.ln is None:
+        norm = mhsa.norm
+        if norm is None:
             self.ln = None
         else:
-            w, b, eps = mhsa.ln
-            self.ln = (
-                None if w is None else np.ascontiguousarray(w, dtype=_F64),
-                None if b is None else np.ascontiguousarray(b, dtype=_F64),
-                float(eps),
-            )
+            self.ln = tuple(
+                None if p is None else np.ascontiguousarray(p.data, dtype=_F64)
+                for p in (norm.weight, norm.bias)
+            ) + (float(norm.eps),)
 
     def signature(self):
         return {
@@ -254,7 +270,8 @@ class OdeBlockIR:
         self.t1 = float(block.t1)
         func = block.func
         self.func = (
-            ConvFuncIR(func) if hasattr(func, "conv1") else MHSAFuncIR(func)
+            ConvFuncIR(func) if isinstance(func, ConvODEFunc)
+            else MHSAFuncIR(func)
         )
 
     def time_grid(self):
@@ -289,88 +306,95 @@ class Stage:
         self.ir = ir
 
 
-def lower(packed):
-    """Lower ``packed.graph()`` into a list of :class:`Stage` nodes.
+def unsupported_reason(model):
+    """Why :func:`lower` cannot take *model*, or ``None`` when it can.
 
-    Op kinds after lowering: ``conv`` (stem conv, float32 weights kept —
-    its input is the float32 batch, so folding BN in would change the
-    dtype the reference path computes in), ``ssr`` (fused
-    scale-shift-ReLU from a BN + ReLU pair), ``maxpool``, ``ode``,
-    ``fconv`` (conv with BN folded in, + ReLU), ``gap``, ``linear``.
+    The compiler takes an eval-mode :class:`~repro.models.ODENet` whose
+    blocks all run the Euler solver on conv or full-MHSA dynamics (the
+    paper's deployed configuration).
     """
-    graph = list(packed.graph())
-    stages = []
-    i = 0
-    while i < len(graph):
-        name, op, payload = graph[i]
-        if op == "conv":
-            stages.append(Stage(name, "conv", payload))
-            i += 1
-        elif op == "batchnorm":
-            # graph order guarantees BN is followed by its ReLU
-            assert graph[i + 1][1] == "relu", "BN without trailing ReLU"
-            stages.append(Stage(name, "ssr", bn_scale_shift(payload)))
-            i += 2
-        elif op == "maxpool":
-            stages.append(Stage(name, "maxpool", payload))
-            i += 1
-        elif op == "ode":
-            stages.append(Stage(name, "ode", OdeBlockIR(payload)))
-            i += 1
-        elif op == "down":
-            conv, norm = payload
-            w, b = fold_bn_after_conv(conv.weight, conv.bias, norm)
-            spec = ConvSpec(w, None, conv.stride, conv.padding, conv.groups)
-            spec.bias = b  # already (1, F, 1, 1) float64
-            stages.append(Stage(name, "fconv", spec))
-            i += 1
-        elif op == "gap":
-            stages.append(Stage(name, "gap", None))
-            i += 1
-        elif op == "linear":
-            stages.append(Stage(name, "linear", payload))
-            i += 1
-        else:  # pragma: no cover - graph() is a closed vocabulary
-            raise ValueError(f"unknown graph op {op!r} at {name!r}")
-    return stages
+    from ..models.odenet import ODENet
+
+    if not isinstance(model, ODENet):
+        return f"expected ODENet, got {type(model).__name__}"
+    if model.training:
+        return "compile an eval-mode model (call model.eval())"
+    for name in ("block1", "block2", "block3"):
+        block = getattr(model, name)
+        if getattr(block.solver, "name", None) != "euler":
+            return f"{name} solver {block.solver.name!r} (Euler compiles)"
+        func = block.func
+        if not (isinstance(func, ConvODEFunc) or (
+                isinstance(func, MHSABottleneckODEFunc)
+                and isinstance(func.mhsa, MHSA2d))):
+            return f"{name} dynamics {type(func).__name__}"
+    return None
 
 
-def graph_signature(packed):
-    """The structural signature of a packed plan — shapes, geometry and
-    solver grids, *not* weight values — as a JSON-able structure."""
+def lower(model):
+    """Lower an eval-mode Euler ODENet into :class:`Stage` nodes, in
+    execution order.
+
+    Op kinds: ``conv`` (stem conv, float32 weights kept — its input is
+    the float32 batch, so folding BN in would change the dtype the
+    module forward computes in), ``ssr`` (fused scale-shift-ReLU from a
+    BN + ReLU pair), ``maxpool``, ``ode``, ``fconv`` (conv with BN
+    folded in, + ReLU), ``gap``, ``linear``.  Raises
+    :class:`CompileError` for a model :func:`unsupported_reason`
+    rejects.
+    """
+    problem = unsupported_reason(model)
+    if problem is not None:
+        raise CompileError(f"cannot compile this model: {problem}")
+    conv, norm, _, pool = model.stem
+    fc = model.fc
+    return [
+        Stage("stem.conv", "conv", ConvSpec(
+            conv.weight.data, None if conv.bias is None else conv.bias.data,
+            conv.stride, conv.padding, conv.groups,
+        )),
+        Stage("stem.norm", "ssr", bn_scale_shift(norm)),
+        Stage("stem.pool", "maxpool",
+              (pool.kernel_size, pool.stride, pool.padding)),
+        Stage("block1", "ode", OdeBlockIR(model.block1)),
+        Stage("down1", "fconv",
+              fold_bn_after_conv(model.down1.conv, model.down1.bn)),
+        Stage("block2", "ode", OdeBlockIR(model.block2)),
+        Stage("down2", "fconv",
+              fold_bn_after_conv(model.down2.conv, model.down2.bn)),
+        Stage("block3", "ode", OdeBlockIR(model.block3)),
+        Stage("head.norm", "ssr", bn_scale_shift(model.head_norm)),
+        Stage("head.pool", "gap", None),
+        Stage("head.fc", "linear", (
+            fc.weight.data, None if fc.bias is None else fc.bias.data,
+        )),
+    ]
+
+
+def graph_signature(stages):
+    """The structural signature of lowered *stages* — shapes, geometry
+    and solver grids, *not* weight values — as a JSON-able structure."""
     sig = []
-    for name, op, payload in packed.graph():
-        if op == "conv":
-            sig.append([name, op, ConvSpec(
-                payload.weight, payload.bias, payload.stride,
-                payload.padding, payload.groups,
-            ).signature()])
-        elif op == "batchnorm":
-            sig.append([name, op, list(payload[0].shape)])
-        elif op in ("relu", "gap"):
-            sig.append([name, op])
-        elif op == "maxpool":
-            sig.append([name, op, [list(p) for p in payload]])
-        elif op == "ode":
-            sig.append([name, op, OdeBlockIR(payload).signature()])
-        elif op == "down":
-            conv, norm = payload
-            sig.append([name, op, ConvSpec(
-                conv.weight, conv.bias, conv.stride, conv.padding,
-                conv.groups,
-            ).signature()])
-        elif op == "linear":
-            w, b = payload
-            sig.append([name, op, list(w.shape), b is not None])
-        else:  # pragma: no cover
-            raise ValueError(f"unknown graph op {op!r} at {name!r}")
+    for stage in stages:
+        ir = stage.ir
+        if stage.op in ("conv", "fconv", "ode"):
+            detail = [ir.signature()]
+        elif stage.op == "ssr":
+            detail = [list(ir[0].shape)]
+        elif stage.op == "maxpool":
+            detail = [[list(p) for p in ir]]
+        elif stage.op == "linear":
+            detail = [list(ir[0].shape), ir[1] is not None]
+        else:  # gap
+            detail = []
+        sig.append([stage.name, stage.op, *detail])
     return {"compile_version": COMPILE_VERSION, "graph": sig}
 
 
-def graph_hash(packed):
+def graph_hash(stages):
     """sha256 (hex) of :func:`graph_signature` — the schedule cache key
     component that invalidates on any structural change."""
     payload = json.dumps(
-        graph_signature(packed), sort_keys=True, separators=(",", ":")
+        graph_signature(stages), sort_keys=True, separators=(",", ":")
     )
     return hashlib.sha256(payload.encode()).hexdigest()[:16]

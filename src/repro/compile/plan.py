@@ -1,15 +1,17 @@
 """The compiled execution plan: binding folded IR to arena buffers.
 
-:class:`CompiledPlan` is what :meth:`CompiledBackend.compile_plan`
-returns and what ``PackedODENet.__call__`` reroutes through.  Compile
-time (construction) folds weights via :mod:`repro.compile.ir` and is
-geometry-free; the first call with a concrete input shape *binds* the
-plan — computes the time maps ``M``, precomputes per-step additive
-planes, allocates the workspace :class:`~repro.compile.arena.Arena`,
-builds the alias-checked step program and validates it.  Bindings are
-cached per thread and per input shape, so steady-state calls run the
-Euler loop entirely out of preallocated buffers (zero per-step numpy
-allocation; see :mod:`repro.compile.steps`).
+:class:`CompiledPlan` is the float fast executor an
+:class:`~repro.runtime.InferenceSession` binds for Euler ODENets under
+any kernel backend but ``reference``.  Compile time
+(:func:`~repro.compile.compile_model`) lowers the model once via
+:mod:`repro.compile.ir` and is geometry-free; the first call with a
+concrete input shape *binds* the plan — computes the time maps ``M``,
+precomputes per-step additive planes, allocates the workspace
+:class:`~repro.compile.arena.Arena`, builds the alias-checked step
+program and validates it.  Bindings are cached per thread and per input
+shape, so steady-state calls run the Euler loop entirely out of
+preallocated buffers (zero per-step numpy allocation; see
+:mod:`repro.compile.steps`).
 
 The step program is scheduled by a plain dict (see
 :mod:`repro.compile.autotune`): per-site conv strategies
@@ -20,11 +22,11 @@ ignored and missing keys fall back to heuristics, so cached schedules
 stay forward compatible.
 
 When kernel instrumentation is active (``kernels.collect`` /
-``InferenceSession(instrument=True)``), every step op routes through
+``SessionConfig(instrument=True)``), every step op routes through
 ``kernels.record_dispatch`` under its nearest kernel name (``conv2d``,
 ``matmul``, ``batchnorm2d``, ...), so ``SessionStats`` kernel
-breakdowns and ``kernel.*`` trace spans keep working under the
-``compiled`` backend.
+breakdowns and ``kernel.*`` trace spans keep working on the compiled
+plan.
 """
 
 from __future__ import annotations
@@ -39,13 +41,9 @@ from ..kernels import shapes
 from ..ode.solvers import fixed_grid_loop
 from . import steps
 from .arena import Arena, OpList
-from .ir import lower
+from .ir import CompileError, graph_hash, unsupported_reason
 
 _F64 = np.float64
-
-
-class CompileError(RuntimeError):
-    """The packed plan contains a construct the compiler cannot lower."""
 
 
 def _conv_mode(schedule, site):
@@ -698,21 +696,26 @@ class _BoundPlan:
 
 
 class CompiledPlan:
-    """A packed ODE net compiled to a fused, arena-backed executable.
+    """A lowered ODE net compiled to a fused, arena-backed executable.
 
-    Construction folds weights (cheap, geometry-free); calling binds to
-    the input shape on first use and reuses the binding afterwards.
-    Bindings are per thread — concurrent micro-batcher workers never
-    share arena buffers.
+    Construction takes the lowered stages (:func:`~repro.compile.ir.lower`)
+    and a schedule, and is geometry-free; calling binds to the input
+    shape on first use and reuses the binding afterwards.  Bindings are
+    per thread — concurrent micro-batcher workers never share arena
+    buffers.
     """
 
-    def __init__(self, packed, schedule):
-        from .ir import graph_hash
-
+    def __init__(self, stages, schedule):
         self.schedule = dict(schedule)
-        self.stages = lower(packed)
-        self.graph_hash = graph_hash(packed)
+        self.stages = list(stages)
+        self.graph_hash = graph_hash(self.stages)
         self._local = threading.local()
+
+    @staticmethod
+    def supported(model) -> bool:
+        """Whether :func:`~repro.compile.compile_model` can compile
+        *model* (see :func:`~repro.compile.ir.unsupported_reason`)."""
+        return unsupported_reason(model) is None
 
     def _bound(self, shape, dtype):
         cache = getattr(self._local, "bound", None)

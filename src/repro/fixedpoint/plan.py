@@ -22,13 +22,16 @@ changing a single output bit**:
   per-call bound scans run on the hot path.
 
 Attention reuses the executor's :class:`QuantizedMHSA2d` (identical
-arithmetic, shared quantized weight set); the plan runs under the
-``quantized`` kernel backend so the MHSA's integer matmuls get the
-data-driven exact-BLAS rerouting.
+arithmetic, shared quantized weight set); the plan runs on the
+``fused`` kernels so the MHSA's integer matmuls get the data-driven
+exact-BLAS rerouting.
 
-Bit-identity to ``QuantizedODENetExecutor.run`` is pinned per registry
-model and per Q-format profile by ``tests/test_kernels.py``; the ≥5×
-speedup gate lives in ``benchmarks/test_quantized_speedup.py``.
+The plan walks the model itself rather than the float compiler's IR:
+that IR folds BatchNorm and the Euler step into conv weights, which
+would move the fixed-point rounding points.  Bit-identity to
+``QuantizedODENetExecutor.run`` is pinned per registry model and per
+Q-format profile by ``tests/test_kernels.py``; the ≥5× speedup gate
+lives in ``benchmarks/test_quantized_speedup.py``.
 """
 
 from __future__ import annotations
@@ -71,10 +74,7 @@ class QuantizedPlan:
     logits bit-identical to ``QuantizedODENetExecutor.run``.
 
     ``version`` counts weight derivations: it starts at 1 and
-    :meth:`refresh` (re-pack after mutating the source model) bumps it —
-    the serving layer surfaces it per replica so a ladder of tier
-    sessions sharing one weight set can prove they agree on which
-    weights they quantized.
+    :meth:`refresh` (re-pack after mutating the source model) bumps it.
     """
 
     def __init__(self, model: ODENet, feature_fmt: QFormat, param_fmt: QFormat,
@@ -86,7 +86,8 @@ class QuantizedPlan:
         self.ffmt = feature_fmt
         self.pfmt = param_fmt
         self.version = 0
-        self._kb = kernels.get_backend("quantized")
+        self._kb = kernels.get_backend("fused")
+        self._executor = _executor
         self._pack(_executor)
 
     # ------------------------------------------------------------------
@@ -155,8 +156,8 @@ class QuantizedPlan:
         dt = self._site_dtype(fan + (1 if b_int is not None else 0))
         if dt is None:
             # accumulator wider than the float64 mantissa: exact int64
-            # site (the ambient quantized backend reaches the same
-            # conclusion from the operand bounds)
+            # site (the fused kernels reach the same conclusion from
+            # the operand bounds)
             def run(c):
                 out = fixed_conv2d(
                     c.astype(np.int64), ffmt, w_int, pfmt, ffmt,
@@ -420,9 +421,12 @@ class QuantizedPlan:
 
     def refresh(self) -> None:
         """Re-quantize from the (possibly mutated) source model weights
-        and bump :attr:`version`.  Always re-packs from the live model —
-        executor caches shared at construction are left untouched."""
-        self._pack(None)
+        and bump :attr:`version`.  An executor shared at construction
+        re-derives its weight set too, so plan and executor keep
+        agreeing."""
+        if self._executor is not None:
+            self._executor.refresh()
+        self._pack(self._executor)
 
     # ------------------------------------------------------------------
     def run(self, images: np.ndarray) -> np.ndarray:
@@ -430,7 +434,7 @@ class QuantizedPlan:
         ``QuantizedODENetExecutor.run`` on the same model and formats."""
         ffmt = self.ffmt
         fmin, fmax = float(ffmt.raw_min), float(ffmt.raw_max)
-        with kernels.use_backend("quantized"):
+        with kernels.use_backend("fused"):
             c = np.asarray(images, dtype=np.float64) * float(1 << ffmt.frac_bits)
             c = np.clip(np.rint(c), fmin, fmax)
             for stage in self._stages:

@@ -57,13 +57,19 @@ class QuantizedODENetExecutor:
         self.model = model
         self.ffmt = feature_fmt
         self.pfmt = param_fmt
+        self.refresh()
+
+    def refresh(self) -> None:
+        """Re-quantize from the (possibly mutated) model weights: the
+        cached conv/BN/MHSA parameters are dropped (and re-derived on
+        next use) and the head is re-quantized now."""
+        fc = self.model.fc
         self._conv_cache = {}
         self._bn_cache = {}
         self._mhsa_cache = {}
-        self._fc_w = param_fmt.quantize(model.fc.weight.data)
+        self._fc_w = self.pfmt.quantize(fc.weight.data)
         self._fc_b = (
-            param_fmt.quantize(model.fc.bias.data)
-            if model.fc.bias is not None else None
+            self.pfmt.quantize(fc.bias.data) if fc.bias is not None else None
         )
 
     # ------------------------------------------------------------------

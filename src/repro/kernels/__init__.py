@@ -10,7 +10,9 @@ functions here, which dispatch to the calling thread's active *backend*:
 * ``fused`` — BLAS-routed convs, per-thread workspace reuse across ODE
   solver steps, and in-place elementwise rewrites; agrees with
   ``reference`` to float rounding (≤1e-6 relative, pinned by the
-  parity suite) and is exactly equal on integer fixed-point arrays.
+  parity suite).  Integer (fixed-point raw) GEMMs run on the float BLAS
+  path whenever the worst-case accumulator fits the float mantissa, so
+  integer results are **bit-identical** to ``reference``.
 
 Four consumer layers sit on this seam: the autograd ops
 (``repro.tensor.ops_*``), the eval fast paths (``repro.nn.functional``),
@@ -21,17 +23,11 @@ software reference.  Adding a backend means subclassing
 kernels you can beat, and calling :func:`register_backend`; see
 ``docs/ARCHITECTURE.md`` ("Kernel backends").
 
-* ``compiled`` — everything ``fused`` does, plus a plan compiler for
-  packed ODE nets (:mod:`repro.compile`): BN folding, fused
-  scale-shift-ReLU, time-channel decomposition and a preallocated
-  workspace arena so the Euler loop runs with zero per-step allocation;
-  agrees with ``reference`` to ≤1e-6 relative.
-* ``quantized`` — everything ``fused`` does, plus exact rerouting of
-  integer (fixed-point raw) GEMMs onto the float BLAS path whenever the
-  worst-case accumulator fits the float mantissa, and a plan hook that
-  packs a ``QuantizedODENetExecutor`` into a scale-folded
-  ``QuantizedPlan``; **bit-identical** to ``reference`` on integer
-  arrays (pinned per registry model and Q-format by the parity suite).
+The kernel backend also picks the execution plan a
+:class:`repro.runtime.InferenceSession` binds: ``reference`` binds the
+oracle of the model's numeric domain, any other backend its fast
+executor (see :mod:`repro.runtime.engine`).  ``"compiled"`` is accepted
+as an alias of ``"fused"``.
 
 Selection follows one documented precedence, resolved by
 :func:`resolve_backend`: explicit argument > ambient
@@ -44,10 +40,8 @@ dispatch costs one attribute lookup and one truthiness check.
 from __future__ import annotations
 
 from . import shapes
-from .compiled import CompiledBackend
 from .fused import FusedBackend
 from .instrument import KernelCounters, active_collectors, collect, record_dispatch
-from .quantized import QuantizedBackend
 from .reference import ReferenceBackend
 from .registry import (
     _init_state,
@@ -57,14 +51,11 @@ from .registry import (
     get_backend,
     register_backend,
     resolve_backend,
-    set_backend,
     use_backend,
 )
 
 register_backend("reference", ReferenceBackend())
 register_backend("fused", FusedBackend())
-register_backend("compiled", CompiledBackend())
-register_backend("quantized", QuantizedBackend())
 _init_state()
 
 # _init_state() created the thread-state object; import the rebound name
@@ -119,8 +110,6 @@ __all__ = [
     "shapes",
     "ReferenceBackend",
     "FusedBackend",
-    "CompiledBackend",
-    "QuantizedBackend",
     "KernelCounters",
     "collect",
     "active_collectors",
@@ -128,7 +117,6 @@ __all__ = [
     "available_backends",
     "get_backend",
     "resolve_backend",
-    "set_backend",
     "backend_name",
     "default_backend_name",
     "use_backend",

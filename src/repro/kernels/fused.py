@@ -17,9 +17,16 @@ the parity suite in ``tests/test_kernels.py``):
 * **softmax / batchnorm** reuse their intermediates in place, halving
   temporary allocations on the attention hot path.
 
-Integer (fixed-point raw) arrays take the same fast paths; integer
-addition is associative, so quantised results are *exactly* equal to the
-reference backend's, whichever strategy runs.
+Integer (fixed-point raw) GEMMs — matmul, linear, conv2d — run on the
+float BLAS path whenever that is exact: integer arithmetic is exact in
+IEEE floats while every product and partial sum stays below the
+mantissa capacity (``2^24`` for float32, ``2^53`` for float64).  Each
+integer GEMM bounds its worst-case accumulator from the actual operands
+(``max|a| · max|b| · fan_in``), runs in the narrowest float dtype that
+holds it and casts the integer-valued result back to int64; when no
+float dtype is wide enough it stays on the int64 path.  Integer results
+are therefore **bit-identical** to the reference backend's on every
+input (pinned per registry model and Q-format by the parity suite).
 
 Backward kernels are inherited from the reference backend: training
 gradients stay the well-tested einsum path while eval forwards get the
@@ -35,6 +42,28 @@ import numpy as np
 
 from . import shapes
 from .reference import ReferenceBackend
+
+
+#: integer magnitudes strictly below these fit the float mantissa
+#: exactly (see repro.fixedpoint.ops.F32_EXACT_BITS / F64_EXACT_BITS)
+_F32_EXACT = 1 << 24
+_F64_EXACT = 1 << 53
+
+
+def _exact_float_dtype(a, b, fan_in):
+    """Float dtype in which contracting integer arrays *a* and *b* over
+    *fan_in* terms is exact, or ``None`` when only int64 holds the
+    accumulator; ``None`` as well when either operand is not integer."""
+    if not (isinstance(a, np.ndarray) and a.dtype.kind in "iu"
+            and isinstance(b, np.ndarray) and b.dtype.kind in "iu"):
+        return None
+    bound = (int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0))
+             * max(int(fan_in), 1) + 1)
+    if bound < _F32_EXACT:
+        return np.float32
+    if bound < _F64_EXACT:
+        return np.float64
+    return None
 
 
 class _Workspace(threading.local):
@@ -59,6 +88,23 @@ class FusedBackend(ReferenceBackend):
     def __init__(self):
         self._ws = _Workspace()
 
+    # -- GEMM family: exact integer rerouting --------------------------
+    def matmul(self, a, b):
+        dt = _exact_float_dtype(a, b, a.shape[-1])
+        if dt is not None:
+            return super().matmul(a.astype(dt), b.astype(dt)).astype(np.int64)
+        return super().matmul(a, b)
+
+    def linear(self, x, weight, bias=None):
+        dt = _exact_float_dtype(x, weight, x.shape[-1])
+        if dt is not None:
+            out = super().linear(x.astype(dt), weight.astype(dt))
+            out = out.astype(np.int64)
+            if bias is not None:
+                out += bias  # exact in the integer domain
+            return out
+        return super().linear(x, weight, bias)
+
     # -- convolution ---------------------------------------------------
     def _padded(self, x, ph, pw):
         """Stage *x* into a reusable zero-bordered canvas.
@@ -76,6 +122,11 @@ class FusedBackend(ReferenceBackend):
         return xp
 
     def conv2d(self, x, weight, stride=(1, 1), padding=(0, 0), groups=1):
+        dt = _exact_float_dtype(x, weight, weight[0].size)
+        if dt is not None:
+            out = self.conv2d(x.astype(dt), weight.astype(dt), stride,
+                              padding, groups)
+            return out.astype(np.int64)
         n, c, h, w, f, cg, kh, kw, fg, oh, ow = shapes.conv_geometry(
             x.shape, weight.shape, stride, padding, groups
         )

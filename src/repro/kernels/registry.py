@@ -15,20 +15,20 @@ implemented by :func:`resolve_backend`:
 4. **default** — ``"reference"``.
 
 Selection is per-thread, so micro-batcher workers and tests can pick
-different backends concurrently.  The pre-PR-6 direct-set idiom
-(constructing ``use_backend(...)`` without entering it) is retired;
-its replacement for imperative code, :func:`set_backend`, works but
-warns once per process — scoped contexts and explicit session config
-are the supported paths.
+different backends concurrently.  ``"compiled"`` is an alias of
+``"fused"``: the kernels are the same, and
+:class:`repro.runtime.InferenceSession` binds the compiled plan under
+any backend but ``reference``.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-import warnings
 
 _BACKENDS: dict = {}
+#: names that resolve to a registered backend without being listed
+_ALIASES = {"compiled": "fused"}
 _DEFAULT_ENV = "REPRO_BACKEND"
 
 
@@ -44,7 +44,7 @@ def available_backends() -> tuple:
 
 def _resolve(name):
     try:
-        return _BACKENDS[name]
+        return _BACKENDS[_ALIASES.get(name, name)]
     except KeyError:
         raise ValueError(
             f"unknown kernel backend {name!r}; available: "
@@ -86,9 +86,9 @@ def resolve_backend(name: str | None = None):
     loudly); ``resolve_backend()`` falls through rules 2-4 — the
     innermost ambient :class:`use_backend` context on this thread, else
     the ``$REPRO_BACKEND`` default the thread started from, else
-    ``reference``.  Every dispatch-time consumer (the module-level
-    kernel dispatchers, :class:`repro.runtime.InferenceSession`, the
-    packed plans) resolves through here, so adding a knob means adding
+    ``reference``.  Every consumer (the module-level kernel dispatchers
+    and :class:`repro.runtime.InferenceSession`, which resolves once at
+    construction) resolves through here, so adding a knob means adding
     it to this function or not at all.
     """
     if name is not None:
@@ -124,9 +124,7 @@ class use_backend:
     Applies at ``__enter__`` and restores the previous backend at
     ``__exit__`` (construction only validates the name).  This is
     precedence rule 2: it loses to an explicit ``backend=`` argument and
-    beats ``$REPRO_BACKEND``.  Before PR 6 construction alone switched
-    the thread; that direct-set path now lives in :func:`set_backend`
-    and warns.
+    beats ``$REPRO_BACKEND``.
     """
 
     def __init__(self, name: str):
@@ -141,35 +139,3 @@ class use_backend:
     def __exit__(self, *exc):
         _state.backend = self._prev
         return False
-
-
-_warned_once: set = set()
-
-
-def _warn_once(key: str, message: str) -> None:
-    if key in _warned_once:
-        return
-    _warned_once.add(key)
-    warnings.warn(message, DeprecationWarning, stacklevel=3)
-
-
-def set_backend(name: str) -> str:
-    """Deprecated: switch the calling thread's backend for good.
-
-    Returns the previous backend name so callers can restore it.  The
-    supported selection paths are the scoped ``with use_backend(name)``
-    context and per-session config
-    (``InferenceSession(config=SessionConfig(backend=name))``) — an
-    unscoped process-wide flip belongs in ``$REPRO_BACKEND``.  Warns
-    once per process.
-    """
-    _warn_once(
-        "set_backend",
-        "kernels.set_backend() is deprecated: use the scoped "
-        "'with use_backend(name):' context, "
-        "SessionConfig(backend=name), or the REPRO_BACKEND "
-        "environment variable",
-    )
-    prev = backend_name()
-    _state.backend = _resolve(name)
-    return prev

@@ -107,9 +107,8 @@ def _list_rules() -> str:
 
 
 def _check_plans(specs, fixed_point):
-    """Shape-check registry models (and their packed plans) by spec."""
+    """Shape-check registry models by spec."""
     from ..models import build_model
-    from ..runtime.engine import PackedODENet
     from . import shapecheck
 
     diags = []
@@ -120,16 +119,6 @@ def _check_plans(specs, fixed_point):
         diags.extend(
             shapecheck.check_model(model, origin=f"<plan:{spec}>")
         )
-        if PackedODENet.supported(model):
-            plan = PackedODENet(model)
-            stem = model.stem[0]
-            c_in = stem.weight.data.shape[1] * stem.groups
-            size = model.input_size
-            diags.extend(
-                shapecheck.check_plan(
-                    plan, (c_in, size, size), origin=f"<packed:{spec}>"
-                )
-            )
         if fixed_point:
             from ..fixedpoint.qformat import parse_format_pair
 

@@ -42,7 +42,6 @@ SEAM_CONSUMERS = (
     "nn/functional.py",
     "fixedpoint/ops.py",
     "fixedpoint/quantized_layers.py",
-    "runtime/engine.py",
 )
 
 

@@ -7,7 +7,6 @@
 * ``DOC001`` — every library module carries a docstring;
 * ``DOC002`` — every symbol a module exports via ``__all__`` and
   defines itself carries a docstring;
-* ``DEP001`` — no calls into deprecated APIs (``forward_numpy``);
 * ``MUT001`` — no in-place mutation of ``Tensor.data`` (bypasses
   autograd); deliberate sites carry an inline suppression with a
   reason.
@@ -22,12 +21,6 @@ from .rules import Rule, dotted_parts, register
 
 #: comment markers that flag unfinished or debugging work
 DEBUG_MARKERS = ("XXX", "FIXME")
-
-#: deprecated attribute -> replacement hint
-DEPRECATED_APIS = {
-    "forward_numpy": "repro.nn.functional.mhsa2d_forward or "
-    "repro.runtime.InferenceSession",
-}
 
 _BROAD_EXC = frozenset({"Exception", "BaseException"})
 
@@ -200,26 +193,6 @@ class ExportedDocstringRule(Rule):
 
 
 @register
-class DeprecatedAPIRule(Rule):
-    """Deprecated entry points may keep working for one release, but no
-    new call sites: each use is flagged with its replacement."""
-
-    id = "DEP001"
-    name = "deprecated-api"
-    severity = Severity.WARNING
-    domains = ("library", "examples")
-    description = "no deprecated API usage"
-
-    def check(self, src):
-        for node in ast.walk(src.tree):
-            if isinstance(node, ast.Attribute) and node.attr in DEPRECATED_APIS:
-                yield self.diag(
-                    src, node, f"deprecated API {node.attr}",
-                    suggestion=f"use {DEPRECATED_APIS[node.attr]}",
-                )
-
-
-@register
 class InplaceDataMutationRule(Rule):
     """Writing through ``.data`` mutates an array the autograd graph may
     alias — gradients silently stop matching.  Optimizer updates and
@@ -263,12 +236,10 @@ class InplaceDataMutationRule(Rule):
 
 __all__ = [
     "DEBUG_MARKERS",
-    "DEPRECATED_APIS",
     "DebugMarkerRule",
     "BareExceptRule",
     "SilentExceptRule",
     "ModuleDocstringRule",
     "ExportedDocstringRule",
-    "DeprecatedAPIRule",
     "InplaceDataMutationRule",
 ]

@@ -19,10 +19,10 @@ through every layer using the same geometry arithmetic the kernels use
   DSP48-style 48-bit accumulator are warnings.
 
 Entry points: :func:`check_model` (any :class:`repro.nn.Module`, best
-coverage for the ODENet family), :func:`check_plan`
-(:class:`~repro.runtime.ModulePlan` / packed plans via their
-``graph()`` introspection), and :func:`check_fixed_point` /
-:func:`check_quantized` for the Q-format analysis.
+coverage for the ODENet family), :func:`check_plan` (a
+:class:`~repro.runtime.ModulePlan`, via its module), and
+:func:`check_fixed_point` / :func:`check_quantized` for the Q-format
+analysis.
 """
 
 from __future__ import annotations
@@ -523,125 +523,6 @@ class ShapeChecker:
         sym = self.visit(model.pool, sym, f"{path}.pool")
         return self.visit(model.fc, sym, f"{path}.fc") if sym is not None else None
 
-    # ------------------------------------------------------------------
-    # packed-plan handlers (repro.runtime.engine introspection)
-    # ------------------------------------------------------------------
-    def visit_packed(self, plan, sym, path="plan"):
-        """Walk a :class:`~repro.runtime.PackedODENet` via ``graph()``."""
-        for name, op, payload in plan.graph():
-            if sym is None:
-                return None
-            sym = self._packed_op(op, payload, sym, f"{path}.{name}")
-        return sym
-
-    def _packed_op(self, op, payload, sym, path):
-        if op == "conv":
-            return self._packed_conv(payload, sym, path)
-        if op == "batchnorm":
-            mean = payload[0]
-            return self._raw_norm_channels(
-                sym, path, int(np.asarray(mean).size), "folded BatchNorm"
-            )
-        if op == "relu":
-            return sym
-        if op == "maxpool":
-            kernel, stride, padding = payload
-            return self._raw_pool(sym, path, kernel, stride, padding, "maxpool")
-        if op == "ode":
-            return self._packed_ode(payload, sym, path)
-        if op == "down":
-            conv, norm = payload
-            sym = self._packed_conv(conv, sym, f"{path}.conv")
-            if sym is None:
-                return None
-            return self._raw_norm_channels(
-                sym, f"{path}.bn", int(np.asarray(norm[0]).size), "folded BatchNorm"
-            )
-        if op == "gap":
-            return self._gap(None, sym, path)
-        if op == "linear":
-            weight, bias = payload
-            return self._raw_linear(sym, path, weight, bias)
-        self.report(path, f"unknown packed op {op!r}", rule=OPAQUE_MODULE,
-                    severity=Severity.INFO)
-        return None
-
-    def _packed_conv(self, conv, sym, path):
-        if hasattr(conv, "depthwise"):  # packed depthwise-separable pair
-            sym = self._packed_conv(conv.depthwise, sym, f"{path}.depthwise")
-            if sym is None:
-                return None
-            return self._packed_conv(conv.pointwise, sym, f"{path}.pointwise")
-        return self._raw_conv(
-            sym, path, conv.weight, conv.bias, conv.stride, conv.padding,
-            conv.groups,
-        )
-
-    def _packed_time_conv(self, layer, sym, path):
-        c, h, w = sym.shape
-        return self._packed_conv(
-            layer.conv, sym.with_shape((c + 1, h, w)), f"{path}.conv"
-        )
-
-    def _packed_ode(self, block, sym, path):
-        func = block.func
-        out = sym
-        if hasattr(func, "mhsa"):  # packed MHSA bottleneck dynamics
-            out = self._raw_norm_channels(
-                sym, f"{path}.func.norm1",
-                int(np.asarray(func.norm1[0]).size), "folded BatchNorm",
-            )
-            if out is not None:
-                out = self._packed_time_conv(func.down, out, f"{path}.func.down")
-            if out is not None:
-                mh = func.mhsa
-                rel = mh.rel_table
-                height = width = None
-                if rel is not None:
-                    # fused table is (heads, H*W, D_h); recover H*W only
-                    tokens = rel.shape[1]
-                    side = int(round(math.sqrt(tokens)))
-                    height = width = side if side * side == tokens else None
-                channels = mh.w_q.shape[0]
-                c, h, w = out.shape
-                out = self._raw_mhsa(
-                    out, f"{path}.func.mhsa",
-                    channels=channels,
-                    height=height if height is not None else h,
-                    width=width if width is not None else w,
-                    heads=mh.heads,
-                    w_q=mh.w_q, w_k=mh.w_k, w_v=mh.w_v,
-                )
-            if out is not None:
-                out = self._raw_norm_channels(
-                    out, f"{path}.func.norm2",
-                    int(np.asarray(func.norm2[0]).size), "folded BatchNorm",
-                )
-            if out is not None:
-                out = self._packed_time_conv(func.up, out, f"{path}.func.up")
-        else:  # packed conv dynamics
-            out = self._raw_norm_channels(
-                sym, f"{path}.func.norm1",
-                int(np.asarray(func.norm1[0]).size), "folded BatchNorm",
-            )
-            if out is not None:
-                out = self._packed_time_conv(func.conv1, out, f"{path}.func.conv1")
-            if out is not None:
-                out = self._raw_norm_channels(
-                    out, f"{path}.func.norm2",
-                    int(np.asarray(func.norm2[0]).size), "folded BatchNorm",
-                )
-            if out is not None:
-                out = self._packed_time_conv(func.conv2, out, f"{path}.func.conv2")
-        if out is not None and out.shape != sym.shape:
-            self.report(
-                path,
-                f"ODE dynamics map state {sym} to derivative of shape "
-                f"(N, {', '.join(map(str, out.shape))}) — Euler adds them",
-            )
-            return None
-        return sym if out is not None else None
-
 
 # ----------------------------------------------------------------------
 # public entry points
@@ -701,34 +582,15 @@ def check_model(model, input_shape=None, *, dtype=None, origin=None,
 
 
 def check_plan(plan, input_shape=None, *, dtype=None, origin=None):
-    """Statically validate a runtime execution plan.
-
-    Accepts a :class:`~repro.runtime.ModulePlan` (delegates to its
-    module) or a :class:`~repro.runtime.PackedODENet` (walked through
-    its ``graph()`` introspection, validating the packed arrays the
-    runtime will actually index).
-    """
-    from ..runtime.engine import ModulePlan, PackedODENet
+    """Statically validate a :class:`~repro.runtime.ModulePlan` — the
+    float oracle — by checking the module it runs."""
+    from ..runtime.engine import ModulePlan
 
     if isinstance(plan, ModulePlan):
         return check_model(
             plan.module, input_shape, dtype=dtype,
             origin=origin or f"<plan:{type(plan.module).__name__}>",
         )
-    if isinstance(plan, PackedODENet):
-        checker = ShapeChecker(origin=origin or "<plan:PackedODENet>")
-        if input_shape is None:
-            c_in = plan.stem_conv.weight.shape[1] * plan.stem_conv.groups
-            raise ValueError(
-                f"input_shape is required for packed plans (stem expects "
-                f"{c_in} channels)"
-            )
-        sym = SymbolicTensor(
-            tuple(input_shape)[-3:],
-            plan.stem_conv.weight.dtype,
-        )
-        checker.visit_packed(plan, sym)
-        return checker.diagnostics
     raise TypeError(f"cannot shape-check {type(plan).__name__}")
 
 

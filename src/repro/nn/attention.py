@@ -219,29 +219,3 @@ class MHSA2d(Module):
             e = np.exp(logits)
             return e / e.sum(axis=-1, keepdims=True)
         return np.maximum(logits, 0.0)
-
-    # ------------------------------------------------------------------
-    def forward_numpy(self, x: np.ndarray, head_mask=None) -> np.ndarray:
-        """Deprecated alias for the shared graph-free attention kernel.
-
-        Historically this was a second, hand-maintained numpy copy of
-        :meth:`forward`; it now delegates to
-        :func:`repro.nn.functional.mhsa2d_eval` — the single attention
-        implementation used by :class:`repro.runtime.InferenceSession`,
-        the FPGA accelerator's software reference and the
-        head-importance analysis.  New code should call
-        ``functional.mhsa2d_eval(mhsa, x)`` or go through an
-        ``InferenceSession``.
-        """
-        import warnings
-
-        from .functional import mhsa2d_eval
-
-        warnings.warn(
-            "MHSA2d.forward_numpy is deprecated; use "
-            "repro.nn.functional.mhsa2d_eval or repro.runtime."
-            "InferenceSession instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return mhsa2d_eval(self, x, head_mask=head_mask)

@@ -1,19 +1,21 @@
-"""Graph-free numpy forwards for eval-mode layers — the runtime fast path.
+"""Graph-free numpy forwards for eval-mode layers.
 
-One implementation per layer, shared by every inference consumer:
+What remains here is what more than one inference consumer shares:
 
-* :class:`repro.runtime.InferenceSession`'s packed execution plans,
-* the FPGA accelerator's software reference
-  (:class:`~repro.fpga.MHSAAccelerator`, Table IX "CPU" column),
-* the head-importance analysis,
-* the deprecated ``MHSA2d.forward_numpy`` alias.
+* the multi-head self-attention forward (:func:`mhsa2d_eval` /
+  :func:`mhsa2d_forward`) — the FPGA accelerator's software reference
+  (:class:`~repro.fpga.MHSAAccelerator`, Table IX "CPU" column) and the
+  head-importance analysis;
+* the BatchNorm and relative-position packing
+  (:func:`batchnorm2d_params`, :func:`mhsa_rel_table`) the float
+  compiler (:mod:`repro.compile.ir`) folds from.
 
 Every function routes its array math through :mod:`repro.kernels` — the
 same dispatchable kernels the autograd ops call — so a graph-free
 forward under the ``reference`` backend is bit-identical to the autograd
-forward of an eval-mode module (the parity tests in
-``tests/test_runtime.py`` pin this), and switching the thread or session
-to the ``fused`` backend accelerates both paths consistently.
+forward of an eval-mode module (``tests/test_nn_attention.py`` pins
+this for the attention forward), and the ``fused`` backend accelerates
+both paths consistently.
 """
 
 from __future__ import annotations
@@ -23,38 +25,12 @@ import numpy as np
 from .. import kernels
 
 
-def conv2d(x, weight, bias=None, stride=(1, 1), padding=(0, 0), groups=1):
-    """Eval forward of :class:`~repro.nn.Conv2d` on raw arrays."""
-    out = kernels.conv2d(
-        x, weight, stride=tuple(stride), padding=tuple(padding), groups=groups
-    )
-    if bias is not None:
-        out = out + bias.reshape(1, -1, 1, 1)
-    return out
-
-
-def max_pool2d(x, kernel_size, stride=None, padding=(0, 0)):
-    """Eval forward of :class:`~repro.nn.MaxPool2d` on raw arrays."""
-    return kernels.maxpool2d(
-        x,
-        kernel_size=tuple(kernel_size),
-        stride=None if stride is None else tuple(stride),
-        padding=tuple(padding),
-    )
-
-
-def relu(x):
-    """ReLU with the autograd op's exact arithmetic (``x * (x > 0)``)."""
-    return kernels.relu(x)
-
-
 def batchnorm2d_params(bn):
     """Pack an eval-mode :class:`~repro.nn.BatchNorm2d` into apply-ready
     arrays ``(mean, inv_std, weight, bias)`` (weight/bias may be None).
 
     ``inv_std`` is computed exactly as the module's forward does
-    (``(var + eps) ** -0.5`` on the float64 running buffer), so
-    :func:`batchnorm2d_eval` reproduces the autograd eval path bitwise.
+    (``(var + eps) ** -0.5`` on the float64 running buffer).
     """
     mean = bn.running_mean.reshape(1, -1, 1, 1)
     var = bn.running_var.reshape(1, -1, 1, 1)
@@ -62,29 +38,6 @@ def batchnorm2d_params(bn):
     w = None if bn.weight is None else bn.weight.data.reshape(1, -1, 1, 1)
     b = None if bn.bias is None else bn.bias.data.reshape(1, -1, 1, 1)
     return mean, inv, w, b
-
-
-def batchnorm2d_eval(x, params):
-    """Apply packed running-stats batch norm (*params* from
-    :func:`batchnorm2d_params`)."""
-    mean, inv, w, b = params
-    return kernels.batchnorm2d(x, mean, inv, weight=w, bias=b)
-
-
-def layer_norm(x, weight, bias, eps=1e-5):
-    """Eval forward of :class:`~repro.nn.LayerNorm` over the last axis,
-    mirroring the autograd composite (mean, ``(x-mu)**2`` mean, rsqrt)."""
-    return kernels.layernorm(x, weight, bias, eps=eps)
-
-
-def linear(x, weight, bias=None):
-    """Eval forward of :class:`~repro.nn.Linear`: ``x @ W.T + b``."""
-    return kernels.linear(x, weight, bias=bias)
-
-
-def global_avg_pool2d(x):
-    """(N, C, H, W) -> (N, C) spatial mean."""
-    return kernels.global_avg_pool(x)
 
 
 # ----------------------------------------------------------------------
@@ -157,8 +110,7 @@ def mhsa2d_eval(mhsa, x, head_mask=None):
     """Graph-free forward of an :class:`~repro.nn.MHSA2d` module.
 
     Reads the module's current parameters on every call (safe during
-    training); :class:`repro.runtime.InferenceSession` packs them once
-    instead.
+    training).
     """
     norm = mhsa.norm
     kwargs = dict(

@@ -28,11 +28,11 @@ def fixed_grid_loop(body, t0=0.0, t1=1.0, steps=8, *, solver="euler"):
     Emits one ``solver.step`` tracer span per step when a tracer is
     active, at zero cost otherwise.
 
-    Three consumers share this driver: the autograd
-    :class:`FixedGridSolver` family (Tensor state), the packed runtime
-    plan (raw-array Euler), and :mod:`repro.compile`'s compiled plans
-    (arena-buffer Euler) — so trace timelines and step arithmetic stay
-    identical whichever execution path runs.
+    Two consumers share this driver: the autograd
+    :class:`FixedGridSolver` family (Tensor state, which the float
+    oracle runs) and :mod:`repro.compile`'s compiled plans (arena-buffer
+    Euler) — so trace timelines and step arithmetic stay identical
+    whichever execution path runs.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")

@@ -4,10 +4,10 @@
 
     requests ──submit()──▶ MicroBatcher ──batches──▶ InferenceSession
                                                           │
-                                          ┌───────────────┼──────────────┐
-                                     PackedODENet     ModulePlan    run(batch)
-                                     (graph-free,     (inference     (quantized /
-                                      Euler loop)      mode)          FPGA)
+                                     ┌────────────────────┴────────────────────┐
+                             reference backend                         any other backend
+                            (oracle per domain)                   (fast executor per domain)
+                        ModulePlan / executor.run               CompiledPlan / QuantizedPlan
 
 :class:`InferenceSession` wraps any model the repo can produce — a
 float module from :func:`repro.models.build_model`, a
@@ -20,7 +20,7 @@ batched dispatches.  See ``docs/ARCHITECTURE.md`` §9.
 
 from .batcher import BatcherStopped, MicroBatcher
 from .config import SessionConfig
-from .engine import ModulePlan, PackedODENet
+from .engine import ModulePlan
 from .session import InferenceSession
 from .stats import SessionStats
 
@@ -30,6 +30,5 @@ __all__ = [
     "MicroBatcher",
     "BatcherStopped",
     "SessionStats",
-    "PackedODENet",
     "ModulePlan",
 ]

@@ -8,12 +8,10 @@ adding an option meant touching every signature on the path.
 :class:`SessionConfig` carries them as a single frozen dataclass:
 
 >>> from repro.runtime import InferenceSession, SessionConfig
->>> cfg = SessionConfig(backend="compiled", instrument=True)
+>>> cfg = SessionConfig(backend="fused", instrument=True)
 >>> session = InferenceSession(model, config=cfg)          # doctest: +SKIP
 
-The legacy ``backend=`` / ``instrument=`` / ``trace=`` keywords remain
-as thin shims (they build a ``SessionConfig`` internally), but new
-options land here only.
+New options land here only.
 """
 
 from __future__ import annotations
@@ -32,10 +30,12 @@ class SessionConfig:
     Attributes
     ----------
     backend:
-        kernel backend name from :mod:`repro.kernels` (``"reference"``,
-        ``"fused"``, ``"compiled"``); ``None`` leaves the calling
-        thread's ambient/default backend in charge (see
-        :func:`repro.kernels.resolve_backend`).
+        kernel backend name from :mod:`repro.kernels` (``"reference"``
+        or ``"fused"``; ``"compiled"`` is an alias of ``"fused"``).
+        ``None`` takes the thread's ambient/default backend when the
+        session is built (see :func:`repro.kernels.resolve_backend`).
+        The backend also picks the session's plan: the oracle under
+        ``reference``, the fast executor otherwise.
     instrument:
         collect per-kernel call counts / wall time / bytes into the
         session's :class:`~repro.runtime.SessionStats`.
@@ -135,8 +135,8 @@ class SessionConfig:
         return self.trace
 
     def with_backend(self, backend) -> "SessionConfig":
-        """A copy with *backend* swapped in — how the replica pool
-        derives per-replica configs from one shared config.  The
+        """A copy with *backend* swapped in — how a cluster worker
+        applies its ``--backend`` flag to a shared config.  The
         resolved tracer is carried over as-is (``kernel_spans`` has
         already been folded into it)."""
         return dataclasses.replace(self, backend=backend, kernel_spans=None)

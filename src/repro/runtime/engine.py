@@ -1,340 +1,37 @@
-"""Execution plans: how a frozen model actually runs a forward pass.
+"""The plan table: which execution plan runs a frozen model's forward.
 
-Two plans back :class:`repro.runtime.InferenceSession`:
+Each numeric domain has exactly one oracle and one fast executor, and
+the session's kernel backend, resolved once at construction, picks
+between them:
 
-* :class:`PackedODENet` — a hand-scheduled numpy plan for the paper's
-  ODENet family (plain and proposed) with the deployed Euler solver.
-  Parameters are packed once at construction (BatchNorm running stats
-  folded to ``(mean, inv_std)`` pairs, the relative-position table
-  fused, conv weights dereferenced), the ODE stages run as flat Python
-  loops over raw arrays, and the per-step time-channel / concat planes
-  are preallocated and reused across solver steps *and* across calls
-  (per thread, so micro-batcher workers never share scratch memory).
-  No ``Tensor`` wrappers, no ``Function`` nodes.
-* :class:`ModulePlan` — the generic fallback for every other
-  architecture (ResNet/BoTNet/ViT, adaptive solvers, efficient-attention
-  variants): the module's own ``forward`` under
-  :func:`~repro.tensor.inference_mode`, which strips all graph
-  bookkeeping from ``Function.apply``.
+=============  ================================  ===============================
+domain         oracle (``reference`` backend)    fast executor (any other)
+=============  ================================  ===============================
+float          :class:`ModulePlan` — the         :class:`~repro.compile.CompiledPlan`
+               module's own forward              — Euler ODENets
+fixed point    ``QuantizedODENetExecutor.run``   :class:`~repro.fixedpoint.QuantizedPlan`
+                                                 — formats that fit its float64 carry
+=============  ================================  ===============================
 
-Both plans replay the eval-mode autograd op sequence operation for
-operation, so their outputs are bit-identical to ``model(Tensor(x))``
-with the model in ``eval()`` — the parity tests in
-``tests/test_runtime.py`` enforce this for every registry model.
+A model its domain's fast executor cannot take (adaptive solvers,
+ResNet/BoTNet/ViT, efficient-attention variants, formats wider than
+the carry) runs its oracle on the selected kernels instead.  The
+oracles define the numbers: a ``reference`` float session is
+bit-identical to ``model(Tensor(x))`` in eval mode, the compiled plan
+agrees to ≤1e-6, and the quantized plan is bit-identical to the
+executor (pinned by ``tests/test_runtime.py``).
 """
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
-from .. import kernels
-from ..nn import DepthwiseSeparableConv2d, MHSA2d, functional as F
+from ..nn import Module
 from ..tensor import Tensor, inference_mode
-from ..trace import current_tracer
-
-
-def _relu_(a):
-    """In-place ReLU on an owned array (same arithmetic as the op)."""
-    return kernels.relu(a, out=a)
-
-
-class _BufferPool:
-    """Per-thread scratch arrays keyed by call site, reused across calls."""
-
-    def __init__(self):
-        self._local = threading.local()
-
-    def get(self, key, shape, dtype):
-        cache = getattr(self._local, "cache", None)
-        if cache is None:
-            cache = self._local.cache = {}
-        buf = cache.get(key)
-        if buf is None or buf.shape != shape or buf.dtype != dtype:
-            buf = np.empty(shape, dtype=dtype)
-            cache[key] = buf
-        return buf
-
-
-class _PackedConv:
-    """A :class:`~repro.nn.Conv2d` frozen to raw arrays + geometry."""
-
-    def __init__(self, conv):
-        self.weight = conv.weight.data
-        self.bias = None if conv.bias is None else conv.bias.data
-        self.stride = conv.stride
-        self.padding = conv.padding
-        self.groups = conv.groups
-
-    def __call__(self, x):
-        return F.conv2d(
-            x, self.weight, self.bias, self.stride, self.padding, self.groups
-        )
-
-
-class _PackedDSC:
-    """Depthwise-separable conv: two packed convs back to back."""
-
-    def __init__(self, dsc):
-        self.depthwise = _PackedConv(dsc.depthwise)
-        self.pointwise = _PackedConv(dsc.pointwise)
-
-    def __call__(self, x):
-        return self.pointwise(self.depthwise(x))
-
-
-class _PackedTimeConv:
-    """Time-concat conv with a preallocated, reused time plane.
-
-    The autograd layer allocates a fresh ``full((N,1,H,W), t)`` plane on
-    every solver step; here it lives in the per-thread buffer pool and
-    is refilled in place.  The concatenation itself stays a plain
-    ``np.concatenate`` so the conv input keeps the exact memory layout
-    of the autograd path — the conv einsum's summation order (and hence
-    bitwise output) depends on it.
-    """
-
-    def __init__(self, layer, pool):
-        inner = layer.conv
-        self.conv = (
-            _PackedDSC(inner)
-            if isinstance(inner, DepthwiseSeparableConv2d)
-            else _PackedConv(inner)
-        )
-        self._pool = pool
-        self._site = id(layer)
-
-    def __call__(self, t, x):
-        n, c, h, w = x.shape
-        tt = self._pool.get(("tt", self._site), (n, 1, h, w), x.dtype)
-        tt.fill(float(t))
-        return self.conv(np.concatenate([x, tt], axis=1))
-
-
-class _PackedMHSA:
-    """An eval-mode :class:`~repro.nn.MHSA2d` frozen to kernel arguments
-    (Q/K/V planes dereferenced, relative-position table fused once)."""
-
-    def __init__(self, mhsa):
-        self.w_q = mhsa.w_q.data
-        self.w_k = mhsa.w_k.data
-        self.w_v = mhsa.w_v.data
-        self.heads = mhsa.heads
-        self.activation = mhsa.attention_activation
-        self.rel_table = (
-            F.mhsa_rel_table(mhsa) if mhsa.pos_enc == "relative" else None
-        )
-        self.abs_table = mhsa.abs.table if mhsa.pos_enc == "absolute" else None
-        norm = mhsa.norm
-        self.ln = None if norm is None else (
-            None if norm.weight is None else norm.weight.data,
-            None if norm.bias is None else norm.bias.data,
-            norm.eps,
-        )
-
-    def __call__(self, x):
-        return F.mhsa2d_forward(
-            x, self.w_q, self.w_k, self.w_v, self.heads,
-            rel_table=self.rel_table, abs_table=self.abs_table,
-            attention_activation=self.activation, ln=self.ln,
-        )
-
-
-class _PackedConvFunc:
-    """dsODENet dynamics: (BN → ReLU → time-conv) × 2, graph-free."""
-
-    def __init__(self, func, pool):
-        self.norm1 = F.batchnorm2d_params(func.norm1)
-        self.conv1 = _PackedTimeConv(func.conv1, pool)
-        self.norm2 = F.batchnorm2d_params(func.norm2)
-        self.conv2 = _PackedTimeConv(func.conv2, pool)
-
-    def __call__(self, t, z):
-        h = self.conv1(t, _relu_(F.batchnorm2d_eval(z, self.norm1)))
-        return self.conv2(t, _relu_(F.batchnorm2d_eval(h, self.norm2)))
-
-
-class _PackedMHSAFunc:
-    """The proposed MHSABlock dynamics (BoTNet bottleneck), graph-free."""
-
-    def __init__(self, func, pool):
-        self.norm1 = F.batchnorm2d_params(func.norm1)
-        self.down = _PackedTimeConv(func.down, pool)
-        self.mhsa = _PackedMHSA(func.mhsa)
-        self.norm2 = F.batchnorm2d_params(func.norm2)
-        self.up = _PackedTimeConv(func.up, pool)
-
-    def __call__(self, t, z):
-        h = self.down(t, _relu_(F.batchnorm2d_eval(z, self.norm1)))
-        h = self.mhsa(h)
-        return self.up(t, _relu_(F.batchnorm2d_eval(h, self.norm2)))
-
-
-class _PackedODEBlock:
-    """Euler integration as a flat loop: ``z += f(t, z) * h``, in place.
-
-    Matches the autograd solver's arithmetic (time accumulated by
-    repeated addition, step scaled in the dynamics' dtype) bit for bit;
-    the freshly produced ``f`` array is reused as the next state, so
-    each step allocates only what the dynamics themselves produce.
-    """
-
-    def __init__(self, block, func):
-        self.func = func
-        self.steps = block.steps
-        self.t0 = block.t0
-        self.t1 = block.t1
-
-    def __call__(self, z):
-        tracer = current_tracer()
-        if tracer is None:
-            h = (self.t1 - self.t0) / self.steps
-            t = self.t0
-            for _ in range(self.steps):
-                f = self.func(t, z)
-                kernels.mul(f, np.asarray(h, dtype=f.dtype), out=f)
-                kernels.add(z, f, out=f)
-                z = f
-                t += h
-            return z
-        # same arithmetic, one span per Euler step (the trace's answer
-        # to the paper's per-block timing tables)
-        h = (self.t1 - self.t0) / self.steps
-        t = self.t0
-        for i in range(self.steps):
-            with tracer.span("solver.step", step=i, solver="euler"):
-                f = self.func(t, z)
-                kernels.mul(f, np.asarray(h, dtype=f.dtype), out=f)
-                kernels.add(z, f, out=f)
-            z = f
-            t += h
-        return z
-
-
-class PackedODENet:
-    """Packed, graph-free execution plan for an eval-mode ODENet."""
-
-    def __init__(self, model):
-        from ..models.odenet import ODENet
-
-        if not isinstance(model, ODENet):
-            raise TypeError(f"expected ODENet, got {type(model).__name__}")
-        if model.training:
-            raise ValueError("pack an eval-mode model (call model.eval())")
-        pool = _BufferPool()
-        stem = list(model.stem)
-        self.stem_conv = _PackedConv(stem[0])
-        self.stem_norm = F.batchnorm2d_params(stem[1])
-        self.stem_pool = (stem[3].kernel_size, stem[3].stride, stem[3].padding)
-        self.block1 = self._pack_block(model.block1, pool)
-        self.down1 = self._pack_down(model.down1)
-        self.block2 = self._pack_block(model.block2, pool)
-        self.down2 = self._pack_down(model.down2)
-        self.block3 = self._pack_block(model.block3, pool)
-        self.head_norm = F.batchnorm2d_params(model.head_norm)
-        self.fc_w = model.fc.weight.data
-        self.fc_b = None if model.fc.bias is None else model.fc.bias.data
-        self._compiled = {}  # id(backend) -> CompiledPlan
-
-    def graph(self):
-        """Execution-order introspection: ``(name, op, payload)`` triples.
-
-        Mirrors :meth:`__call__` one for one so static analyses
-        (:mod:`repro.lint.shapecheck`) can walk exactly what will run
-        without executing a kernel.  ``op`` is one of ``conv``,
-        ``batchnorm``, ``relu``, ``maxpool``, ``ode``, ``down``,
-        ``gap``, ``linear``.
-        """
-        return [
-            ("stem.conv", "conv", self.stem_conv),
-            ("stem.norm", "batchnorm", self.stem_norm),
-            ("stem.relu", "relu", None),
-            ("stem.pool", "maxpool", self.stem_pool),
-            ("block1", "ode", self.block1),
-            ("down1", "down", self.down1),
-            ("block2", "ode", self.block2),
-            ("down2", "down", self.down2),
-            ("block3", "ode", self.block3),
-            ("head.norm", "batchnorm", self.head_norm),
-            ("head.relu", "relu", None),
-            ("head.pool", "gap", None),
-            ("head.fc", "linear", (self.fc_w, self.fc_b)),
-        ]
-
-    @staticmethod
-    def supported(model) -> bool:
-        """True when *model* is an ODENet this plan can execute exactly:
-        Euler-solver blocks with conv or full-MHSA dynamics (the paper's
-        deployed configuration)."""
-        from ..models.odenet import ODENet
-        from ..ode import ConvODEFunc, MHSABottleneckODEFunc
-
-        if not isinstance(model, ODENet):
-            return False
-        for block in (model.block1, model.block2, model.block3):
-            if getattr(block.solver, "name", None) != "euler":
-                return False
-            func = block.func
-            if isinstance(func, ConvODEFunc):
-                continue
-            if isinstance(func, MHSABottleneckODEFunc) and isinstance(
-                func.mhsa, MHSA2d
-            ):
-                continue
-            return False
-        return True
-
-    def _pack_block(self, block, pool):
-        from ..ode import ConvODEFunc
-
-        func_cls = (
-            _PackedConvFunc
-            if isinstance(block.func, ConvODEFunc)
-            else _PackedMHSAFunc
-        )
-        return _PackedODEBlock(block, func_cls(block.func, pool))
-
-    @staticmethod
-    def _pack_down(down):
-        return (_PackedConv(down.conv), F.batchnorm2d_params(down.bn))
-
-    @staticmethod
-    def _run_down(x, down):
-        conv, norm = down
-        return _relu_(F.batchnorm2d_eval(conv(x), norm))
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Forward an NCHW batch to logits, entirely on raw arrays.
-
-        When the thread's active kernel backend advertises plan
-        compilation (the ``compiled`` backend), the packed plan is
-        handed to it once and subsequent calls run the compiled,
-        arena-backed plan instead — the reroute that gives
-        ``InferenceSession``, ``repro.serve`` and ``repro.trace`` the
-        compiled path with no call-site changes.
-        """
-        backend = kernels.resolve_backend()
-        if getattr(backend, "supports_plan_compilation", False):
-            plan = self._compiled.get(id(backend))
-            if plan is None:
-                plan = self._compiled[id(backend)] = backend.compile_plan(self)
-            return plan(np.asarray(x))
-        x = self.stem_conv(np.asarray(x))
-        x = _relu_(F.batchnorm2d_eval(x, self.stem_norm))
-        x = F.max_pool2d(x, *self.stem_pool)
-        x = self.block1(x)
-        x = self._run_down(x, self.down1)
-        x = self.block2(x)
-        x = self._run_down(x, self.down2)
-        x = self.block3(x)
-        x = _relu_(F.batchnorm2d_eval(x, self.head_norm))
-        x = F.global_avg_pool2d(x)
-        return F.linear(x, self.fc_w, self.fc_b)
 
 
 class ModulePlan:
-    """Fallback plan: the module's own forward, graph-free.
+    """The float oracle: the module's own forward, graph-free.
 
     Runs under :func:`~repro.tensor.inference_mode`, so ``Function.apply``
     skips every piece of autograd bookkeeping; numerics are exactly the
@@ -350,3 +47,35 @@ class ModulePlan:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         with inference_mode():
             return self.module(Tensor(x, _copy=False)).data
+
+
+def bind_plan(model, fast):
+    """Bind *model*'s plan from the table above; returns ``(kind, plan)``.
+
+    *fast* selects the fast executor where the model supports it (any
+    kernel backend but ``reference``).  ``kind`` is ``"module"``,
+    ``"compiled"``, ``"executor"``, ``"quantized"``, ``"accelerator"``
+    (an object with ``run(batch)``, e.g. the FPGA models) or
+    ``"callable"``.
+    """
+    from ..compile import CompiledPlan, compile_model
+    from ..fixedpoint import QuantizedODENetExecutor, QuantizedPlan
+
+    if isinstance(model, Module):
+        model.eval()
+        if fast and CompiledPlan.supported(model):
+            return "compiled", compile_model(model)
+        return "module", ModulePlan(model)
+    if isinstance(model, QuantizedODENetExecutor):
+        if fast and QuantizedPlan.supported(model):
+            return "quantized", QuantizedPlan.from_executor(model)
+        return "executor", model.run
+    if isinstance(model, QuantizedPlan):
+        return "quantized", model
+    if callable(getattr(model, "run", None)):
+        return "accelerator", model.run
+    if callable(model):
+        return "callable", model
+    raise TypeError(
+        f"cannot build an InferenceSession around {type(model).__name__}"
+    )

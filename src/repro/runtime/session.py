@@ -4,19 +4,25 @@ One object, one API — ``predict(x)`` / ``predict_batch(x)`` — across
 every way this repo can run a model:
 
 * a float :class:`~repro.nn.Module` from
-  :func:`repro.models.build_model` (packed graph-free plan when the
-  architecture allows, generic inference-mode plan otherwise),
+  :func:`repro.models.build_model`,
 * a :class:`~repro.fixedpoint.QuantizedODENetExecutor` (the paper's
-  8/16-bit fixed-point deployment arithmetic),
+  8/16-bit fixed-point deployment arithmetic) or a
+  :class:`~repro.fixedpoint.QuantizedPlan`,
 * an FPGA-style executor (:class:`~repro.fpga.MHSAAccelerator`,
   :class:`~repro.fpga.DeployedMHSA`, or any object with ``run``/
   ``__call__`` mapping a numpy batch to a numpy batch).
 
-The session freezes the model at construction: ``eval()`` is applied,
-parameters are packed once, and subsequent weight mutations are not
-observed until :meth:`InferenceSession.refresh`.  Every dispatch is
-recorded in :class:`~repro.runtime.SessionStats` (batch size + wall
-latency), which the :class:`~repro.runtime.MicroBatcher` shares.
+The session resolves its kernel backend once, at construction, by the
+precedence of :func:`repro.kernels.resolve_backend` (``config.backend``,
+else the ambient ``use_backend``, else ``$REPRO_BACKEND``, else
+``reference``).  That backend picks the plan — the oracle of the
+model's numeric domain under ``reference``, its fast executor under any
+other (the table in :mod:`repro.runtime.engine`) — and every dispatch
+runs on it, whichever thread dispatches.  The plan is frozen:
+parameter mutations are not observed until
+:meth:`InferenceSession.refresh`.  Every dispatch is recorded in
+:class:`~repro.runtime.SessionStats` (batch size + wall latency), which
+the :class:`~repro.runtime.MicroBatcher` shares.
 """
 
 from __future__ import annotations
@@ -27,10 +33,9 @@ from contextlib import ExitStack
 import numpy as np
 
 from .. import kernels
-from ..nn import Module
 from ..trace import KernelSpanCollector, current_tracer
 from .config import SessionConfig
-from .engine import ModulePlan, PackedODENet
+from .engine import bind_plan
 from .stats import SessionStats
 
 
@@ -41,105 +46,56 @@ class InferenceSession:
     ----------
     model:
         a :class:`~repro.nn.Module`, a
-        :class:`~repro.fixedpoint.QuantizedODENetExecutor`, or any
-        object exposing ``run(batch)`` or ``__call__(batch)`` on numpy
-        arrays (e.g. the FPGA accelerator models).
-    packed:
-        ``True`` forces the packed ODENet plan (raises if unsupported),
-        ``False`` forces the generic inference-mode plan, ``None``
-        (default) picks automatically.
+        :class:`~repro.fixedpoint.QuantizedODENetExecutor`, a
+        :class:`~repro.fixedpoint.QuantizedPlan`, or any object exposing
+        ``run(batch)`` or ``__call__(batch)`` on numpy arrays (e.g. the
+        FPGA accelerator models).
     stats:
         optionally share a :class:`SessionStats` instance; by default
         each session owns a fresh one.
     config:
-        a :class:`~repro.runtime.SessionConfig` bundling the execution
-        options below.  Mutually exclusive with passing them as the
-        individual legacy keywords.
-    backend:
-        kernel backend name from :mod:`repro.kernels` (``"reference"``,
-        ``"fused"`` or ``"compiled"``); ``None`` (default) leaves the
-        calling thread's active backend in charge (the full precedence
-        is :func:`repro.kernels.resolve_backend`).  The choice is
-        applied around every dispatch, including ones running on
-        :class:`~repro.runtime.MicroBatcher` worker threads.
-    instrument:
-        when ``True``, per-kernel call counts / wall time / bytes are
-        collected for every dispatch and aggregated into
-        ``stats.snapshot()["kernels"]``.
-    trace:
-        optional :class:`repro.trace.Tracer`.  When set, every
-        ``predict_batch`` records a ``session`` span with nested
+        a :class:`~repro.runtime.SessionConfig`: the kernel backend
+        (which also picks the plan), per-kernel instrumentation
+        (aggregated into ``stats.snapshot()["kernels"]``) and the
+        tracer.  ``None`` means ``SessionConfig()``.  With a tracer
+        every ``predict_batch`` records a ``session`` span with nested
         ``solver.step`` and (if the tracer's ``kernel_spans`` is on)
-        ``kernel.<name>`` spans.  When ``None`` the session still
-        joins an *ambient* trace — a tracer made current by an
-        enclosing span, e.g. the serving layer's dispatch span — and
-        otherwise takes the untraced fast path at the cost of a single
-        thread-local read.
+        ``kernel.<name>`` spans; without one the session still joins an
+        *ambient* trace — a tracer made current by an enclosing span,
+        e.g. the serving layer's dispatch span.
+
+    Attributes
+    ----------
+    plan_kind:
+        the bound plan (see :func:`~repro.runtime.engine.bind_plan`):
+        ``"module"``, ``"compiled"``, ``"executor"``, ``"quantized"``,
+        ``"accelerator"`` or ``"callable"``.
+    kernel_backend:
+        the kernel backend name every dispatch runs on.
 
     Notes
     -----
-    ``predict_batch`` is numerically identical to the eval-mode
-    training forward for float models and *exactly* equal to
-    ``QuantizedODENetExecutor.run`` for quantized ones — the session
-    changes how the computation is scheduled, never what it computes.
+    ``predict_batch`` under ``reference`` is bit-identical to the
+    eval-mode training forward for float models and to
+    ``QuantizedODENetExecutor.run`` for quantized ones; the fast
+    executors change how the computation is scheduled, within 1e-6
+    (float) or bit for bit (fixed point).
     """
 
-    def __init__(self, model, *, packed=None, stats=None, config=None,
-                 backend=None, instrument=False, trace=None):
-        from ..fixedpoint.plan import QuantizedPlan
-        from ..fixedpoint.quantized_model import QuantizedODENetExecutor
-
-        if config is None:
-            config = SessionConfig(
-                backend=backend, instrument=bool(instrument), trace=trace
-            )
-        elif backend is not None or instrument or trace is not None:
-            raise TypeError(
-                "pass either config= or the legacy "
-                "backend=/instrument=/trace= keywords, not both"
-            )
+    def __init__(self, model, *, stats=None, config=None):
+        self.config = config if config is not None else SessionConfig()
         self._stats = stats if stats is not None else SessionStats()
-        self.config = config
-        self.kernel_backend = config.backend
-        self.instrument = bool(config.instrument)
-        self.trace = config.tracer
+        self.instrument = bool(self.config.instrument)
+        self.trace = self.config.tracer
+        self.kernel_backend = (
+            self.config.backend if self.config.backend is not None
+            else kernels.backend_name()
+        )
+        self._fast = kernels.get_backend(self.kernel_backend) is not (
+            kernels.get_backend("reference")
+        )
         self.model = model
-        if isinstance(model, Module):
-            model.eval()
-            use_packed = (
-                PackedODENet.supported(model) if packed is None else packed
-            )
-            self._plan = PackedODENet(model) if use_packed else ModulePlan(model)
-            self.backend = "packed" if use_packed else "module"
-        elif isinstance(model, QuantizedODENetExecutor):
-            # When the session's backend provides the quantized-plan
-            # hook (the `quantized` backend does), the executor is
-            # packed into a bit-identical scale-folded QuantizedPlan —
-            # the fixed-point analogue of the compiled backend's
-            # packed-plan reroute.  Otherwise the executor's reference
-            # path runs (still seam-accelerated under an ambient
-            # quantized backend).
-            self._plan = model.run
-            if config.backend is not None:
-                hook = getattr(
-                    kernels.get_backend(config.backend), "quantize_plan", None
-                )
-                if hook is not None and QuantizedPlan.supported(model):
-                    self._plan = hook(model)
-            self.backend = "quantized"
-        elif isinstance(model, QuantizedPlan):
-            self._plan = model
-            self.backend = "quantized"
-        elif hasattr(model, "run") and callable(model.run):
-            self._plan = model.run
-            self.backend = "accelerator"
-        elif callable(model):
-            self._plan = model
-            self.backend = "callable"
-        else:
-            raise TypeError(
-                f"cannot build an InferenceSession around {type(model).__name__}"
-            )
+        self.plan_kind, self._plan = bind_plan(model, self._fast)
 
     # ------------------------------------------------------------------
     @property
@@ -148,67 +104,54 @@ class InferenceSession:
         return self._stats
 
     def refresh(self) -> None:
-        """Re-freeze the model (call after mutating its parameters)."""
-        from ..fixedpoint.plan import QuantizedPlan
+        """Re-derive the bound plan from the model's current weights
+        (call after mutating them): a quantized plan re-quantizes in
+        place (bumping its ``version``), an executor drops its cached
+        quantized weights, and float plans are rebound."""
+        from ..fixedpoint import QuantizedODENetExecutor, QuantizedPlan
 
-        if isinstance(self.model, Module):
-            self.model.eval()
-            if self.backend == "packed":
-                self._plan = PackedODENet(self.model)
-            else:
-                self._plan = ModulePlan(self.model)
-        elif isinstance(self._plan, QuantizedPlan):
+        if isinstance(self._plan, QuantizedPlan):
             self._plan.refresh()
+            return
+        if isinstance(self.model, QuantizedODENetExecutor):
+            self.model.refresh()
+        self.plan_kind, self._plan = bind_plan(self.model, self._fast)
 
     # ------------------------------------------------------------------
     def predict_batch(self, x) -> np.ndarray:
         """Run a batch (leading axis = samples) and return raw outputs."""
         x = np.asarray(x)
         tracer = self.trace if self.trace is not None else current_tracer()
+        traced = tracer is not None and tracer.enabled
         start = time.perf_counter()
-        if tracer is not None and tracer.enabled:
-            out = self._dispatch_traced(x, tracer)
-        elif self.kernel_backend is None and not self.instrument:
-            out = self._plan(x)
+        if traced or self.instrument:
+            out = self._dispatch_observed(x, tracer if traced else None)
         else:
-            out = self._dispatch_instrumented(x)
+            with kernels.use_backend(self.kernel_backend):
+                out = self._plan(x)
         self._stats.record(x.shape[0], time.perf_counter() - start)
         return np.asarray(out)
 
-    def _dispatch_traced(self, x, tracer):
+    def _dispatch_observed(self, x, tracer):
         """Plan call under a ``session`` span (which also makes *tracer*
-        ambient, so the engine's solver loop and the kernel dispatcher
-        nest their spans beneath it) plus whatever backend/counter
-        contexts the session is configured with."""
+        ambient, so the solver loop and the kernel dispatcher nest their
+        spans beneath it) and/or the session's kernel counters.  Runs on
+        whichever thread dispatches (micro-batcher workers included) —
+        every mechanism here is thread-local."""
         counters = kernels.KernelCounters() if self.instrument else None
         with ExitStack() as stack:
-            stack.enter_context(tracer.span(
-                "session", batch=int(x.shape[0]), plan=self.backend,
-            ))
-            if self.kernel_backend is not None:
-                stack.enter_context(kernels.use_backend(self.kernel_backend))
-            if tracer.kernel_spans:
+            if tracer is not None:
+                stack.enter_context(tracer.span(
+                    "session", batch=int(x.shape[0]), plan=self.plan_kind,
+                ))
+            stack.enter_context(kernels.use_backend(self.kernel_backend))
+            if tracer is not None and tracer.kernel_spans:
                 stack.enter_context(
                     kernels.collect(KernelSpanCollector(tracer))
                 )
             if counters is not None:
                 stack.enter_context(kernels.collect(counters))
             out = self._plan(x)
-        if counters is not None:
-            self._stats.record_kernels(counters)
-        return out
-
-    def _dispatch_instrumented(self, x):
-        """Plan call with the session's kernel backend and/or collectors
-        armed.  Runs on whichever thread dispatches (micro-batcher
-        workers included) — both mechanisms are thread-local."""
-        counters = kernels.KernelCounters() if self.instrument else None
-        with kernels.use_backend(self.kernel_backend or kernels.backend_name()):
-            if counters is None:
-                out = self._plan(x)
-            else:
-                with kernels.collect(counters):
-                    out = self._plan(x)
         if counters is not None:
             self._stats.record_kernels(counters)
         return out
@@ -223,6 +166,6 @@ class InferenceSession:
 
     def __repr__(self):
         return (
-            f"InferenceSession(backend={self.backend!r}, "
+            f"InferenceSession(plan={self.plan_kind!r}, "
             f"model={type(self.model).__name__})"
         )

@@ -379,50 +379,47 @@ def main(argv=None) -> int:  # repro-lint: ignore[SRV001] seed arrives via --see
 
         tracer = Tracer(sample_every=args.trace_sample)
 
-    # cluster/adaptation flags travel as SessionConfig fields — the
-    # single bundled configuration value every layer already accepts
-    config = None
-    if args.workers or args.autoscale or args.adapt:
-        from ..runtime import SessionConfig
+    # backend/cluster/adaptation flags travel as SessionConfig fields —
+    # the single bundled configuration value every layer accepts
+    from ..runtime import SessionConfig
 
-        workers = tuple(
-            w.strip() for w in (args.workers or "").split(",") if w.strip()
-        )
-        autoscale = None
-        if args.autoscale:
-            lo, sep, hi = args.autoscale.partition(":")
-            if not sep:
-                parser.error("--autoscale takes MIN:MAX, e.g. 2:8")
-            try:
-                autoscale = (int(lo), int(hi))
-            except ValueError:
-                parser.error(f"--autoscale bounds must be integers, "
-                             f"got {args.autoscale!r}")
-        adapt = None
-        if args.adapt:
-            from ..adapt import AdaptConfig
-
-            adapt = AdaptConfig(
-                lr=args.adapt_lr,
-                batch_size=args.adapt_batch,
-                publish_every=args.adapt_publish_every,
-                min_samples=args.adapt_min_samples,
-                seed=args.seed,
-            )
+    workers = tuple(
+        w.strip() for w in (args.workers or "").split(",") if w.strip()
+    )
+    autoscale = None
+    if args.autoscale:
+        lo, sep, hi = args.autoscale.partition(":")
+        if not sep:
+            parser.error("--autoscale takes MIN:MAX, e.g. 2:8")
         try:
-            config = SessionConfig(backend=args.backend, workers=workers,
-                                   autoscale=autoscale, adapt=adapt)
-        except ValueError as exc:
-            parser.error(str(exc))
+            autoscale = (int(lo), int(hi))
+        except ValueError:
+            parser.error(f"--autoscale bounds must be integers, "
+                         f"got {args.autoscale!r}")
+    adapt = None
+    if args.adapt:
+        from ..adapt import AdaptConfig
+
+        adapt = AdaptConfig(
+            lr=args.adapt_lr,
+            batch_size=args.adapt_batch,
+            publish_every=args.adapt_publish_every,
+            min_samples=args.adapt_min_samples,
+            seed=args.seed,
+        )
+    try:
+        config = SessionConfig(backend=args.backend, workers=workers,
+                               autoscale=autoscale, adapt=adapt)
+    except ValueError as exc:
+        parser.error(str(exc))
     server = Server.build(
-        args.model, args.profile, args.replicas,
-        config=config, backends=None if config is not None else args.backend,
+        args.model, args.profile, args.replicas, config=config,
         mode=args.mode, shed_policy=args.policy,
         tiers=args.tiers, certify=not args.no_certify,
         queue_capacity=args.capacity, max_batch_size=args.batch,
         max_wait_ms=args.wait_ms, tracer=tracer,
     )
-    if config is not None and config.workers:
+    if config.workers:
         remote = sum(
             1 for r in server.pool if getattr(r, "info", None) is not None
         )

@@ -126,14 +126,14 @@ class Replica:
         weight copies (:meth:`TierSpec.build_session` loads the state
         dict into a fresh model), so a hot swap that only touched the
         primary would leave degraded dispatches serving the old
-        generation.  Call :meth:`refresh` afterwards so packed and
+        generation.  Call :meth:`refresh` afterwards so compiled and
         quantized plans re-derive from the new arrays.
         """
         self.session.model.load_state_dict(state)
         for session in self.tier_sessions.values():
             net = session.model
             if not isinstance(net, Module):
-                net = net.model  # quantized executor wraps the float net
+                net = net.model  # a quantized plan wraps the float net
             net.load_state_dict(state)
 
     def refresh(self) -> None:
@@ -355,9 +355,9 @@ class ReplicaPool:
     # ------------------------------------------------------------------
     @classmethod
     def build(cls, model="ode_botnet", profile="tiny", n_replicas=2, *,
-              config=None, backends=None, seed=0, pretrained_state=None,
+              config=None, seed=0, pretrained_state=None,
               tiers=None, mode="thread", unhealthy_after=3,
-              instrument=False, shared_weights=False):
+              shared_weights=False):
         """Build *n_replicas* identical-weight replicas from the registry.
 
         Parameters
@@ -367,15 +367,8 @@ class ReplicaPool:
             shares one weight set, so responses are bit-exact with a
             single direct session (answers must not depend on routing).
         config:
-            a shared :class:`~repro.runtime.SessionConfig`; each replica
-            gets ``config.with_backend(...)`` for its cycled backend.
-            Mutually exclusive with the legacy ``backends=`` /
-            ``instrument=`` keywords — except that ``backends`` may
-            still be a list to give replicas different backends.
-        backends:
-            kernel backend per replica (name, list cycled across
-            replicas, or ``None`` for the thread-default backend /
-            ``config.backend``).
+            the :class:`~repro.runtime.SessionConfig` every replica and
+            tier session is built with (``None``: ``SessionConfig()``).
         tiers:
             the degrade ladder to build per replica — tier names /
             :class:`~repro.serve.tiers.TierSpec` objects, in order
@@ -389,8 +382,8 @@ class ReplicaPool:
             map one :class:`repro.cluster.SharedWeightStore` weight set
             (anonymous shared mmap, versioned header) and rebind every
             replica's primary **and tier** float-model parameters onto
-            it *before* session construction — so packed plans serve
-            straight out of the single mapping, process-mode forks
+            it *before* session construction — so every plan derives
+            from the single mapping, process-mode forks
             inherit the pages instead of duplicating them, and
             :meth:`refresh` bumps one shared ``weights_version`` every
             co-located replica observes.  (Quantized tier sessions
@@ -404,15 +397,7 @@ class ReplicaPool:
         if mode not in ("thread", "process"):
             raise ValueError(f"unknown mode {mode!r}; choose thread|process")
         if config is None:
-            config = SessionConfig(instrument=bool(instrument))
-        elif instrument:
-            raise TypeError(
-                "pass either config= or the legacy instrument= keyword, "
-                "not both"
-            )
-        if backends is None or isinstance(backends, str):
-            backends = [backends if backends is not None
-                        else config.backend] * n_replicas
+            config = SessionConfig()
         ladder = () if tiers is None else resolve_ladder(tiers)
         reference = build_model(model, profile=profile, seed=seed,
                                 pretrained_state=pretrained_state,
@@ -426,23 +411,22 @@ class ReplicaPool:
             store = SharedWeightStore.create(state)
         replicas = []
         for i in range(int(n_replicas)):
-            replica_config = config.with_backend(backends[i % len(backends)])
             stats = SessionStats()
             replica_model = build_model(model, profile=profile, seed=seed,
                                         pretrained_state=state,
                                         inference=True)
             if store is not None:
                 # rebind parameters onto the shared mapping before the
-                # session packs its plan, so the plan references the
+                # session binds its plan, so the plan references the
                 # mapped arrays (fork then shares the pages)
                 store.adopt(replica_model)
             session = InferenceSession(
-                replica_model, stats=stats, config=replica_config,
+                replica_model, stats=stats, config=config,
             )
             tier_sessions = {
                 spec.name: spec.build_session(
                     model, profile, seed=seed, state=state,
-                    config=replica_config, stats=stats, store=store,
+                    config=config, stats=stats, store=store,
                 )
                 for spec in ladder
             }

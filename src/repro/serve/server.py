@@ -4,7 +4,7 @@ Wires admission control, the scheduler and a replica pool into one
 object::
 
     pool = ReplicaPool.build("ode_botnet", "tiny", n_replicas=2,
-                             backends="fused")
+                             config=SessionConfig(backend="fused"))
     with Server(pool, queue_capacity=64, shed_policy="reject") as server:
         fut = server.submit(x, priority=Priority.HIGH, deadline_ms=50)
         row = fut.result()
@@ -93,17 +93,16 @@ class Server:
     # ------------------------------------------------------------------
     @classmethod
     def build(cls, model="ode_botnet", profile="tiny", n_replicas=2, *,
-              config=None, backends=None, seed=0, pretrained_state=None,
-              mode="thread", instrument=False, tiers=None, certify=True,
+              config=None, seed=0, pretrained_state=None,
+              mode="thread", tiers=None, certify=True,
               shared_weights=False, **server_kw):
         """Build pool and server from the model registry in one call.
 
         ``config`` is a shared :class:`~repro.runtime.SessionConfig`
         for the replica sessions (its resolved tracer, if any, also
         becomes the server tracer unless ``tracer=`` is passed
-        explicitly); the legacy ``backends=`` / ``instrument=``
-        keywords remain as shims.  Remaining keywords go to the
-        :class:`Server` constructor.
+        explicitly).  Remaining keywords go to the :class:`Server`
+        constructor.
 
         When ``shed_policy="degrade"`` the degrade ladder (``tiers``,
         default :data:`~repro.serve.tiers.DEFAULT_LADDER`) is built per
@@ -125,10 +124,9 @@ class Server:
             # store is the only hot-swap channel into them
             shared_weights = True
         pool = ReplicaPool.build(
-            model, profile, n_replicas, config=config, backends=backends,
+            model, profile, n_replicas, config=config,
             seed=seed, pretrained_state=pretrained_state, mode=mode,
-            tiers=ladder, instrument=instrument,
-            shared_weights=shared_weights,
+            tiers=ladder, shared_weights=shared_weights,
         )
         if config is not None and config.workers:
             # shard across cluster workers: one RemoteReplica per

@@ -13,9 +13,9 @@ cliff:
     half the solver compute.
 ``int8``
     the reduced profile executed in 8(4)-8(4) fixed point by a
-    :class:`~repro.fixedpoint.QuantizedPlan` on the ``quantized``
-    kernel backend — integer arithmetic, narrow accumulators, fastest
-    software path the repo has for the model.
+    :class:`~repro.fixedpoint.QuantizedPlan` — integer arithmetic,
+    narrow accumulators, fastest software path the repo has for the
+    model.
 ``int4``
     the same plan at 4(2)-4(2) — the paper's collapse-edge format,
     kept as the last-resort rung because it is the cheapest thing that
@@ -105,11 +105,10 @@ class TierSpec:
         """Build this tier's :class:`~repro.runtime.InferenceSession`.
 
         The session shares *state* (the primary session's weight set)
-        and *stats*.  Quantized tiers wrap the float model in a
-        :class:`~repro.fixedpoint.QuantizedODENetExecutor` and run it
-        under the ``quantized`` kernel backend, so the session packs a
-        scale-folded :class:`~repro.fixedpoint.QuantizedPlan` — the
-        integer weights are derived exactly once here.
+        and *stats*.  Quantized tiers bind a scale-folded
+        :class:`~repro.fixedpoint.QuantizedPlan` directly, whatever the
+        config's kernel backend — the integer weights are derived
+        exactly once here.
 
         With a *store* (a :class:`repro.cluster.SharedWeightStore`) the
         tier's float model is rebound onto the shared mapping before
@@ -120,21 +119,15 @@ class TierSpec:
         weights from the updated floats on
         :meth:`~repro.serve.Replica.refresh`.
         """
-        from ..fixedpoint import QuantizedODENetExecutor
-        from ..runtime import InferenceSession, SessionConfig
+        from ..fixedpoint import QuantizedPlan
+        from ..runtime import InferenceSession
 
-        if config is None:
-            config = SessionConfig()
         net = self.build_model(model, profile, seed=seed, state=state)
         if store is not None:
             store.adopt(net)
-        if not self.is_quantized:
-            return InferenceSession(net, stats=stats, config=config)
-        ffmt, pfmt = self.formats()
-        executor = QuantizedODENetExecutor(net, ffmt, pfmt)
-        return InferenceSession(
-            executor, stats=stats, config=config.with_backend("quantized"),
-        )
+        if self.is_quantized:
+            net = QuantizedPlan(net, *self.formats())
+        return InferenceSession(net, stats=stats, config=config)
 
     def __repr__(self):
         fmt = f", qformat={self.qformat!r}" if self.qformat else ""

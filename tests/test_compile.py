@@ -1,10 +1,12 @@
-"""Tests for :mod:`repro.compile` — the fused-plan compiler.
+"""Tests for :mod:`repro.compile` — the float fast executor.
 
-Four contracts:
+Five contracts:
 
-* **parity** — the ``compiled`` backend agrees with ``reference`` to
-  ≤1e-6 on every packable registry model (BN/step-size folding may
+* **parity** — the compiled plan agrees with the ``reference`` oracle
+  to ≤1e-6 on every compilable registry model (BN/step-size folding may
   reassociate float ops, never change the math);
+* **one lowering per compile** — the cache key, schedule axes and plan
+  all derive from a single :func:`~repro.compile.lower`;
 * **schedule cache** — hit/miss/invalidation round-trips through the
   on-disk cache keyed by graph hash × machine fingerprint, honouring
   ``$REPRO_COMPILE_CACHE`` and the compiler version;
@@ -20,23 +22,24 @@ import json
 import numpy as np
 import pytest
 
-from repro import kernels
 from repro.compile import (
     COMPILE_VERSION,
     CompiledPlan,
     OpList,
     PlanValidationError,
     cache_path,
-    compile_packed,
+    compile_model,
     default_schedule,
     graph_hash,
+    ir,
     load_schedule,
+    lower,
     machine_fingerprint,
     save_schedule,
     schedule_axes,
 )
 from repro.models import MODELS, build_model
-from repro.runtime import InferenceSession, PackedODENet
+from repro.runtime import InferenceSession, SessionConfig
 
 RNG = np.random.default_rng(0)
 
@@ -45,12 +48,18 @@ def _packable_models():
     names = []
     for name in MODELS:
         model = build_model(name, profile="tiny", inference=True)
-        if PackedODENet.supported(model):
+        if CompiledPlan.supported(model):
             names.append(name)
     return names
 
 
 PACKABLE = _packable_models()
+
+
+def _reference(model, x):
+    return InferenceSession(
+        model, config=SessionConfig(backend="reference")
+    ).predict_batch(x)
 
 
 @pytest.fixture
@@ -70,12 +79,13 @@ class TestCompiledParity:
     @pytest.mark.parametrize("name", PACKABLE)
     def test_compiled_matches_reference_within_1e6(self, name):
         model = build_model(name, profile="tiny", inference=True)
-        session = InferenceSession(model)
         x = RNG.standard_normal((4, 3, 32, 32)).astype(np.float32)
-        with kernels.use_backend("reference"):
-            ref = session.predict_batch(x)
-        with kernels.use_backend("compiled"):
-            out = session.predict_batch(x)
+        ref = _reference(model, x)
+        session = InferenceSession(
+            model, config=SessionConfig(backend="compiled")
+        )
+        assert session.plan_kind == "compiled"
+        out = session.predict_batch(x)
         np.testing.assert_allclose(out, ref, rtol=0, atol=1e-6)
 
     @pytest.mark.parametrize("name", PACKABLE)
@@ -83,16 +93,15 @@ class TestCompiledParity:
         """Parity is schedule-independent: the autotuner may pick any
         point of the search space, so every choice must agree."""
         model = build_model(name, profile="tiny", inference=True)
-        packed = PackedODENet(model)
+        stages = lower(model)
         x = RNG.standard_normal((2, 3, 32, 32)).astype(np.float32)
-        with kernels.use_backend("reference"):
-            ref = InferenceSession(model).predict_batch(x)
-        base = default_schedule(packed)
-        for key, choices in schedule_axes(packed):
+        ref = _reference(model, x)
+        base = default_schedule(stages)
+        for key, choices in schedule_axes(stages):
             for choice in choices:
                 schedule = dict(base)
                 schedule[key] = choice
-                out = CompiledPlan(packed, schedule)(x)
+                out = CompiledPlan(stages, schedule)(x)
                 np.testing.assert_allclose(
                     out, ref, rtol=0, atol=1e-6,
                     err_msg=f"{key}={choice}",
@@ -100,50 +109,79 @@ class TestCompiledParity:
 
     def test_compiled_is_deterministic(self):
         model = build_model("odenet", profile="tiny", inference=True)
-        plan = compile_packed(PackedODENet(model))
+        plan = compile_model(model)
         x = RNG.standard_normal((2, 3, 32, 32)).astype(np.float32)
         assert np.array_equal(plan(x), plan(x))
+
+
+# ----------------------------------------------------------------------
+# one lowering per compile
+# ----------------------------------------------------------------------
+class TestOneLowering:
+    @pytest.mark.parametrize("cache", ("cold", "warm"))
+    def test_session_compile_folds_each_block_once(
+        self, cache, schedule_cache, monkeypatch
+    ):
+        """Binding a compiled session folds every ODE block's weights
+        exactly once, with or without a cached schedule."""
+        model = build_model("ode_botnet", profile="tiny", inference=True)
+        if cache == "warm":
+            stages = lower(model)
+            save_schedule(stages, default_schedule(stages))
+        folded = []
+        init = ir.OdeBlockIR.__init__
+
+        def counting_init(self, block):
+            folded.append(block)
+            init(self, block)
+
+        monkeypatch.setattr(ir.OdeBlockIR, "__init__", counting_init)
+        session = InferenceSession(
+            model, config=SessionConfig(backend="compiled")
+        )
+        session.predict_batch(RNG.standard_normal((1, 3, 32, 32))
+                              .astype(np.float32))
+        assert len(folded) == 3  # block1, block2, block3
 
 
 # ----------------------------------------------------------------------
 # schedule cache
 # ----------------------------------------------------------------------
 class TestScheduleCache:
-    def _packed(self, name="odenet"):
-        return PackedODENet(
-            build_model(name, profile="tiny", inference=True)
-        )
+    def _stages(self, name="odenet"):
+        return lower(build_model(name, profile="tiny", inference=True))
 
     def test_cache_dir_honours_env(self, schedule_cache):
-        packed = self._packed()
-        assert cache_path(packed).startswith(str(schedule_cache))
+        stages = self._stages()
+        assert cache_path(stages).startswith(str(schedule_cache))
 
     def test_miss_then_hit_round_trip(self, schedule_cache):
-        packed = self._packed()
-        assert load_schedule(packed) is None  # cold cache: miss
+        stages = self._stages()
+        assert load_schedule(stages) is None  # cold cache: miss
 
-        schedule = default_schedule(packed)
+        schedule = default_schedule(stages)
         schedule["time_planes"] = "runtime"
-        path = save_schedule(packed, schedule, tuned=True, best_ms=1.5)
-        assert path == cache_path(packed)
+        path = save_schedule(stages, schedule, tuned=True, best_ms=1.5)
+        assert path == cache_path(stages)
 
-        entry = load_schedule(packed)
+        entry = load_schedule(stages)
         assert entry is not None
         assert entry["schedule"] == schedule
         assert entry["tuned"] is True
-        assert entry["graph_hash"] == graph_hash(packed)
+        assert entry["graph_hash"] == graph_hash(stages)
         assert entry["machine"] == machine_fingerprint()
 
     def test_compile_packed_picks_up_cached_schedule(self, schedule_cache):
-        packed = self._packed()
-        schedule = default_schedule(packed)
+        model = build_model("odenet", profile="tiny", inference=True)
+        stages = lower(model)
+        schedule = default_schedule(stages)
         schedule["time_planes"] = "runtime"
-        save_schedule(packed, schedule)
-        assert compile_packed(packed).schedule == schedule
+        save_schedule(stages, schedule)
+        assert compile_model(model).schedule == schedule
 
     def test_graph_change_is_a_miss(self, schedule_cache):
-        odenet = self._packed("odenet")
-        botnet = self._packed("ode_botnet")
+        odenet = self._stages("odenet")
+        botnet = self._stages("ode_botnet")
         assert graph_hash(odenet) != graph_hash(botnet)
         save_schedule(odenet, default_schedule(odenet))
         # the other architecture keys a different file: still cold
@@ -151,30 +189,31 @@ class TestScheduleCache:
         assert load_schedule(botnet) is None
 
     def test_compiler_version_bump_invalidates(self, schedule_cache):
-        packed = self._packed()
-        path = save_schedule(packed, default_schedule(packed))
+        stages = self._stages()
+        path = save_schedule(stages, default_schedule(stages))
         with open(path, encoding="utf-8") as fh:
             entry = json.load(fh)
         assert entry["compile_version"] == COMPILE_VERSION
         entry["compile_version"] = "0.0-stale"
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(entry, fh)
-        assert load_schedule(packed) is None
+        assert load_schedule(stages) is None
 
     def test_corrupt_cache_file_is_a_miss(self, schedule_cache):
-        packed = self._packed()
-        path = save_schedule(packed, default_schedule(packed))
+        stages = self._stages()
+        path = save_schedule(stages, default_schedule(stages))
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("{not json")
-        assert load_schedule(packed) is None
+        assert load_schedule(stages) is None
         # and compile still works off the heuristic default
-        assert compile_packed(packed).schedule == default_schedule(packed)
+        model = build_model("odenet", profile="tiny", inference=True)
+        assert compile_model(model).schedule == default_schedule(stages)
 
     def test_graph_hash_is_structural_not_weights(self):
-        a = PackedODENet(
+        a = lower(
             build_model("odenet", profile="tiny", seed=0, inference=True)
         )
-        b = PackedODENet(
+        b = lower(
             build_model("odenet", profile="tiny", seed=1, inference=True)
         )
         assert graph_hash(a) == graph_hash(b)
@@ -230,7 +269,7 @@ class TestAliasValidation:
     @pytest.mark.parametrize("name", PACKABLE)
     def test_bound_plans_validate(self, name):
         model = build_model(name, profile="tiny", inference=True)
-        plan = compile_packed(PackedODENet(model))
+        plan = compile_model(model)
         x = RNG.standard_normal((2, 3, 32, 32)).astype(np.float32)
         plan(x)  # bind
         bound = plan._bound(x.shape, x.dtype)
@@ -287,7 +326,7 @@ class TestZeroStepAllocation:
         loop, the hot path the arena exists for — execute with every
         numpy constructor replaced by a tripwire."""
         model = build_model(name, profile="tiny", inference=True)
-        plan = compile_packed(PackedODENet(model))
+        plan = compile_model(model)
         x = RNG.standard_normal((2, 3, 32, 32)).astype(np.float32)
         ref = plan(x)  # warm-up: bind geometry, allocate the arena
 

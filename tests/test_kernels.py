@@ -12,7 +12,8 @@ The kernel layer's contract has three parts, each pinned here:
   ``reference`` backend is *bit-identical* to the model's own eval
   forward; integer fixed-point results are exactly backend-invariant;
   gradcheck passes routed through the dispatch layer under both
-  backends.
+  backends; integer GEMMs on ``fused`` reroute through float BLAS
+  bit-identically.
 """
 
 import numpy as np
@@ -23,7 +24,7 @@ from repro.fixedpoint import QFormat, QuantizedMHSA2d
 from repro.kernels import shapes
 from repro.models import MODELS, build_model
 from repro.nn import MHSA2d, functional
-from repro.runtime import InferenceSession
+from repro.runtime import InferenceSession, SessionConfig
 from repro.tensor import Tensor, gradcheck
 
 
@@ -35,8 +36,14 @@ def _relative_close(ref, out, tol=1e-6):
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        names = kernels.available_backends()
-        assert "reference" in names and "fused" in names
+        assert kernels.available_backends() == ("fused", "reference")
+
+    def test_compiled_is_an_alias_of_fused(self):
+        assert kernels.get_backend("compiled") is kernels.get_backend("fused")
+        with kernels.use_backend("compiled"):
+            assert kernels.backend_name() == "fused"
+        with pytest.raises(ValueError, match="unknown kernel backend"):
+            kernels.get_backend("quantized")
 
     def test_default_backend_matches_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
@@ -62,8 +69,7 @@ class TestRegistry:
 
     def test_use_backend_is_scoped_to_enter(self):
         """`use_backend` validates eagerly but applies only at
-        __enter__ — constructing one must not leak a backend switch
-        (imperative switching is `set_backend`, which warns)."""
+        __enter__ — constructing one must not leak a backend switch."""
         before = kernels.backend_name()
         switch = kernels.use_backend("fused")
         assert kernels.backend_name() == before
@@ -71,23 +77,6 @@ class TestRegistry:
             assert backend is kernels.get_backend("fused")
             assert kernels.backend_name() == "fused"
         assert kernels.backend_name() == before
-
-    def test_set_backend_switches_and_warns_once(self):
-        """The deprecated imperative path still works, returns the
-        previous name, and warns exactly once per process."""
-        kernels.registry._warned_once.discard("set_backend")
-        before = kernels.backend_name()
-        with pytest.warns(DeprecationWarning, match="set_backend"):
-            prev = kernels.set_backend("fused")
-        try:
-            assert prev == before
-            assert kernels.backend_name() == "fused"
-        finally:
-            import warnings
-
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                kernels.set_backend(before)  # second call: no warning
 
     def test_resolve_backend_precedence(self, monkeypatch):
         """explicit arg > ambient context > $REPRO_BACKEND default."""
@@ -207,13 +196,15 @@ class TestBackendParity:
         x = _model_input(batch=2, seed=7)
         with kernels.use_backend("fused"):
             via_ctx = InferenceSession(model).predict_batch(x)
-        via_kwarg = InferenceSession(model, backend="fused").predict_batch(x)
-        assert np.array_equal(via_ctx, via_kwarg)
+        via_config = InferenceSession(
+            model, config=SessionConfig(backend="fused")
+        ).predict_batch(x)
+        assert np.array_equal(via_ctx, via_config)
 
     def test_session_rejects_unknown_backend(self):
         model = build_model("odenet", profile="tiny", inference=True)
         with pytest.raises(ValueError, match="unknown kernel backend"):
-            InferenceSession(model, backend="tpu")
+            InferenceSession(model, config=SessionConfig(backend="tpu"))
 
     def test_eval_fast_path_parity_both_backends(self, rng):
         """functional.mhsa2d_eval vs the module forward, per backend."""
@@ -303,22 +294,20 @@ def _quantized_executor(name, fmt="16(8)-12(4)"):
 
 
 class TestQuantizedBackend:
-    """The fourth backend: exact integer GEMMs rerouted through float
-    BLAS.  Its whole contract is *bit-identity* with the scalar
-    reference path — any deviation means the mantissa bound is wrong."""
-
-    def test_quantized_backend_registered(self):
-        assert "quantized" in kernels.available_backends()
+    """The fused backend's integer path: exact integer GEMMs rerouted
+    through float BLAS.  Its whole contract is *bit-identity* with the
+    scalar reference path — any deviation means the mantissa bound is
+    wrong."""
 
     @pytest.mark.parametrize("name", ODE_MODELS)
     def test_executor_bit_identical_per_model(self, name):
-        """Per registry model: executor.run under the quantized backend
-        is bit-identical to the scalar reference path."""
+        """Per registry model: executor.run under the fused backend is
+        bit-identical to the scalar reference path."""
         q = _quantized_executor(name)
         x = _model_input(batch=2)
         with kernels.use_backend("reference"):
             ref = q.run(x)
-        with kernels.use_backend("quantized"):
+        with kernels.use_backend("fused"):
             out = q.run(x)
         np.testing.assert_array_equal(ref, out)
 
@@ -330,40 +319,41 @@ class TestQuantizedBackend:
         x = _model_input(batch=2, seed=3)
         with kernels.use_backend("reference"):
             ref = q.run(x)
-        with kernels.use_backend("quantized"):
+        with kernels.use_backend("fused"):
             out = q.run(x)
         np.testing.assert_array_equal(ref, out)
 
     @pytest.mark.parametrize("name", ODE_MODELS)
     def test_session_quantized_backend_bit_identical(self, name):
-        """SessionConfig(backend='quantized') packs a QuantizedPlan and
-        must reproduce the executor's reference output bit-for-bit."""
+        """SessionConfig(backend='fused') binds a QuantizedPlan and must
+        reproduce the executor's reference output bit-for-bit."""
         from repro.runtime import SessionConfig
 
         q = _quantized_executor(name)
         x = _model_input(batch=2, seed=11)
         with kernels.use_backend("reference"):
             ref = q.run(x)
-        session = InferenceSession(q, config=SessionConfig(backend="quantized"))
+        session = InferenceSession(q, config=SessionConfig(backend="fused"))
+        assert session.plan_kind == "quantized"
         np.testing.assert_array_equal(ref, session.predict_batch(x))
 
     def test_quantized_mhsa_exact_under_quantized_backend(self, rng):
-        """The existing backend-invariance contract extends to the new
-        backend: identical integers whichever backend runs the GEMMs."""
+        """The backend-invariance contract holds with the reroute on:
+        identical integers whichever backend runs the GEMMs."""
         m = MHSA2d(8, 3, 3, heads=2, attention_activation="relu",
                    out_layernorm=True, rng=rng)
         x = rng.normal(size=(2, 8, 3, 3)).astype(np.float32)
         q = QuantizedMHSA2d(m, QFormat(16, 8), QFormat(12, 4))
         with kernels.use_backend("reference"):
             ref = q(x)
-        with kernels.use_backend("quantized"):
+        with kernels.use_backend("fused"):
             out = q(x)
         np.testing.assert_array_equal(ref, out)
 
     def test_integer_gemm_kernels_exact(self, rng):
         """Kernel-level: int64 operands through matmul/linear/conv2d
         come back as exact int64 results."""
-        b = kernels.get_backend("quantized")
+        b = kernels.get_backend("fused")
         ref = kernels.get_backend("reference")
         a = rng.integers(-(1 << 15), 1 << 15, size=(4, 64)).astype(np.int64)
         w = rng.integers(-(1 << 11), 1 << 11, size=(64, 8)).astype(np.int64)
@@ -377,16 +367,15 @@ class TestQuantizedBackend:
         )
 
     def test_float_inputs_fall_through_to_fused(self, rng):
-        """Float work is untouched: the quantized backend inherits the
-        fused float paths verbatim."""
-        b = kernels.get_backend("quantized")
-        fused = kernels.get_backend("fused")
+        """Float work is untouched by the integer reroute: float32 stays
+        float32 and agrees with the reference to float rounding."""
+        b = kernels.get_backend("fused")
+        ref = kernels.get_backend("reference")
         x = rng.normal(size=(2, 6, 8, 8)).astype(np.float32)
         w = rng.normal(size=(4, 6, 3, 3)).astype(np.float32)
-        np.testing.assert_array_equal(
-            b.conv2d(x, w, (1, 1), (1, 1), 1),
-            fused.conv2d(x, w, (1, 1), (1, 1), 1),
-        )
+        got = b.conv2d(x, w, (1, 1), (1, 1), 1)
+        assert got.dtype == np.float32
+        assert _relative_close(ref.conv2d(x, w, (1, 1), (1, 1), 1), got)
 
 
 class TestInstrumentation:
@@ -415,13 +404,15 @@ class TestInstrumentation:
 
     def test_session_stats_kernel_breakdown(self):
         model = build_model("ode_botnet", profile="tiny", inference=True)
-        session = InferenceSession(model, instrument=True)
+        session = InferenceSession(
+            model, config=SessionConfig(instrument=True)
+        )
         session.predict_batch(_model_input(batch=2, seed=4))
         snap = session.stats.snapshot()
         assert "kernels" in snap
         conv = snap["kernels"]["conv2d"]
         assert conv["calls"] > 0 and conv["seconds"] > 0 and conv["bytes"] > 0
-        # the packed ODE plan's hot loop: matmul (attention) + conv
+        # the ODE plan's hot loop: matmul (attention) + conv
         assert "matmul" in snap["kernels"]
 
     def test_uninstrumented_session_has_no_kernel_entry(self):
@@ -432,7 +423,9 @@ class TestInstrumentation:
 
     def test_stats_reset_clears_kernels(self):
         model = build_model("odenet", profile="tiny", inference=True)
-        session = InferenceSession(model, instrument=True)
+        session = InferenceSession(
+            model, config=SessionConfig(instrument=True)
+        )
         session.predict_batch(_model_input(batch=2, seed=4))
         session.stats.reset()
         assert "kernels" not in session.stats.snapshot()

@@ -7,7 +7,7 @@ Layout mirrors the package:
 * engine mechanics — suppression comments, domain scoping, select /
   ignore filtering, parse-error handling;
 * shape checker — clean walks of the real ODENet family (module,
-  packed-plan and quantized paths), plus the deliberate failures the
+  module-plan and quantized paths), plus the deliberate failures the
   checker exists for: a mis-sized MHSA head split, broken conv
   geometry, non-shape-preserving ODE dynamics and a Q-format
   accumulator overflow;
@@ -34,7 +34,7 @@ from repro.lint import (
 from repro.lint.cli import main
 from repro.models import build_model
 from repro.nn.module import Parameter
-from repro.runtime.engine import ModulePlan, PackedODENet
+from repro.runtime.engine import ModulePlan
 
 
 def _rules_fired(text, *, rule, rel="", domain="library"):
@@ -253,14 +253,14 @@ RULE_FIXTURES = [
         {},
     ),
     (
-        "DEP001",
+        "MUT001",
         """\
-        def run(layer, x):
-            return layer.forward_numpy(x)
+        def zero(p):
+            p.data[...] = 0.0
         """,
         """\
-        def run(layer, x):
-            return layer.forward(x)
+        def zero(p):
+            p.data = p.data * 0.0
         """,
         {},
     ),
@@ -525,14 +525,6 @@ class TestShapeChecker:
     def test_module_plan_is_clean(self, tiny_model):
         assert check_plan(ModulePlan(tiny_model)) == []
 
-    def test_packed_plan_is_clean(self, tiny_model):
-        plan = PackedODENet(tiny_model)
-        assert check_plan(plan, (3, 32, 32)) == []
-
-    def test_packed_plan_requires_input_shape(self, tiny_model):
-        with pytest.raises(ValueError, match="input_shape"):
-            check_plan(PackedODENet(tiny_model))
-
     def test_missized_mhsa_head_split(self):
         model = _fresh_tiny()
         model.block3.func.mhsa.heads = 5  # 16 channels % 5 != 0
@@ -674,7 +666,7 @@ class TestCli:
         # module docstring missing too, but DOC001 is deselected
         assert main([path, "--select", "DOC001"]) == 1
         assert main([path, "--select", "RNG001"]) == 1
-        assert main([path, "--select", "DEP001"]) == 0
+        assert main([path, "--select", "EXC001"]) == 0
 
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.models import build_model
 from repro.nn import functional
 from repro.tensor import Tensor, gradcheck, no_grad
 
@@ -79,6 +80,17 @@ class TestForward:
                 np.testing.assert_allclose(
                     t_out, functional.mhsa2d_eval(m, x), rtol=1e-4, atol=1e-5
                 )
+
+    def test_mhsa2d_eval_is_bit_exact_with_forward(self):
+        """The graph-free forward replays the module's op sequence on
+        the same kernels, so the bits agree exactly."""
+        mhsa = build_model("ode_botnet", profile="tiny", inference=True).mhsa
+        x = np.random.default_rng(0).standard_normal(
+            (2, mhsa.channels, mhsa.height, mhsa.width)
+        ).astype(np.float32)
+        assert np.array_equal(
+            functional.mhsa2d_eval(mhsa, x), mhsa(Tensor(x, _copy=False)).data
+        )
 
     def test_gradients_reach_all_params(self, rng):
         m = make_mhsa(rng, attention_activation="relu", out_layernorm=True)

@@ -1,9 +1,9 @@
 """repro.fixedpoint.plan: the scale-folded QuantizedPlan.
 
-The plan is the quantized analogue of ``PackedODENet``: a one-time
-pack of an ODENet's quantized weight set into a pipeline of closures
-over a float-carried integer raw, chosen per site to be exact.  Its
-contract, pinned here:
+The plan is the fixed-point fast executor: a one-time pack of an
+ODENet's quantized weight set into a pipeline of closures over a
+float-carried integer raw, chosen per site to be exact.  Its contract,
+pinned here:
 
 * **construction / supported()** — packs exactly the models the
   executor accepts *and* whose formats fit the float64 carry; every
@@ -14,9 +14,9 @@ contract, pinned here:
 * **version / refresh** — the weight-derivation counter starts at 1
   and ticks on every :meth:`refresh`, and a refresh really re-reads
   mutated model weights;
-* **session integration** — ``SessionConfig(backend="quantized")``
-  reroutes an executor-backed session through a plan, and
-  ``session.refresh()`` reaches it.
+* **session integration** — any backend but ``reference`` binds an
+  executor-backed session to a plan, and ``session.refresh()`` reaches
+  it.
 """
 
 import numpy as np
@@ -150,7 +150,7 @@ class TestSessionIntegration:
     def test_session_reroutes_executor_through_plan(self):
         ex = _executor("ode_botnet")
         session = InferenceSession(
-            ex, config=SessionConfig(backend="quantized")
+            ex, config=SessionConfig(backend="fused")
         )
         assert isinstance(session._plan, QuantizedPlan)
         x = _images(batch=2, seed=9)
@@ -158,7 +158,9 @@ class TestSessionIntegration:
 
     def test_session_without_quantized_backend_keeps_executor_path(self):
         ex = _executor("odenet")
-        session = InferenceSession(ex)
+        session = InferenceSession(
+            ex, config=SessionConfig(backend="reference")
+        )
         assert not isinstance(session._plan, QuantizedPlan)
         x = _images()
         np.testing.assert_array_equal(session.predict_batch(x), ex.run(x))
@@ -167,14 +169,14 @@ class TestSessionIntegration:
         ex = _executor("odenet")
         plan = QuantizedPlan.from_executor(ex)
         session = InferenceSession(plan)
-        assert session.backend == "quantized"
+        assert session.plan_kind == "quantized"
         x = _images()
         np.testing.assert_array_equal(session.predict_batch(x), ex.run(x))
 
     def test_session_refresh_reaches_the_plan(self):
         ex = _executor("odenet")
         session = InferenceSession(
-            ex, config=SessionConfig(backend="quantized")
+            ex, config=SessionConfig(backend="fused")
         )
         assert session._plan.version == 1
         session.refresh()

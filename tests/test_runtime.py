@@ -1,31 +1,40 @@
-"""InferenceSession / MicroBatcher: parity, unification, statistics.
+"""InferenceSession / MicroBatcher: the plan table, parity, statistics.
 
-The runtime's contract is strict: ``predict_batch`` must match the
-eval-mode training forward *bitwise* for float models (packed plan and
-generic plan alike, including adaptive solvers) and *exactly* equal
-``QuantizedODENetExecutor.run`` for quantized models.  These tests pin
-that contract for every registry model, plus the micro-batcher's
-correctness and the serving statistics.
+The runtime's contract is strict.  A session binds one plan at
+construction — the oracle of the model's numeric domain under the
+``reference`` kernel backend, its fast executor under any other — and
+each plan keeps its parity contract: ``reference`` sessions match the
+eval-mode training forward *bitwise* for every registry model
+(adaptive solvers included) and *exactly* equal
+``QuantizedODENetExecutor.run`` for quantized models; the compiled plan
+agrees to 1e-6 and the quantized plan bit for bit.  These tests pin
+that contract, the refresh path, the micro-batcher's correctness and
+the serving statistics.
 """
-
-import warnings
 
 import numpy as np
 import pytest
 
 from repro import kernels
-from repro.fixedpoint import QFormat, QuantizedODENetExecutor
+from repro.compile import CompileError, CompiledPlan, compile_model
+from repro.fixedpoint import (
+    QFormat,
+    QuantizedODENetExecutor,
+    QuantizedPlan,
+    parse_format_pair,
+)
 from repro.models import MODELS, build_model
-from repro.nn import functional
 from repro.runtime import (
     BatcherStopped,
     InferenceSession,
     MicroBatcher,
     ModulePlan,
-    PackedODENet,
+    SessionConfig,
     SessionStats,
 )
 from repro.tensor import Tensor, inference_mode, is_grad_enabled
+
+REFERENCE = SessionConfig(backend="reference")
 
 
 def _input_for(model, profile="tiny", batch=3, seed=0):
@@ -48,27 +57,27 @@ class TestSessionParity:
 
     @pytest.mark.parametrize("name", ("odenet", "ode_botnet"))
     def test_packed_plan_is_bit_exact(self, name):
+        """A ``reference`` session on the paper models is the module
+        forward, bit for bit."""
         model = build_model(name, profile="tiny", inference=True)
         x = _input_for(model, batch=4, seed=3)
-        ref = model(Tensor(x, _copy=False)).data
-        session = InferenceSession(model)
-        assert session.backend == "packed"
-        out = session.predict_batch(x)
-        if kernels.resolve_backend() is kernels.get_backend("compiled"):
-            # The compiled plan folds BN into conv weights, so it is
-            # float-reassociated rather than bit-identical.
-            np.testing.assert_allclose(out, ref, rtol=0, atol=1e-6)
-        else:
-            assert np.array_equal(out, ref)
+        with kernels.use_backend("reference"):
+            ref = model(Tensor(x, _copy=False)).data
+        session = InferenceSession(model, config=REFERENCE)
+        assert session.plan_kind == "module"
+        assert np.array_equal(session.predict_batch(x), ref)
 
     def test_dopri5_falls_back_to_module_plan(self):
         model = build_model(
             "ode_botnet", profile="tiny", solver="dopri5", inference=True
         )
         x = _input_for(model, batch=2, seed=5)
-        ref = model(Tensor(x, _copy=False)).data
-        session = InferenceSession(model)
-        assert session.backend == "module"
+        with kernels.use_backend("fused"):
+            ref = model(Tensor(x, _copy=False)).data
+        session = InferenceSession(
+            model, config=SessionConfig(backend="fused")
+        )
+        assert session.plan_kind == "module"
         assert np.array_equal(session.predict_batch(x), ref)
 
     def test_quantized_backend_is_exact(self):
@@ -77,8 +86,8 @@ class TestSessionParity:
             model, QFormat(32, 16), QFormat(24, 8)
         )
         x = _input_for(model, batch=2, seed=1)
-        session = InferenceSession(executor)
-        assert session.backend == "quantized"
+        session = InferenceSession(executor, config=REFERENCE)
+        assert session.plan_kind == "executor"
         assert np.array_equal(session.predict_batch(x), executor.run(x))
 
     def test_predict_single_sample_matches_batch_row(self):
@@ -98,6 +107,120 @@ class TestSessionParity:
         session.refresh()
         after = session.predict_batch(x)
         np.testing.assert_allclose(after - before, 1.0, atol=1e-9)
+
+
+#: case -> (plan kind under ``reference``, under any other backend)
+PLAN_TABLE = {
+    "odenet": ("module", "compiled"),
+    "ode_botnet": ("module", "compiled"),
+    "ode_botnet-dopri5": ("module", "module"),
+    "resnet50": ("module", "module"),
+    "executor-16(8)-12(4)": ("executor", "quantized"),
+    "executor-48(24)-48(24)": ("executor", "executor"),
+}
+PLAN_TYPES = {
+    "module": ModulePlan,
+    "compiled": CompiledPlan,
+    "quantized": QuantizedPlan,
+}
+
+
+def _plan_table_model(case):
+    if case.startswith("executor-"):
+        model = build_model("ode_botnet", profile="tiny", inference=True)
+        formats = parse_format_pair(case[len("executor-"):])
+        return QuantizedODENetExecutor(model, *formats)
+    name, _, solver = case.partition("-")
+    kwargs = {"solver": solver} if solver else {}
+    return build_model(name, profile="tiny", inference=True, **kwargs)
+
+
+class TestPlanTable:
+    """One oracle and one fast executor per numeric domain, bound once
+    from the session's backend, each held to its parity contract."""
+
+    @pytest.mark.parametrize("backend", ("reference", "fused", "compiled"))
+    @pytest.mark.parametrize("case", sorted(PLAN_TABLE))
+    def test_binds_plan_and_keeps_its_parity(self, case, backend):
+        model = _plan_table_model(case)
+        session = InferenceSession(
+            model, config=SessionConfig(backend=backend)
+        )
+        kind = PLAN_TABLE[case][backend != "reference"]
+        assert session.plan_kind == kind
+        if kind in PLAN_TYPES:
+            assert isinstance(session._plan, PLAN_TYPES[kind])
+        else:
+            assert session._plan == model.run
+        x = _input_for(None, batch=2, seed=8)
+        out = session.predict_batch(x)
+        if kind in ("executor", "quantized"):
+            # fixed point: bit-identical to the executor on reference
+            with kernels.use_backend("reference"):
+                assert np.array_equal(out, model.run(x))
+        elif kind == "compiled":
+            # within 1e-6 of the float oracle on reference kernels
+            with kernels.use_backend("reference"):
+                ref = model(Tensor(x, _copy=False)).data
+            np.testing.assert_allclose(out, ref, rtol=0, atol=1e-6)
+        else:
+            # the float oracle, bit for bit, on the session's kernels
+            with kernels.use_backend(backend):
+                ref = model(Tensor(x, _copy=False)).data
+            assert np.array_equal(out, ref)
+
+    def test_ambient_backend_is_resolved_once(self):
+        model = build_model("odenet", profile="tiny", inference=True)
+        with kernels.use_backend("fused"):
+            session = InferenceSession(model)
+        assert session.plan_kind == "compiled"
+        assert session.kernel_backend == "fused"
+        with kernels.use_backend("reference"):
+            session.predict_batch(_input_for(model, batch=1))
+        assert session.plan_kind == "compiled"
+
+
+class TestRefresh:
+    @pytest.mark.parametrize("fmt", ("16(8)-12(4)", "48(24)-48(24)"))
+    @pytest.mark.parametrize("backend", ("reference", "fused"))
+    def test_executor_session_answers_with_new_weights(self, backend, fmt):
+        """refresh() re-derives the executor's quantized weights, whether
+        the session runs the executor or a quantized plan over it."""
+        model = build_model("ode_botnet", profile="tiny", inference=True)
+        ffmt, pfmt = parse_format_pair(fmt)
+        session = InferenceSession(
+            QuantizedODENetExecutor(model, ffmt, pfmt),
+            config=SessionConfig(backend=backend),
+        )
+        x = _input_for(model, batch=2, seed=6)
+        before = session.predict_batch(x)
+        model.fc.bias.data[...] += 1.0
+        session.refresh()
+        after = session.predict_batch(x)
+        assert not np.array_equal(after, before)
+        fresh = QuantizedODENetExecutor(model, ffmt, pfmt)
+        with kernels.use_backend("reference"):
+            assert np.array_equal(after, fresh.run(x))
+
+    @pytest.mark.parametrize("backend", ("reference", "fused"))
+    def test_float_session_answers_with_new_weights(self, backend):
+        model = build_model("ode_botnet", profile="tiny", inference=True)
+        session = InferenceSession(
+            model, config=SessionConfig(backend=backend)
+        )
+        x = _input_for(model, batch=2, seed=7)
+        before = session.predict_batch(x)
+        # folded into the compiled plan's weights at lowering time
+        model.down2.conv.weight.data[...] *= 2.0
+        session.refresh()
+        after = session.predict_batch(x)
+        assert not np.array_equal(after, before)
+        fresh = InferenceSession(
+            build_model("ode_botnet", profile="tiny",
+                        pretrained_state=model.state_dict(), inference=True),
+            config=SessionConfig(backend=backend),
+        )
+        np.testing.assert_array_equal(after, fresh.predict_batch(x))
 
 
 class TestSessionApi:
@@ -132,29 +255,10 @@ class TestSessionApi:
 
     def test_plans_require_eval_mode(self):
         model = build_model("odenet", profile="tiny")
-        with pytest.raises(ValueError):
-            PackedODENet(model)
+        with pytest.raises(CompileError, match="eval"):
+            compile_model(model)
         with pytest.raises(ValueError):
             ModulePlan(model)
-
-    def test_forward_numpy_alias_warns_and_matches(self):
-        model = build_model("ode_botnet", profile="tiny", inference=True)
-        mhsa = model.mhsa
-        x = np.random.default_rng(0).standard_normal(
-            (2, mhsa.channels, mhsa.height, mhsa.width)
-        ).astype(np.float32)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = mhsa.forward_numpy(x)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1  # the alias warns exactly once per call
-        assert "mhsa2d_eval" in str(deprecations[0].message)
-        assert np.array_equal(legacy, functional.mhsa2d_eval(mhsa, x))
-        assert np.array_equal(
-            legacy, mhsa(Tensor(x, _copy=False)).data
-        )
 
 
 class TestStats:
@@ -308,7 +412,7 @@ class TestMicroBatcher:
             raise RuntimeError("backend down")
 
         session = InferenceSession(broken)
-        assert session.backend == "callable"
+        assert session.plan_kind == "callable"
         with MicroBatcher(session, max_batch_size=2, max_wait_ms=1.0) as mb:
             fut = mb.submit(np.zeros(3, dtype=np.float32))
             with pytest.raises(RuntimeError, match="backend down"):

@@ -22,7 +22,7 @@ import pytest
 
 from repro.models import build_model, reduced_profile
 from repro.models.registry import PROFILES
-from repro.runtime import InferenceSession, SessionStats
+from repro.runtime import InferenceSession, SessionConfig, SessionStats
 from repro.serve import (
     AdmissionQueue,
     DeadlineExceeded,
@@ -538,7 +538,7 @@ class TestServer:
 
     def test_metrics_snapshot_and_report(self):
         with Server.build("ode_botnet", "tiny", 2, seed=0,
-                          instrument=True) as server:
+                          config=SessionConfig(instrument=True)) as server:
             x = _samples(4, shape=(3, 32, 32))
             for xi in x:
                 server.predict(xi, timeout=60)
@@ -717,13 +717,14 @@ class TestTierLadder:
     def test_pool_build_ladder_shares_weights(self):
         pool = ReplicaPool.build(
             "ode_botnet", "tiny", 1, tiers=("reduced", "int8"),
+            config=SessionConfig(backend="fused"),
         )
         replica = next(iter(pool))
         assert set(replica.tier_sessions) == {"reduced", "int8"}
         # every rung derives from the primary session's weight set
         from repro.fixedpoint import QuantizedPlan
 
-        assert replica.tier_sessions["reduced"].backend == "packed"
+        assert replica.tier_sessions["reduced"].plan_kind == "compiled"
         assert isinstance(
             replica.tier_sessions["int8"]._plan, QuantizedPlan
         )

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.models import build_model
-from repro.runtime import InferenceSession
+from repro.runtime import InferenceSession, SessionConfig
 from repro.serve import Server
 from repro.trace import (
     STAGES,
@@ -359,7 +359,9 @@ class TestSessionTracing:
         untraced = InferenceSession(model).predict_batch(x)
 
         tracer = Tracer()
-        traced = InferenceSession(model, trace=tracer).predict_batch(x)
+        traced = InferenceSession(
+            model, config=SessionConfig(trace=tracer)
+        ).predict_batch(x)
         assert np.array_equal(untraced, traced)
 
         spans = tracer.spans()
@@ -374,7 +376,9 @@ class TestSessionTracing:
         x = np.random.default_rng(1).standard_normal(
             (1, 3, 32, 32)).astype(np.float32)
         tracer = Tracer(kernel_spans=False)
-        InferenceSession(model, trace=tracer).predict_batch(x)
+        InferenceSession(
+            model, config=SessionConfig(trace=tracer)
+        ).predict_batch(x)
         spans = tracer.spans()
         assert not any(s.name.startswith("kernel.") for s in spans)
         assert any(s.name == "solver.step" for s in spans)
@@ -382,7 +386,7 @@ class TestSessionTracing:
     def test_ambient_tracer_traces_without_explicit_handoff(self):
         model = build_model("ode_botnet", profile="tiny", seed=0,
                             inference=True)
-        session = InferenceSession(model)  # no trace= anywhere
+        session = InferenceSession(model)  # no tracer anywhere
         x = np.random.default_rng(1).standard_normal(
             (1, 3, 32, 32)).astype(np.float32)
         tracer = Tracer()

@@ -2,12 +2,15 @@
 
 :class:`~repro.compile.CompiledPlan` is the float fast executor — same
 numerics as the module-forward oracle (≤1e-6 of ``reference``), better
-schedule: BN folded into conv weights, the Euler step body running out
-of one preallocated arena, per-machine autotuned conv strategies.  This
-bench times it against the module forward (:class:`ModulePlan`) on the
-same ``fused`` kernels for each compilable registry model, asserts the
-headline ≥1.3× claim, prints the table and persists it as
-``BENCH_compile_speedup.json`` for CI artifact upload.
+schedule: BN folded into conv weights, the Euler step body running
+channels-last out of one preallocated arena, per-machine autotuned
+depthwise strategies.  This bench times it against the module forward
+(:class:`ModulePlan`) on the same ``fused`` kernels for each compilable
+registry model at two points — ``tiny`` at batch 8 on the autotuned
+schedule, where Python dispatch dominates, and the ``paper`` geometry
+at batch 1 on the default schedule serving binds (no autotune) —
+asserts the headline ≥1.3× claim at both, prints the table and
+persists it as ``BENCH_compile_speedup.json`` for CI artifact upload.
 """
 
 import time
@@ -18,14 +21,16 @@ import pytest
 from _artifacts import record_bench
 from conftest import show
 from repro import kernels
-from repro.compile import autotune, lower
-from repro.models import build_model
+from repro.compile import autotune, default_schedule, lower
+from repro.models import PROFILES, build_model
 from repro.runtime import InferenceSession, ModulePlan, SessionConfig
 
 RNG = np.random.default_rng(0)
 
 MODELS = ("odenet", "ode_botnet")
-BATCH = 8
+#: (profile, batch, autotune): the dispatch-bound test geometry on the
+#: tuned schedule, and the 96×96 serve geometry on the default one
+POINTS = (("tiny", 8, True), ("paper", 1, False))
 REQUIRED_SPEEDUP = 1.3
 
 
@@ -41,40 +46,55 @@ def _best_of(fn, repeats=7, inner=5):
 
 
 @pytest.fixture(scope="module")
-def compile_speedup_rows():
-    """Autotune, time module forward vs compiled per model, persist."""
-    x = RNG.standard_normal((BATCH, 3, 32, 32)).astype(np.float32)
+def compile_speedup_rows(tmp_path_factory):
+    """Time module forward vs compiled per model and point, persist."""
+    cold_cache = str(tmp_path_factory.mktemp("cold-schedule-cache"))
     rows = []
-    for name in MODELS:
-        model = build_model(name, profile="tiny", inference=True)
-        # Tune + warm the on-disk schedule cache so the compiled
-        # session below picks the tuned schedule up transparently.
-        schedule, report = autotune(lower(model), x, save=True)
-
-        compiled = InferenceSession(
-            model, config=SessionConfig(backend="fused")
-        )
-        assert compiled.plan_kind == "compiled"
-        compiled.predict_batch(x)  # warm: plan binding
-        compiled_s = _best_of(lambda: compiled.predict_batch(x))
-        module = ModulePlan(model)
-        with kernels.use_backend("fused"):
-            module(x)  # warm: fused workspaces
-            module_s = _best_of(lambda: module(x))
-        rows.append({
-            "model": name,
-            "batch": BATCH,
-            "baseline": "module forward on fused kernels",
-            "fused_ms": module_s * 1e3,
-            "compiled_ms": compiled_s * 1e3,
-            "speedup": module_s / compiled_s,
-            "schedule": schedule,
-            "autotune_best_ms": report["best_ms"],
-        })
+    for profile, batch, tune in POINTS:
+        size = PROFILES[profile]["input_size"]
+        x = RNG.standard_normal((batch, 3, size, size)).astype(np.float32)
+        for name in MODELS:
+            model = build_model(name, profile=profile, inference=True)
+            stages = lower(model)
+            with pytest.MonkeyPatch.context() as mp:
+                if tune:
+                    # Tune + warm the on-disk schedule cache so the
+                    # compiled session picks the tuned schedule up
+                    # transparently.
+                    schedule, report = autotune(stages, x, save=True)
+                else:
+                    # a cold cache: the session binds the default
+                    # schedule, as every serving replica does
+                    mp.setenv("REPRO_COMPILE_CACHE", cold_cache)
+                    schedule, report = default_schedule(stages), None
+                compiled = InferenceSession(
+                    model, config=SessionConfig(backend="fused")
+                )
+            assert compiled.plan_kind == "compiled"
+            assert compiled._plan.schedule == schedule
+            compiled.predict_batch(x)  # warm: plan binding
+            compiled_s = _best_of(lambda: compiled.predict_batch(x))
+            module = ModulePlan(model)
+            with kernels.use_backend("fused"):
+                module(x)  # warm: fused workspaces
+                module_s = _best_of(lambda: module(x))
+            rows.append({
+                "model": name,
+                "profile": profile,
+                "batch": batch,
+                "baseline": "module forward on fused kernels",
+                "fused_ms": module_s * 1e3,
+                "compiled_ms": compiled_s * 1e3,
+                "speedup": module_s / compiled_s,
+                "schedule": schedule,
+                "autotuned": tune,
+                "autotune_best_ms": None if report is None
+                else report["best_ms"],
+            })
 
     body = "\n".join(
-        f"{r['model']:12s} module/fused {r['fused_ms']:7.3f} ms   "
-        f"compiled {r['compiled_ms']:7.3f} ms   "
+        f"{r['model']:12s} {r['profile']:6s} b{r['batch']}  module/fused "
+        f"{r['fused_ms']:8.3f} ms   compiled {r['compiled_ms']:8.3f} ms   "
         f"speedup {r['speedup']:.2f}x  (need >={REQUIRED_SPEEDUP}x)"
         for r in rows
     )
@@ -89,10 +109,23 @@ def compile_speedup_rows():
 @pytest.mark.parametrize("name", MODELS)
 def test_compiled_beats_fused(compile_speedup_rows, name):
     """The compiled plan ≥ 1.3x the module forward on fused kernels."""
-    row = next(r for r in compile_speedup_rows if r["model"] == name)
+    _assert_speedup(compile_speedup_rows, name, "tiny")
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_compiled_beats_fused_at_paper_geometry(compile_speedup_rows, name):
+    """The same gate at the 96×96 serve geometry, batch 1, on the
+    default schedule."""
+    _assert_speedup(compile_speedup_rows, name, "paper")
+
+
+def _assert_speedup(rows, name, profile):
+    row = next(r for r in rows
+               if r["model"] == name and r["profile"] == profile)
     assert row["speedup"] >= REQUIRED_SPEEDUP, (
         f"compiled speedup {row['speedup']:.2f}x over the module forward "
-        f"on fused kernels on {name} (need >={REQUIRED_SPEEDUP}x)"
+        f"on fused kernels on {name} at {profile} batch {row['batch']} "
+        f"(need >={REQUIRED_SPEEDUP}x)"
     )
 
 

@@ -1,0 +1,153 @@
+"""Layer-by-layer time of the compiled float plan at the serve geometry.
+
+The compiled-plan slice of the ROADMAP perf ledger: for ``ode_botnet``
+at ``paper`` and ``paper-reduced`` (the ``full`` and ``reduced`` serve
+tiers' 96×96 geometry), batch 1 and 8, on the default schedule serving
+binds, it records the median milliseconds and share of the forward of
+
+* every bound IR stage (``stem.conv`` … ``head.fc``), each stage timed
+  on its own from the previous stage's real output;
+* every step op inside each ODE block (``ssr1``, ``conv1.dw``,
+  ``conv1.pw``, …, ``mhsa.attend``, ``euler``), summed over the block's
+  Euler steps, with the block's state reset from its real input before
+  each replay.
+
+The one gate: the stage rows sum to within 15% of a timed whole
+forward, so the table accounts for the time it claims to break down.
+Persists ``BENCH_layer_breakdown.json``.  MACs and simulated cycles per
+row are out of scope here.
+"""
+
+import time
+
+import numpy as np
+import pytest
+
+from _artifacts import record_bench
+from conftest import show
+from repro.compile import CompiledPlan, default_schedule, lower
+from repro.models import PROFILES, build_model
+
+RNG = np.random.default_rng(0)
+
+MODEL = "ode_botnet"
+POINTS = (("paper", 1), ("paper", 8), ("paper-reduced", 1),
+          ("paper-reduced", 8))
+REPS = {1: 21, 8: 7}
+TOLERANCE = 0.15
+
+
+def _median_ms(samples):
+    return float(np.median(samples)) * 1e3
+
+
+def _breakdown(profile, batch):
+    """One (profile, batch) point: forward, stage and step-op rows."""
+    model = build_model(MODEL, profile=profile, inference=True)
+    stages = lower(model)
+    plan = CompiledPlan(stages, default_schedule(stages))
+    size = PROFILES[profile]["input_size"]
+    x = RNG.standard_normal((batch, 3, size, size)).astype(np.float32)
+    plan(x)  # bind geometry, allocate the arena
+    bound = plan._bound(x.shape, x.dtype)
+    names = [stage.name for stage in stages]
+    assert len(names) == len(bound.stages)
+    reps = REPS[batch]
+
+    # each rep times one whole forward, then one stage-by-stage pass,
+    # so a burst of host load lands on both sides of the gate alike
+    forward = []
+    stage_s = {name: [] for name in names}
+    block_in = {}
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        plan(x)
+        forward.append(time.perf_counter() - t0)
+        h = x
+        for name, (_, fn, is_block) in zip(names, bound.stages):
+            if is_block:
+                block_in[name] = np.array(h)
+            t0 = time.perf_counter()
+            h = fn(h)
+            stage_s[name].append(time.perf_counter() - t0)
+
+    op_s = {}
+    by_name = {stage.name: stage for stage in stages}
+    for name, ops in bound.block_ops.items():
+        ts, _ = by_name[name].ir.time_grid()
+        z = bound.arena.buffer(f"{name}.z", block_in[name].shape)
+        ops = tuple(ops)
+        for _ in range(reps):
+            np.copyto(z, block_in[name])
+            acc = dict.fromkeys((op.tag for op in ops), 0.0)
+            for i, t in enumerate(ts):
+                for op in ops:
+                    t0 = time.perf_counter()
+                    op.fn(i, t)
+                    acc[op.tag] += time.perf_counter() - t0
+            for tag, s in acc.items():
+                op_s.setdefault((name, tag), []).append(s)
+
+    forward_ms = _median_ms(forward)
+    stage_rows = [
+        {"stage": name, "ms": _median_ms(stage_s[name]),
+         "share": _median_ms(stage_s[name]) / forward_ms}
+        for name in names
+    ]
+    op_rows = [
+        {"block": block, "op": tag, "ms": _median_ms(s),
+         "share": _median_ms(s) / forward_ms}
+        for (block, tag), s in op_s.items()
+    ]
+    return {
+        "profile": profile,
+        "batch": batch,
+        "reps": reps,
+        "forward_ms": forward_ms,
+        "stage_sum_ms": sum(r["ms"] for r in stage_rows),
+        "stages": stage_rows,
+        "ops": op_rows,
+    }
+
+
+def _render(point):
+    lines = [
+        f"{point['profile']} batch {point['batch']}: forward "
+        f"{point['forward_ms']:.2f} ms, stage sum "
+        f"{point['stage_sum_ms']:.2f} ms"
+    ]
+    lines += [f"  {r['stage']:<12s} {r['ms']:9.3f} ms  {r['share']:6.1%}"
+              for r in point["stages"]]
+    top = sorted(point["ops"], key=lambda r: -r["ms"])[:6]
+    lines += [f"    {r['block']}.{r['op']:<14s} {r['ms']:9.3f} ms  "
+              f"{r['share']:6.1%}" for r in top]
+    return "\n".join(lines)
+
+
+@pytest.fixture(scope="module")
+def layer_breakdown():
+    points = [_breakdown(profile, batch) for profile, batch in POINTS]
+    show(f"compiled plan layer breakdown ({MODEL}, default schedule)",
+         "\n".join(_render(p) for p in points))
+    record_bench("layer_breakdown", {
+        "model": MODEL,
+        "schedule": "default",
+        "tolerance": TOLERANCE,
+        "points": points,
+    })
+    return points
+
+
+@pytest.mark.parametrize("profile,batch", POINTS,
+                         ids=[f"{p}-b{b}" for p, b in POINTS])
+def test_stage_rows_account_for_the_forward(layer_breakdown, profile,
+                                            batch):
+    """The stage rows sum to within 15% of a timed whole forward."""
+    point = next(p for p in layer_breakdown
+                 if p["profile"] == profile and p["batch"] == batch)
+    gap = abs(point["stage_sum_ms"] / point["forward_ms"] - 1.0)
+    assert gap <= TOLERANCE, (
+        f"{profile} batch {batch}: stage rows sum to "
+        f"{point['stage_sum_ms']:.2f} ms vs a {point['forward_ms']:.2f} ms "
+        f"forward ({gap:.1%} apart, allowed {TOLERANCE:.0%})"
+    )

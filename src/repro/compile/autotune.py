@@ -1,12 +1,12 @@
 """Schedule search + the on-disk schedule cache.
 
 A *schedule* is a flat dict of per-site strategy choices (see
-:mod:`repro.compile.plan`): which conv algorithm each dense site uses
-(``tensordot`` vs explicit im2col ``gemm``), which depthwise strategy
-each ODE conv uses (``taps`` vs ``patches``), and whether per-step time
-planes are precomputed (``unrolled``) or multiplied at step time
-(``runtime``).  The right choices are machine-dependent — BLAS builds,
-cache sizes and core counts move the crossover points — so
+:mod:`repro.compile.plan`): which depthwise strategy each ODE conv
+uses (one ``einsum`` over the channels-last patch view vs per-offset
+``taps``), and whether per-step time planes are precomputed
+(``unrolled``) or multiplied at step time (``runtime``).  The right
+choices are machine-dependent — BLAS builds, cache sizes and core
+counts move the crossover points — so
 :func:`autotune` searches them empirically: greedy coordinate descent
 over the axes, timing the *full* compiled forward with the benchmark
 harness's best-of-N discipline (minimum over repeats of a mean over
@@ -139,21 +139,13 @@ def save_schedule(stages, schedule, *, tuned=False, best_ms=None,
 def schedule_axes(stages):
     """The tunable axes of lowered *stages*: ``[(key, [choices...])]``.
 
-    One dense-conv axis per conv/fconv stage, one depthwise axis per
-    DSC time conv inside the ODE dynamics, plus the global time-plane
-    mode.  The first choice of each axis is the heuristic default.
+    One depthwise axis per DSC time conv inside the ODE dynamics, plus
+    the global time-plane mode.  The first choice of each axis is the
+    heuristic default.
     """
     axes = []
     for stage in stages:
-        if stage.op in ("conv", "fconv"):
-            groups = getattr(stage.ir, "groups", 1)
-            # the gemm alternative reorders the reduction; that is only
-            # parity-safe (≤1e-6 vs reference) for float64 convs, where
-            # reassociation costs ~1e-15 — a float32 conv (the stem)
-            # would drift past the backend tolerance, so it gets no axis
-            if groups == 1 and stage.ir.weight.dtype == np.float64:
-                axes.append((f"conv:{stage.name}", ["tensordot", "gemm"]))
-        elif stage.op == "ode":
+        if stage.op == "ode":
             func = stage.ir.func
             convs = (
                 (("conv1", func.conv1), ("conv2", func.conv2))
@@ -163,7 +155,7 @@ def schedule_axes(stages):
             for cname, tc in convs:
                 if tc.kind == "dsc":
                     axes.append(
-                        (f"dw:{stage.name}.{cname}", ["taps", "patches"])
+                        (f"dw:{stage.name}.{cname}", ["einsum", "taps"])
                     )
     axes.append(("time_planes", ["unrolled", "runtime"]))
     return axes

@@ -39,7 +39,8 @@ from ..ode import ConvODEFunc, MHSABottleneckODEFunc
 #: bump to invalidate every cached schedule across releases
 #: (2: float32 convs lost their gemm axis — cached schedules carrying
 #: one would now silently bind as tensordot)
-COMPILE_VERSION = 2
+#: (3: the plan runs channels-last; NCHW-tuned ``dw:*=taps`` picks are stale)
+COMPILE_VERSION = 3
 
 _F64 = np.float64
 

@@ -13,13 +13,21 @@ shape, so steady-state calls run the Euler loop entirely out of
 preallocated buffers (zero per-step numpy allocation; see
 :mod:`repro.compile.steps`).
 
+Activations run channels-last.  The stem conv takes the NCHW batch on
+the ``fused`` kernel and hands on a transposed view of its output; from
+the stem's scale-shift-ReLU to the head every stage reads and writes
+(N, H, W, C) arena buffers, so each pointwise conv is one flat
+(N·H·W, C) GEMM, each strided downsample one im2col GEMM, each
+depthwise conv one einsum, and the MHSA token view a plain reshape.
+A (scale-shift-)ReLU feeding a padded conv inside the Euler loop
+writes straight into the interior of that conv's zero-bordered canvas.
+
 The step program is scheduled by a plain dict (see
-:mod:`repro.compile.autotune`): per-site conv strategies
-(``tensordot`` vs explicit im2col ``gemm`` for dense convs, ``taps`` vs
-``patches`` for depthwise) and the time-plane mode (``unrolled``
-per-step precomputation vs ``runtime`` multiply).  Unknown keys are
-ignored and missing keys fall back to heuristics, so cached schedules
-stay forward compatible.
+:mod:`repro.compile.autotune`): the depthwise strategy per ODE conv
+(``einsum`` vs per-offset ``taps``) and the time-plane mode
+(``unrolled`` per-step precomputation vs ``runtime`` multiply).
+Unknown keys are ignored and missing keys fall back to the defaults,
+so cached schedules stay forward compatible.
 
 When kernel instrumentation is active (``kernels.collect`` /
 ``SessionConfig(instrument=True)``), every step op routes through
@@ -46,93 +54,79 @@ from .ir import CompileError, graph_hash, unsupported_reason
 _F64 = np.float64
 
 
-def _conv_mode(schedule, site):
-    return schedule.get(f"conv:{site}", "tensordot")
-
-
 def _dw_mode(schedule, site):
-    return schedule.get(f"dw:{site}", "taps")
+    return schedule.get(f"dw:{site}", "einsum")
 
 
 def _time_mode(schedule):
     return schedule.get("time_planes", "unrolled")
 
 
-def _conv_out_hw(h, w, weight_shape, stride, padding):
-    kh, kw = weight_shape[2], weight_shape[3]
-    return shapes.conv_out_size(
-        h, w, kh, kw, stride[0], stride[1], padding[0], padding[1]
-    )
+def _gemm_weight(weight, out_scale=None):
+    """A (F, C, KH, KW) conv weight as the (KH·KW·C, F) right operand of
+    a channels-last im2col GEMM, each output column scaled by
+    *out_scale* (a folded per-channel affine) when given."""
+    f = weight.shape[0]
+    if out_scale is not None:
+        weight = weight * out_scale.reshape(-1, 1, 1, 1)
+    return np.ascontiguousarray(weight.transpose(2, 3, 1, 0).reshape(-1, f))
 
 
-def _bind_outer_gemm_conv(name, n, c, h, w, weight, bias_col, stride,
-                          padding, arena, fuse_relu, dtype):
-    """Bind a dense outer-stage conv as arena-backed im2col + GEMM.
+def _bind_fconv(name, n, c, h, w, spec, arena, dtype):
+    """Bind a strided conv (+ folded BN bias, + ReLU) as one arena
+    im2col GEMM over ``(N·OH·OW, KH·KW·C)``.
 
-    Canvas, column buffer, GEMM output and the final NCHW buffer are
-    all persistent arena storage with their transposing views built
-    once, so steady-state calls are copy/GEMM/copy with zero
-    allocation — the ``gemm`` alternative the autotuner weighs against
-    ``tensordot`` (whose im2col copy reallocates every call).
-
-    ``dtype`` is the promoted input×weight dtype the reference path
-    computes this conv in — the GEMM must run in the same domain or a
-    float32 stage silently upgrades to float64 and drifts past the
-    backend parity tolerance.
+    Canvas, column buffer and output are persistent channels-last
+    arena storage with their views built once, so a call is
+    copy/copy/GEMM with zero allocation, and the GEMM writes the
+    (N, OH, OW, F) output directly.  ``dtype`` is the promoted
+    input×weight dtype the reference path computes this conv in.
     """
-    f, _, kh, kw = weight.shape
-    sh, sw = stride
-    ph, pw = padding
-    oh, ow = _conv_out_hw(h, w, weight.shape, stride, padding)
-    canvas = arena.buffer(
-        f"{name}.canvas", (n, c, h + 2 * ph, w + 2 * pw), dtype=dtype,
-        zero=True,
-    )
-    patches_t = shapes.as_strided_patches(
-        canvas, kh, kw, sh, sw
-    ).transpose(0, 2, 3, 1, 4, 5)
-    colbuf = arena.buffer(f"{name}.cols", (n, oh, ow, c, kh, kw),
-                          dtype=dtype)
-    col2 = colbuf.reshape(n, oh * ow, c * kh * kw)
-    gemmbuf = arena.buffer(f"{name}.gemm", (n, oh * ow, f), dtype=dtype)
-    gemm_t = gemmbuf.reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
-    outbuf = arena.buffer(f"{name}.out", (n, f, oh, ow), dtype=dtype)
-    wmat_t = np.ascontiguousarray(weight.reshape(f, -1).T, dtype=dtype)
+    f, _, kh, kw = spec.weight.shape
+    (sh, sw), (ph, pw) = spec.stride, spec.padding
+    canvas = arena.buffer(f"{name}.canvas", (n, h + 2 * ph, w + 2 * pw, c),
+                          dtype=dtype, zero=True)
+    interior = canvas[:, ph : ph + h, pw : pw + w, :]
+    patches = shapes.as_strided_patches_nhwc(canvas, kh, kw, sh, sw)
+    oh, ow = patches.shape[1:3]
+    colbuf = arena.buffer(f"{name}.cols", patches.shape, dtype=dtype)
+    col2d = colbuf.reshape(n * oh * ow, kh * kw * c)
+    out = arena.buffer(f"{name}.out", (n, oh, ow, f), dtype=dtype)
+    out2d = out.reshape(n * oh * ow, f)
+    wmat_t = _gemm_weight(spec.weight).astype(dtype, copy=False)
+    bias = None if spec.bias is None else spec.bias.reshape(-1)
 
     def fn(x):
-        steps.fill_canvas(canvas, x, ph, pw)
-        np.copyto(colbuf, patches_t)
-        np.matmul(col2, wmat_t, out=gemmbuf)
-        np.copyto(outbuf, gemm_t)
-        if bias_col is not None:
-            np.add(outbuf, bias_col, out=outbuf)
-        if fuse_relu:
-            np.maximum(outbuf, 0.0, out=outbuf)
-        return outbuf
+        np.copyto(interior, x)
+        np.copyto(colbuf, patches)
+        np.matmul(col2d, wmat_t, out=out2d)
+        if bias is not None:
+            np.add(out, bias, out=out)
+        np.maximum(out, 0.0, out=out)
+        return out
 
-    return fn
+    return fn, (oh, ow, f)
 
 
 def _time_planes(tc, h, w, impl):
     """Precompute the additive time map of a time-concat conv.
 
-    Returns ``(m, bias)`` where ``m`` is (1, F, H', W') — or
-    (1, F, 1, 1) for the spatially-constant pointwise case — such that
-    the conv's time contribution at time ``t`` is ``t * m + bias``.
+    Returns channels-last ``(m, bias)``: ``m`` is (1, H', W', F) — or
+    (F,) for the spatially-constant pointwise case — and ``bias`` is
+    (F,) or None, such that the conv's time contribution at time ``t``
+    is ``t * m + bias``.
     """
     if tc.kind == "dsc":
         ones = np.ones((1, 1, h, w), dtype=_F64)
         mdw = impl.conv2d(ones, tc.dw_t, stride=tc.stride, padding=tc.padding)
-        m = tc.pw_t[None, :, None, None] * mdw
+        m = mdw[:, 0, :, :, None] * tc.pw_t
     elif tc.is_pointwise:
-        m = np.ascontiguousarray(
-            tc.w_t[:, 0, 0, 0].reshape(1, -1, 1, 1), dtype=_F64
-        )
+        m = tc.w_t[:, 0, 0, 0]
     else:
         ones = np.ones((1, 1, h, w), dtype=_F64)
-        m = impl.conv2d(ones, tc.w_t, stride=tc.stride, padding=tc.padding)
-    bias = None if tc.bias is None else tc.bias.reshape(1, -1, 1, 1)
-    return np.ascontiguousarray(m, dtype=_F64), bias
+        m = impl.conv2d(ones, tc.w_t, stride=tc.stride,
+                        padding=tc.padding).transpose(0, 2, 3, 1)
+    return np.ascontiguousarray(m, dtype=_F64), tc.bias
 
 
 class _PlaneSource:
@@ -161,12 +155,16 @@ class _PlaneSource:
 
 
 class _BoundTimeConv:
-    """A time-concat conv bound to geometry + arena.
+    """A time-concat conv bound to geometry + arena, channels-last.
 
-    ``make_dw(src)`` / ``make_pw(src, out)`` return zero-argument-ish
-    ``fn(i, t)`` step bodies with every view (canvas windows, per-tap
-    weight columns, 2-D GEMM aliases of the arena buffers) precomputed,
-    so the Euler loop does no per-step slicing or reshaping.
+    ``src`` is the (N, H, W, C) buffer the producing op writes into and
+    ``src_name`` the arena buffer it lives in: for a padded k×k conv it
+    is the interior of the zero-bordered canvas itself, so the
+    preceding (scale-shift-)ReLU fills the canvas with no separate copy.
+    :meth:`add_ops` registers the conv as step ops whose every view
+    (the patch view of the canvas, the flat GEMM aliases of the arena
+    buffers) is precomputed, so the Euler loop does no per-step slicing
+    or reshaping.
 
     ``out_scale`` / ``out_shift`` fold a per-output-channel affine —
     a following BN's scale/shift, or the Euler step size ``h`` — into
@@ -176,140 +174,101 @@ class _BoundTimeConv:
 
     def __init__(self, tc, site, n, h, w, schedule, arena, impl, ts,
                  out_scale=None, out_shift=None):
-        prefix = site
         c = tc.in_channels
-        f = tc.out_channels
         m, bias = _time_planes(tc, h, w, impl)
-        row_sc = None
+        sc = None
         if out_scale is not None:
-            sc = np.asarray(out_scale, dtype=_F64)
-            plane_sc = sc.reshape(1, -1, 1, 1)
-            m = np.ascontiguousarray(m * plane_sc)
+            sc = np.asarray(out_scale, dtype=_F64).reshape(-1)
+            m = np.ascontiguousarray(m * sc)
             if bias is not None:
-                bias = np.ascontiguousarray(bias * plane_sc)
-            row_sc = sc.reshape(-1, 1)
+                bias = np.ascontiguousarray(bias * sc)
         if out_shift is not None:
-            shift = np.asarray(out_shift, dtype=_F64).reshape(1, -1, 1, 1)
+            shift = np.asarray(out_shift, dtype=_F64).reshape(-1)
             bias = shift if bias is None else np.ascontiguousarray(
                 bias + shift
             )
-        plane = _PlaneSource(
-            m, bias, ts, _time_mode(schedule), arena, f"{prefix}.plane"
+        self.plane = _PlaneSource(
+            m, bias, ts, _time_mode(schedule), arena, f"{site}.plane"
         )
-        if tc.kind == "dsc":
-            ph, pw = tc.padding
-            sh, sw = tc.stride
-            oh, ow = _conv_out_hw(h, w, tc.dw_x.shape, tc.stride, tc.padding)
+        self.site = site
+        self.kind = "pointwise" if tc.is_pointwise else tc.kind
+        if self.kind == "pointwise":
+            self.src_name = f"{site}.in"
+            self.src = arena.buffer(self.src_name, (n, h, w, c))
+            self.rows = n * h * w
+            self.wmat_t = _gemm_weight(tc.w_x, sc)
+        else:
+            weight = tc.dw_x if self.kind == "dsc" else tc.w_x
+            (sh, sw), (ph, pw) = tc.stride, tc.padding
+            self.src_name = f"{site}.canvas"
             canvas = arena.buffer(
-                f"{prefix}.canvas", (n, c, h + 2 * ph, w + 2 * pw), zero=True
+                self.src_name, (n, h + 2 * ph, w + 2 * pw, c), zero=True
             )
-            d = arena.buffer(f"{prefix}.dw", (n, c, oh, ow))
-            mode = _dw_mode(schedule, site)
-            if mode == "patches":
-                patches = shapes.as_strided_patches(canvas, *tc.dw_x.shape[2:],
-                                                    sh, sw)
-                w_ckl = np.ascontiguousarray(tc.dw_x[:, 0])
-
-                def make_dw(src):
-                    def dw_fn(i, t):
-                        steps.fill_canvas(canvas, src, ph, pw)
-                        return steps.depthwise_patches(patches, w_ckl, d)
-
-                    return dw_fn
-            else:
-                scratch = arena.buffer(f"{prefix}.dwscratch", (n, c, oh, ow))
-                kh, kw = tc.dw_x.shape[2], tc.dw_x.shape[3]
-                pairs = [
-                    (
-                        np.ascontiguousarray(
-                            tc.dw_x[:, 0, i, j]
-                        ).reshape(1, -1, 1, 1),
-                        canvas[:, :, i : i + sh * oh : sh,
-                               j : j + sw * ow : sw],
-                    )
-                    for i in range(kh)
-                    for j in range(kw)
-                ]
-                tap0, win0 = pairs[0]
-                rest = tuple(pairs[1:])
-
-                def make_dw(src):
-                    def dw_fn(i, t):
-                        steps.fill_canvas(canvas, src, ph, pw)
-                        return steps.depthwise_taps(
-                            tap0, win0, rest, d, scratch
-                        )
-
-                    return dw_fn
-
-            self.make_dw = make_dw
-            self.dw_writes = (f"{prefix}.canvas", f"{prefix}.dw")
-            pw_x = tc.pw_x if row_sc is None else np.ascontiguousarray(
-                tc.pw_x * row_sc
+            self.src = canvas[:, ph : ph + h, pw : pw + w, :]
+            self.patches = shapes.as_strided_patches_nhwc(
+                canvas, *weight.shape[2:], sh, sw
             )
-            x2d = d.reshape(n, c, oh * ow)
+            oh, ow = self.patches.shape[1:3]
+            self.rows = n * oh * ow
+        if self.kind == "dsc":
+            self.d = arena.buffer(f"{site}.dw", (n, oh, ow, c))
+            self.dw = self._bind_depthwise(tc.dw_x, _dw_mode(schedule, site),
+                                           arena)
+            self.wmat_t = _gemm_weight(tc.pw_x[:, :, None, None], sc)
+        elif self.kind == "dense":  # conv="full": arena im2col GEMM
+            self.colbuf = arena.buffer(f"{site}.cols", self.patches.shape)
+            self.wmat_t = _gemm_weight(tc.w_x, sc)
 
-            def make_pw(src, out):
-                out2d = out.reshape(n, f, oh * ow)
-
-                def pw_fn(i, t):
-                    return steps.pointwise_affine(
-                        x2d, pw_x, plane.get(i, t), out, out2d
-                    )
-
-                return pw_fn
-
-            self.make_pw = make_pw
-            self.pw_reads = (f"{prefix}.dw",)
-            self.out_hw = (oh, ow)
-        elif tc.is_pointwise:
-            w_x = np.ascontiguousarray(tc.w_x.reshape(f, c))
-            if row_sc is not None:
-                w_x = np.ascontiguousarray(w_x * row_sc)
-            self.make_dw = None
-
-            def make_pw(src, out):
-                x2d = src.reshape(n, c, h * w)
-                out2d = out.reshape(n, f, h * w)
-
-                def pw_fn(i, t):
-                    return steps.pointwise_affine(
-                        x2d, w_x, plane.get(i, t), out, out2d
-                    )
-
-                return pw_fn
-
-            self.make_pw = make_pw
-            self.out_hw = (h, w)
-        else:  # dense k×k time conv inside the loop: arena im2col GEMM
-            ph, pw = tc.padding
-            sh, sw = tc.stride
-            kh, kw = tc.w_x.shape[2], tc.w_x.shape[3]
-            oh, ow = _conv_out_hw(h, w, tc.w_x.shape, tc.stride, tc.padding)
-            canvas = arena.buffer(
-                f"{prefix}.canvas", (n, c, h + 2 * ph, w + 2 * pw), zero=True
+    def _bind_depthwise(self, dw_x, mode, arena):
+        patches, d = self.patches, self.d
+        if mode == "taps":
+            kh, kw = dw_x.shape[2:]
+            scratch = arena.buffer(f"{self.site}.dwscratch", d.shape)
+            pairs = [
+                (np.ascontiguousarray(dw_x[:, 0, i, j]),
+                 patches[:, :, :, i, j, :])
+                for i in range(kh) for j in range(kw)
+            ]
+            (tap0, win0), rest = pairs[0], tuple(pairs[1:])
+            return lambda i, t: steps.depthwise_taps(
+                tap0, win0, rest, d, scratch
             )
-            patches = shapes.as_strided_patches(canvas, kh, kw, sh, sw)
-            colbuf = arena.buffer(f"{prefix}.cols", (n, oh, ow, c, kh, kw))
-            gemmbuf = arena.buffer(f"{prefix}.gemm", (n, oh * ow, f))
-            w_x = tc.w_x if row_sc is None else (
-                tc.w_x * row_sc.reshape(-1, 1, 1, 1)
+        w_ijc = np.ascontiguousarray(dw_x[:, 0].transpose(1, 2, 0))
+        return lambda i, t: steps.depthwise(patches, w_ijc, d)
+
+    def add_ops(self, ops, dst_name, dst, tag):
+        """Register this conv writing ``dst`` (N, H', W', F): a
+        depthwise-separable conv as ``<tag>.dw`` + ``<tag>.pw``, any
+        other as one ``<tag>`` op."""
+        plane, wmat_t = self.plane, self.wmat_t
+        out2d = dst.reshape(self.rows, -1)
+        if self.kind == "dense":
+            patches, colbuf = self.patches, self.colbuf
+            col2d = colbuf.reshape(self.rows, -1)
+            ops.add(
+                "conv2d",
+                lambda i, t: steps.dense_conv_cols(
+                    patches, colbuf, col2d, wmat_t, out2d,
+                    plane.get(i, t), dst,
+                ),
+                reads=(self.src_name,),
+                writes=(f"{self.site}.cols", dst_name), tag=tag,
             )
-            wmat_t = np.ascontiguousarray(w_x.reshape(f, -1).T)
-            self.make_dw = None
-
-            def make_pw(src, out):
-                def pw_fn(i, t):
-                    steps.fill_canvas(canvas, src, ph, pw)
-                    return steps.dense_conv_cols(
-                        patches, colbuf, wmat_t, gemmbuf,
-                        plane.get(i, t), out,
-                    )
-
-                return pw_fn
-
-            self.make_pw = make_pw
-            self.out_hw = (oh, ow)
+            return
+        if self.kind == "dsc":
+            ops.add("conv2d", self.dw, reads=(self.src_name,),
+                    writes=(f"{self.site}.dw",), tag=f"{tag}.dw")
+            src_name, x2d = f"{self.site}.dw", self.d.reshape(self.rows, -1)
+            tag = f"{tag}.pw"
+        else:
+            src_name, x2d = self.src_name, self.src.reshape(self.rows, -1)
+        ops.add(
+            "matmul",
+            lambda i, t: steps.pointwise_affine(
+                x2d, wmat_t, plane.get(i, t), dst, out2d
+            ),
+            reads=(src_name,), writes=(dst_name,), tag=tag,
+        )
 
 
 def _bind_conv_func(ir, prefix, n, c, h, w, schedule, arena, impl, ts, h_step):
@@ -317,14 +276,13 @@ def _bind_conv_func(ir, prefix, n, c, h, w, schedule, arena, impl, ts, h_step):
 
     The second BN's scale/shift are folded into conv1's weights/plane
     (its ssr collapses to a bare ReLU) and the Euler step size into
-    conv2's (the update collapses to ``z += f``).
+    conv2's (the update collapses to ``z += f``).  Each ReLU writes the
+    next conv's canvas interior.
     """
     ops = OpList()
-    z = arena.buffer(f"{prefix}.z", (n, c, h, w))
-    a = arena.buffer(f"{prefix}.a", (n, c, h, w))
-    f1 = arena.buffer(f"{prefix}.f1", (n, c, h, w))
-    a2 = arena.buffer(f"{prefix}.a2", (n, c, h, w))
-    f = arena.buffer(f"{prefix}.f", (n, c, h, w))
+    z = arena.buffer(f"{prefix}.z", (n, h, w, c))
+    f1 = arena.buffer(f"{prefix}.f1", (n, h, w, c))
+    f = arena.buffer(f"{prefix}.f", (n, h, w, c))
 
     tc1 = _BoundTimeConv(
         ir.conv1, f"{prefix}.conv1", n, h, w, schedule, arena, impl, ts,
@@ -334,48 +292,28 @@ def _bind_conv_func(ir, prefix, n, c, h, w, schedule, arena, impl, ts, h_step):
         ir.conv2, f"{prefix}.conv2", n, h, w, schedule, arena, impl, ts,
         out_scale=h_step,
     )
-    s1, sh1 = ir.scale1, ir.shift1
+    s1, sh1 = ir.scale1.reshape(-1), ir.shift1.reshape(-1)
+    a, a2 = tc1.src, tc2.src
+    scratch = arena.buffer(f"{prefix}.ssr", (n, h, w, c))
 
     ops.add(
-        "batchnorm2d", lambda i, t: steps.scale_shift_relu(z, s1, sh1, a),
-        reads=(f"{prefix}.z",), writes=(f"{prefix}.a",), tag="ssr1",
+        "batchnorm2d",
+        lambda i, t: steps.scale_shift_relu(z, s1, sh1, a, scratch),
+        reads=(f"{prefix}.z",), writes=(f"{prefix}.ssr", tc1.src_name),
+        tag="ssr1",
     )
-    _add_time_conv_ops(
-        ops, tc1, prefix, src=f"{prefix}.a", src_buf=a,
-        dst=f"{prefix}.f1", dst_buf=f1, tag="conv1",
-    )
+    tc1.add_ops(ops, f"{prefix}.f1", f1, "conv1")
     ops.add(
         "batchnorm2d", lambda i, t: steps.relu(f1, a2),
-        reads=(f"{prefix}.f1",), writes=(f"{prefix}.a2",), tag="ssr2",
+        reads=(f"{prefix}.f1",), writes=(tc2.src_name,), tag="ssr2",
     )
-    _add_time_conv_ops(
-        ops, tc2, prefix, src=f"{prefix}.a2", src_buf=a2,
-        dst=f"{prefix}.f", dst_buf=f, tag="conv2",
-    )
+    tc2.add_ops(ops, f"{prefix}.f", f, "conv2")
     ops.add(
         "add", lambda i, t: steps.state_add(z, f),
         reads=(f"{prefix}.f", f"{prefix}.z"),
         writes=(f"{prefix}.z",), tag="euler",
     )
     return z, ops
-
-
-def _add_time_conv_ops(ops, tc, prefix, *, src, src_buf, dst, dst_buf, tag):
-    """Register a bound time conv as one or two step ops."""
-    if tc.make_dw is not None:
-        ops.add(
-            "conv2d", tc.make_dw(src_buf),
-            reads=(src,), writes=tc.dw_writes, tag=f"{tag}.dw",
-        )
-        ops.add(
-            "matmul", tc.make_pw(src_buf, dst_buf),
-            reads=tc.pw_reads, writes=(dst,), tag=f"{tag}.pw",
-        )
-    else:
-        ops.add(
-            "matmul", tc.make_pw(src_buf, dst_buf),
-            reads=(src,), writes=(dst,), tag=f"{tag}.pw",
-        )
 
 
 def _bind_mhsa_func(ir, prefix, n, c, h, w, schedule, arena, impl, ts, h_step):
@@ -390,15 +328,30 @@ def _bind_mhsa_func(ir, prefix, n, c, h, w, schedule, arena, impl, ts, h_step):
     dh, ntok = shapes.mhsa_geometry(inner, heads, h, w)
 
     ops = OpList()
-    z = arena.buffer(f"{prefix}.z", (n, c, h, w))
-    a = arena.buffer(f"{prefix}.a", (n, c, h, w))
-    y = arena.buffer(f"{prefix}.y", (n, inner, h, w))
-    m_out = arena.buffer(f"{prefix}.mhsa", (n, inner, h, w))
-    a2 = arena.buffer(f"{prefix}.a2", (n, inner, h, w))
-    f = arena.buffer(f"{prefix}.f", (n, c, h, w))
+    z = arena.buffer(f"{prefix}.z", (n, h, w, c))
+    y = arena.buffer(f"{prefix}.y", (n, h, w, inner))
+    m_out = arena.buffer(f"{prefix}.mhsa", (n, h, w, inner))
+    f = arena.buffer(f"{prefix}.f", (n, h, w, c))
+    down = _BoundTimeConv(
+        ir.down, f"{prefix}.down", n, h, w, schedule, arena, impl, ts
+    )
+    up = _BoundTimeConv(
+        ir.up, f"{prefix}.up", n, h, w, schedule, arena, impl, ts,
+        out_scale=h_step,
+    )
+    a, a2 = down.src, up.src
 
+    # Channels-last buffers are token-major already: the token views of
+    # the down projection's output and of the merge destination are
+    # plain reshapes.  Only an absolute position table needs its own
+    # token buffer to be added into.
+    ytok = y.reshape(n, ntok, inner)
     b = SimpleNamespace(
-        tok=arena.buffer(f"{prefix}.tok", (n, ntok, inner)),
+        ytok=ytok,
+        tok=(
+            arena.buffer(f"{prefix}.tok", (n, ntok, inner))
+            if ir.mhsa.abs_table is not None else ytok
+        ),
         qf=arena.buffer(f"{prefix}.qf", (n, ntok, inner)),
         kf=arena.buffer(f"{prefix}.kf", (n, ntok, inner)),
         vf=arena.buffer(f"{prefix}.vf", (n, ntok, inner)),
@@ -415,32 +368,29 @@ def _bind_mhsa_func(ir, prefix, n, c, h, w, schedule, arena, impl, ts, h_step):
             if ir.mhsa.activation == "softmax" else None
         ),
         ph=arena.buffer(f"{prefix}.ph", (n, heads, ntok, dh)),
-        cat=arena.buffer(f"{prefix}.cat", (n, ntok, inner)),
+        cat=m_out.reshape(n, ntok, inner),
         mu=arena.buffer(f"{prefix}.mu", (n, ntok, 1)),
         sq=arena.buffer(f"{prefix}.sq", (n, ntok, inner)),
     )
-    # Bind-time views: NCHW↔token transposes and head splits of the
-    # arena buffers, so the step bodies are pure copyto/GEMM work.
-    b.xsrc = y.reshape(n, inner, ntok).transpose(0, 2, 1)
+    # Bind-time views: head splits of the arena buffers, so the step
+    # bodies are pure copyto/GEMM work.
     b.qf_h = b.qf.reshape(n, ntok, heads, dh).transpose(0, 2, 1, 3)
     b.kf_h = b.kf.reshape(n, ntok, heads, dh).transpose(0, 2, 1, 3)
     b.vf_h = b.vf.reshape(n, ntok, heads, dh).transpose(0, 2, 1, 3)
     b.k4t = b.k4.transpose(0, 1, 3, 2)
     b.ph_t = b.ph.transpose(0, 2, 1, 3)
     b.cat4 = b.cat.reshape(n, ntok, heads, dh)
-    b.cat_t = b.cat.transpose(0, 2, 1)
-    b.mdst = m_out.reshape(n, inner, ntok)
 
-    s1, sh1, s2, sh2 = ir.scale1, ir.shift1, ir.scale2, ir.shift2
+    s1, sh1 = ir.scale1.reshape(-1), ir.shift1.reshape(-1)
+    s2, sh2 = ir.scale2.reshape(-1), ir.shift2.reshape(-1)
     ln = ir.mhsa.ln
     if ln is not None:
         # Fold the second BN's scale/shift into the output LayerNorm's
         # affine: ssr2 collapses to a bare ReLU.
         ln_w, ln_b, ln_eps = ln
-        s2v, sh2v = s2.ravel(), sh2.ravel()
         folded_ln = (
-            s2v if ln_w is None else ln_w * s2v,
-            sh2v if ln_b is None else ln_b * s2v + sh2v,
+            s2 if ln_w is None else ln_w * s2,
+            sh2 if ln_b is None else ln_b * s2 + sh2,
             ln_eps,
         )
         ssr2_fn = lambda i, t: steps.relu(m_out, a2)  # noqa: E731
@@ -456,25 +406,17 @@ def _bind_mhsa_func(ir, prefix, n, c, h, w, schedule, arena, impl, ts, h_step):
         inv_sqrt_dh=float(1.0 / np.sqrt(dh)),
     )
 
-    down = _BoundTimeConv(
-        ir.down, f"{prefix}.down", n, h, w, schedule, arena, impl, ts
-    )
-    up = _BoundTimeConv(
-        ir.up, f"{prefix}.up", n, h, w, schedule, arena, impl, ts,
-        out_scale=h_step,
-    )
-
     ops.add(
         "batchnorm2d", lambda i, t: steps.scale_shift_relu(z, s1, sh1, a),
-        reads=(f"{prefix}.z",), writes=(f"{prefix}.a",), tag="ssr1",
+        reads=(f"{prefix}.z",), writes=(down.src_name,), tag="ssr1",
     )
-    ops.add(
-        "matmul", down.make_pw(a, y),
-        reads=(f"{prefix}.a",), writes=(f"{prefix}.y",), tag="down",
+    down.add_ops(ops, f"{prefix}.y", y, "down")
+    qkv_bufs = tuple(
+        f"{prefix}.{name}"
+        for name in ("qf", "kf", "vf", "q4", "k4", "v4")
     )
-    qkv_bufs = (f"{prefix}.tok", f"{prefix}.qf", f"{prefix}.kf",
-                f"{prefix}.vf", f"{prefix}.q4", f"{prefix}.k4",
-                f"{prefix}.v4")
+    if ir.mhsa.abs_table is not None:
+        qkv_bufs = (f"{prefix}.tok",) + qkv_bufs
     ops.add(
         "matmul", lambda i, t: steps.mhsa_project(p, b),
         reads=(f"{prefix}.y",), writes=qkv_bufs, tag="mhsa.project",
@@ -493,18 +435,14 @@ def _bind_mhsa_func(ir, prefix, n, c, h, w, schedule, arena, impl, ts, h_step):
     ops.add(
         "layernorm", lambda i, t: steps.mhsa_merge(p, b, m_out),
         reads=(f"{prefix}.ph",),
-        writes=(f"{prefix}.cat", f"{prefix}.mu", f"{prefix}.sq",
-                f"{prefix}.mhsa"),
+        writes=(f"{prefix}.mu", f"{prefix}.sq", f"{prefix}.mhsa"),
         tag="mhsa.merge",
     )
     ops.add(
         "batchnorm2d", ssr2_fn,
-        reads=(f"{prefix}.mhsa",), writes=(f"{prefix}.a2",), tag="ssr2",
+        reads=(f"{prefix}.mhsa",), writes=(up.src_name,), tag="ssr2",
     )
-    ops.add(
-        "matmul", up.make_pw(a2, f),
-        reads=(f"{prefix}.a2",), writes=(f"{prefix}.f",), tag="up",
-    )
+    up.add_ops(ops, f"{prefix}.f", f, "up")
     ops.add(
         "add", lambda i, t: steps.state_add(z, f),
         reads=(f"{prefix}.f", f"{prefix}.z"),
@@ -513,8 +451,41 @@ def _bind_mhsa_func(ir, prefix, n, c, h, w, schedule, arena, impl, ts, h_step):
     return z, ops
 
 
+def _bind_maxpool(name, n, c, h, w, spec, arena, dtype):
+    """Bind a channels-last max-pool as ``kh*kw`` shifted-slice maximum
+    passes over a persistent canvas — much cheaper than a strided-view
+    reduce.  The pad border is written once at bind time with the fused
+    backend's pad value (-inf for floats)."""
+    (kh, kw), kstride, (ph, pw) = spec
+    sh, sw = kstride if kstride is not None else (kh, kw)
+    oh, ow = shapes.conv_out_size(h, w, kh, kw, sh, sw, ph, pw)
+    canvas = arena.buffer(f"{name}.canvas", (n, h + 2 * ph, w + 2 * pw, c),
+                          dtype=dtype)
+    canvas.fill(shapes.pool_pad_value(dtype))
+    interior = canvas[:, ph : ph + h, pw : pw + w, :]
+    win0, *rest = [
+        canvas[:, i : i + sh * oh : sh, j : j + sw * ow : sw, :]
+        for i in range(kh) for j in range(kw)
+    ]
+    out = arena.buffer(f"{name}.out", (n, oh, ow, c), dtype=dtype)
+
+    def fn(x):
+        np.copyto(interior, x)
+        np.copyto(out, win0)
+        for window in rest:
+            np.maximum(out, window, out=out)
+        return out
+
+    return fn, (oh, ow)
+
+
 class _BoundPlan:
-    """A compiled plan bound to one input geometry on one thread."""
+    """A compiled plan bound to one input geometry on one thread.
+
+    ``stages`` holds one ``(kernel_name, fn, is_block)`` per lowered
+    stage, in order; after the stem conv every ``fn`` maps one
+    channels-last buffer to the next.
+    """
 
     def __init__(self, plan, shape, dtype):
         n, c, h, w = shape
@@ -529,42 +500,31 @@ class _BoundPlan:
 
         for stage in plan.stages:
             name, op, ir = stage.name, stage.op, stage.ir
-            if op in ("conv", "fconv"):
-                weight, bias = ir.weight, ir.bias
-                stride, padding, groups = ir.stride, ir.padding, ir.groups
-                bias_col = (
-                    None if bias is None else bias.reshape(1, -1, 1, 1)
-                )
-                fuse_relu = op == "fconv"
-                mode = _conv_mode(schedule, name)
-                io_dtype = np.result_type(cur_dtype, weight.dtype)
-                # gemm reorders the reduction: only parity-safe in
-                # float64 (see repro.compile.autotune.schedule_axes)
-                if (mode == "gemm" and groups == 1
-                        and io_dtype == np.float64):
-                    fn = _bind_outer_gemm_conv(
-                        name, n, c, h, w, weight, bias_col, stride,
-                        padding, arena, fuse_relu, io_dtype,
-                    )
-                else:
-                    def fn(x, *, _w=weight, _b=bias_col, _s=stride,
-                           _p=padding, _g=groups, _r=fuse_relu):
-                        out = impl.conv2d(
-                            x, _w, stride=_s, padding=_p, groups=_g
-                        )
-                        if _b is not None:
-                            out += _b
-                        if _r:
-                            np.maximum(out, 0.0, out=out)
-                        return out
+            if op == "conv":
+                # the stem: the fused kernel on the NCHW batch, handed
+                # on as a channels-last view (the ssr reads through it)
+                def fn(x, *, _s=ir):
+                    out = impl.conv2d(x, _s.weight, stride=_s.stride,
+                                      padding=_s.padding, groups=_s.groups)
+                    if _s.bias is not None:
+                        out += _s.bias
+                    return out.transpose(0, 2, 3, 1)
+
                 stages.append(("conv2d", fn, False))
-                h, w = _conv_out_hw(h, w, weight.shape, stride, padding)
-                c = weight.shape[0]
-                cur_dtype = io_dtype
+                h, w = shapes.conv_out_size(
+                    h, w, *ir.weight.shape[2:], *ir.stride, *ir.padding
+                )
+                c = ir.weight.shape[0]
+                cur_dtype = np.result_type(cur_dtype, ir.weight.dtype)
+            elif op == "fconv":
+                cur_dtype = np.result_type(cur_dtype, ir.weight.dtype)
+                fn, (h, w, c) = _bind_fconv(name, n, c, h, w, ir, arena,
+                                            cur_dtype)
+                stages.append(("conv2d", fn, False))
             elif op == "ssr":
-                scale, shift = ir
+                scale, shift = (a.reshape(-1) for a in ir)
                 cur_dtype = np.result_type(cur_dtype, scale.dtype)
-                outbuf = arena.buffer(f"{name}.out", (n, c, h, w),
+                outbuf = arena.buffer(f"{name}.out", (n, h, w, c),
                                       dtype=cur_dtype)
 
                 def fn(x, *, _s=scale, _sh=shift, _o=outbuf):
@@ -572,53 +532,9 @@ class _BoundPlan:
 
                 stages.append(("batchnorm2d", fn, False))
             elif op == "maxpool":
-                ksize, kstride, kpad = ir
-                kh, kw = ksize
-                sh_, sw_ = kstride if kstride is not None else ksize
-                ph_, pw_ = kpad
-                oh_, ow_ = shapes.conv_out_size(
-                    h, w, kh, kw, sh_, sw_, ph_, pw_
-                )
-                # Pool as kh*kw shifted-slice maximum passes over a
-                # persistent canvas — much cheaper than a strided-view
-                # reduce.  The pad border is written once at bind time
-                # with the fused backend's pad value (-inf for floats).
-                if ph_ or pw_:
-                    canvas = arena.buffer(
-                        f"{name}.canvas",
-                        (n, c, h + 2 * ph_, w + 2 * pw_),
-                        dtype=cur_dtype,
-                    )
-                    canvas.fill(shapes.pool_pad_value(canvas.dtype))
-                else:
-                    canvas = None
-                outbuf = arena.buffer(f"{name}.out", (n, c, oh_, ow_),
-                                      dtype=cur_dtype)
-                offs = tuple((i, j) for i in range(kh) for j in range(kw))
-
-                def fn(x, *, _o=offs, _si=sh_, _sj=sw_, _oh=oh_,
-                       _ow=ow_, _canvas=canvas, _ph=ph_, _pw=pw_,
-                       _out=outbuf):
-                    if _canvas is not None:
-                        steps.fill_canvas(_canvas, x, _ph, _pw)
-                        x = _canvas
-                    i0, j0 = _o[0]
-                    np.copyto(
-                        _out,
-                        x[:, :, i0 : i0 + _si * _oh : _si,
-                          j0 : j0 + _sj * _ow : _sj],
-                    )
-                    for i, j in _o[1:]:
-                        np.maximum(
-                            _out,
-                            x[:, :, i : i + _si * _oh : _si,
-                              j : j + _sj * _ow : _sj],
-                            out=_out,
-                        )
-                    return _out
-
+                fn, (h, w) = _bind_maxpool(name, n, c, h, w, ir, arena,
+                                           cur_dtype)
                 stages.append(("maxpool2d", fn, False))
-                h, w = oh_, ow_
             elif op == "ode":
                 ts, h_step = ir.time_grid()
                 binder = (
@@ -638,7 +554,7 @@ class _BoundPlan:
                 ))
             elif op == "gap":
                 stages.append((
-                    "global_avg_pool", lambda x: x.mean(axis=(2, 3)), False
+                    "global_avg_pool", lambda x: x.mean(axis=(1, 2)), False
                 ))
             elif op == "linear":
                 fc_w, fc_b = ir

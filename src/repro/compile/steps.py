@@ -11,6 +11,10 @@ in this module — lint rule CMP001 enforces the ban statically, and
 runtime.  Anything that must allocate (binding, plane precomputation,
 the outer non-loop stages) belongs in :mod:`repro.compile.plan`.
 
+Every activation is channels-last, (N, H, W, C): a pointwise conv is
+one flat (N·H·W, C) GEMM, a depthwise conv one einsum with the channel
+axis innermost, and the MHSA token view a plain reshape.
+
 The math mirrors the reference kernels pass for pass — fused
 scale-shift-ReLU is the folded BN→ReLU pair, the softmax/LayerNorm
 in-place sequences follow the reference composites — so results stay
@@ -23,11 +27,18 @@ from __future__ import annotations
 import numpy as np
 
 
-def scale_shift_relu(x, scale, shift, out):
-    """``relu(x * scale + shift)`` — a folded BN→ReLU pair, 3 passes."""
-    np.multiply(x, scale, out=out)
-    np.add(out, shift, out=out)
-    np.maximum(out, 0.0, out=out)
+def scale_shift_relu(x, scale, shift, out, scratch=None):
+    """``relu(x * scale + shift)`` — a folded BN→ReLU pair, 3 passes.
+
+    *out* may be the strided interior view of a zero-bordered conv
+    canvas, so the producer fills the next conv's padded input
+    directly; then the scale and shift passes run in the contiguous
+    *scratch* and only the ReLU pass writes the canvas.
+    """
+    tmp = out if scratch is None else scratch
+    np.multiply(x, scale, out=tmp)
+    np.add(tmp, shift, out=tmp)
+    np.maximum(tmp, 0.0, out=out)
     return out
 
 
@@ -45,22 +56,24 @@ def state_add(z, f):
     return z
 
 
-def fill_canvas(canvas, x, ph, pw):
-    """Rewrite the interior of a zero-bordered padded canvas."""
-    n, c, h, w = x.shape
-    np.copyto(canvas[:, :, ph : ph + h, pw : pw + w], x)
-    return canvas
+def depthwise(patches, weight, out):
+    """Depthwise conv as one einsum over the zero-copy patch view.
+
+    *patches* is the (N, OH, OW, KH, KW, C) strided view of the padded
+    canvas, *weight* is (KH, KW, C) and *out* is (N, OH, OW, C): the
+    channel axis is innermost and contiguous in all three, so the
+    einsum's inner loop is a unit-stride multiply-accumulate.
+    """
+    np.einsum("nhwijc,ijc->nhwc", patches, weight, out=out)
+    return out
 
 
 def depthwise_taps(tap0, win0, rest, out, scratch):
     """Depthwise conv as multiply-accumulate over the kernel offsets.
 
-    The (1, C, 1, 1) per-tap weight columns and the strided canvas
-    window views are both precomputed at bind time (the canvas is a
-    persistent arena buffer, so its views are stable); the step body is
-    pure ufunc work.  First tap writes ``out`` directly, later taps go
-    through *scratch* — the same tap strategy as the fused backend,
-    minus its per-call output allocation and per-tap view construction.
+    The (C,) per-tap weight rows and the strided canvas window views are
+    both precomputed at bind time; first tap writes ``out`` directly,
+    later taps go through *scratch*.
     """
     np.multiply(tap0, win0, out=out)
     for tap, window in rest:
@@ -69,48 +82,31 @@ def depthwise_taps(tap0, win0, rest, out, scratch):
     return out
 
 
-def depthwise_patches(patches, weight, out):
-    """Depthwise conv as one einsum over the zero-copy patch view.
+def pointwise_affine(x2d, wmat_t, plane, out, out2d):
+    """1x1 conv as one flat channel GEMM plus a fused additive plane.
 
-    *patches* is the (N, C, OH, OW, KH, KW) strided view of the padded
-    canvas; *weight* is (C, KH, KW).  The alternative depthwise
-    schedule the autotuner weighs against :func:`depthwise_taps`.
+    ``out[p, :] = x[p, :] @ wmat_t + plane`` over every pixel ``p`` of
+    the batch — *plane* carries the conv bias and, inside the Euler
+    loop, the precomputed ``t_i * M`` time term, so the whole
+    time-concat conv is one GEMM and one add.  *x2d* / *out2d* are the
+    (N·H·W, C) / (N·H·W, F) views of the source and destination arena
+    buffers, precomputed at bind time.
     """
-    np.einsum("ncxykl,ckl->ncxy", patches, weight, out=out)
-    return out
-
-
-def pointwise_affine(x2d, wmat, plane, out, out2d):
-    """1x1 conv as a batched channel GEMM plus a fused additive plane.
-
-    ``out[n, f] = wmat[f, :] @ x[n, :] + plane`` — *plane* carries the
-    conv bias and, inside the Euler loop, the precomputed ``t_i * M``
-    time term, so the whole time-concat conv is one GEMM and one add.
-    *x2d* / *out2d* are the (N, C, H*W) / (N, F, H*W) views of the
-    source and destination arena buffers, precomputed at bind time.
-    """
-    np.matmul(wmat, x2d, out=out2d)
+    np.matmul(x2d, wmat_t, out=out2d)
     np.add(out, plane, out=out)
     return out
 
 
-def dense_conv_cols(patches, colbuf, wmat_t, gemmbuf, plane, out):
-    """Dense conv as explicit im2col + GEMM, arena-buffered.
+def dense_conv_cols(patches, colbuf, col2d, wmat_t, out2d, plane, out):
+    """Dense k×k conv as explicit im2col + one flat GEMM, arena-buffered.
 
-    *patches* is the (N, C, OH, OW, KH, KW) view of the padded canvas;
-    *colbuf* is (N, OH, OW, C, KH, KW) contiguous, *wmat_t* is
-    (C*KH*KW, F), *gemmbuf* is (N, OH*OW, F) and *out* is
-    (N, F, OH, OW).  One transposing copy in, one GEMM, one transposing
-    copy out, one fused plane add.
+    *patches* is the (N, OH, OW, KH, KW, C) view of the padded canvas
+    and *colbuf* its contiguous copy, whose (N·OH·OW, KH·KW·C) view
+    *col2d* meets *wmat_t* (KH·KW·C, F) in one GEMM written straight
+    into *out* (N, OH, OW, F) through *out2d*; then one fused plane add.
     """
-    n, f = out.shape[0], out.shape[1]
-    oh, ow = out.shape[2], out.shape[3]
-    np.copyto(colbuf, patches.transpose(0, 2, 3, 1, 4, 5))
-    np.matmul(
-        colbuf.reshape(n, oh * ow, -1), wmat_t,
-        out=gemmbuf.reshape(n, oh * ow, f),
-    )
-    np.copyto(out, gemmbuf.reshape(n, oh, ow, f).transpose(0, 3, 1, 2))
+    np.copyto(colbuf, patches)
+    np.matmul(col2d, wmat_t, out=out2d)
     np.add(out, plane, out=out)
     return out
 
@@ -124,29 +120,22 @@ def runtime_plane(m, bias, t, out):
     return out
 
 
-def euler_update(z, f, h):
-    """``z += f * h`` in place — one Euler step's state advance."""
-    np.multiply(f, h, out=f)
-    np.add(z, f, out=z)
-    return z
-
-
 # ----------------------------------------------------------------------
 # MHSA — the bottleneck dynamics' attention, fully arena-buffered
 # ----------------------------------------------------------------------
 
 def mhsa_project(p, b):
-    """NCHW → tokens, then fused Q/K/V projections into head layout.
+    """Fused Q/K/V projections of the tokens into head layout.
 
-    Reads the bound source view ``b.xsrc`` (the (B, N, D) token view of
-    the down-projection's NCHW output buffer); writes ``b.tok``,
-    ``b.qf/kf/vf`` (B, N, D) and the head-split contiguous copies
-    ``b.q4/k4/v4`` (B, heads, N, d_h) via the bind-time views
-    ``b.qf_h/kf_h/vf_h``.
+    ``b.tok`` (B, N, D) is the token view of the down-projection's
+    channels-last output — a plain reshape — or, with an absolute
+    position table, an arena buffer the table is added into from that
+    view ``b.ytok``.  Writes ``b.qf/kf/vf`` (B, N, D) and the head-split
+    contiguous copies ``b.q4/k4/v4`` (B, heads, N, d_h) via the
+    bind-time views ``b.qf_h/kf_h/vf_h``.
     """
-    np.copyto(b.tok, b.xsrc)
     if p.abs_table is not None:
-        np.add(b.tok, p.abs_table, out=b.tok)
+        np.add(b.ytok, p.abs_table, out=b.tok)
     np.matmul(b.tok, p.w_q, out=b.qf)
     np.matmul(b.tok, p.w_k, out=b.kf)
     np.matmul(b.tok, p.w_v, out=b.vf)
@@ -182,9 +171,12 @@ def mhsa_attend(p, b):
 
 
 def mhsa_merge(p, b, out):
-    """Concat heads (via the bind-time views ``b.cat4`` / ``b.ph_t``),
-    output LayerNorm (in place, reference composite), back to NCHW
-    through the destination view ``b.mdst``."""
+    """Concat heads (via the bind-time views ``b.cat4`` / ``b.ph_t``)
+    and apply the output LayerNorm in place (reference composite).
+
+    ``b.cat`` is the token view of the channels-last destination *out*,
+    so the merged tokens are already the block's feature map.
+    """
     np.copyto(b.cat4, b.ph_t)
     if p.ln is not None:
         ln_w, ln_b, ln_eps = p.ln
@@ -198,5 +190,4 @@ def mhsa_merge(p, b, out):
         if ln_w is not None:
             np.multiply(b.cat, ln_w, out=b.cat)
             np.add(b.cat, ln_b, out=b.cat)
-    np.copyto(b.mdst, b.cat_t)
     return out

@@ -1,4 +1,4 @@
-"""Shared NCHW geometry helpers — the single home of conv/pool shape math.
+"""Shared conv geometry helpers — the single home of conv/pool shape math.
 
 Every consumer of the im2col-GEMM idiom (autograd conv ops, the eval
 fast paths, the integer-domain fixed-point kernels, the FPGA design
@@ -113,6 +113,26 @@ def as_strided_patches(x: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.
         x,
         shape=(n, c, oh, ow, kh, kw),
         strides=(sn, sc, sh_ * sh, sw_ * sw, sh_, sw_),
+        writeable=False,
+    )
+
+
+def as_strided_patches_nhwc(x: np.ndarray, kh: int, kw: int, sh: int,
+                            sw: int) -> np.ndarray:
+    """Channels-last twin of :func:`as_strided_patches`.
+
+    *x* is (N, H, W, C); returns the (N, OH, OW, kh, kw, C) view that
+    aliases it, channels innermost — the layout of the compiled plan's
+    depthwise einsum and im2col GEMMs.  The caller must not write
+    through the view.
+    """
+    n, h, w, c = x.shape
+    oh, ow = conv_out_size(h, w, kh, kw, sh, sw, 0, 0)
+    sn, sh_, sw_, sc = x.strides
+    return np.lib.stride_tricks.as_strided(
+        x,
+        shape=(n, oh, ow, kh, kw, c),
+        strides=(sn, sh_ * sh, sw_ * sw, sh_, sw_, sc),
         writeable=False,
     )
 

@@ -3,8 +3,11 @@
 Five contracts:
 
 * **parity** — the compiled plan agrees with the ``reference`` oracle
-  to ≤1e-6 on every compilable registry model (BN/step-size folding may
-  reassociate float ops, never change the math);
+  to ≤1e-6 on every compilable registry model, at the ``tiny`` test
+  geometry and at the ``paper`` / ``paper-reduced`` geometry the serve
+  tiers run, on the dense time-conv and MHSA variants, and at every
+  schedule point (BN/step-size folding may reassociate float ops, never
+  change the math);
 * **one lowering per compile** — the cache key, schedule axes and plan
   all derive from a single :func:`~repro.compile.lower`;
 * **schedule cache** — hit/miss/invalidation round-trips through the
@@ -38,7 +41,7 @@ from repro.compile import (
     save_schedule,
     schedule_axes,
 )
-from repro.models import MODELS, build_model
+from repro.models import MODELS, PROFILES, build_model
 from repro.runtime import InferenceSession, SessionConfig
 
 RNG = np.random.default_rng(0)
@@ -60,6 +63,42 @@ def _reference(model, x):
     return InferenceSession(
         model, config=SessionConfig(backend="reference")
     ).predict_batch(x)
+
+
+def _schedule_points(stages):
+    """``(label, schedule)``: the default, then every one-axis departure
+    from it — each point the autotuner's coordinate descent can visit
+    first."""
+    base = default_schedule(stages)
+    yield "default", base
+    for key, choices in schedule_axes(stages):
+        for choice in choices[1:]:
+            yield f"{key}={choice}", {**base, key: choice}
+
+
+def _assert_every_schedule_point_matches(model, x):
+    stages = lower(model)
+    ref = _reference(model, x)
+    for label, schedule in _schedule_points(stages):
+        out = CompiledPlan(stages, schedule)(x)
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-6,
+                                   err_msg=label)
+
+
+def _batch(profile, n):
+    size = PROFILES[profile]["input_size"]
+    return RNG.standard_normal((n, 3, size, size)).astype(np.float32)
+
+
+#: non-default dynamics the registry models never compile: the dense
+#: k×k time conv and the MHSA activation / position-encoding branches
+VARIANTS = (
+    ("odenet", {"conv": "full"}),
+    ("ode_botnet", {"conv": "full"}),
+    ("ode_botnet", {"attention_activation": "softmax"}),
+    ("ode_botnet", {"pos_enc": "absolute"}),
+    ("ode_botnet", {"pos_enc": "none"}),
+)
 
 
 @pytest.fixture
@@ -93,19 +132,28 @@ class TestCompiledParity:
         """Parity is schedule-independent: the autotuner may pick any
         point of the search space, so every choice must agree."""
         model = build_model(name, profile="tiny", inference=True)
-        stages = lower(model)
-        x = RNG.standard_normal((2, 3, 32, 32)).astype(np.float32)
-        ref = _reference(model, x)
-        base = default_schedule(stages)
-        for key, choices in schedule_axes(stages):
-            for choice in choices:
-                schedule = dict(base)
-                schedule[key] = choice
-                out = CompiledPlan(stages, schedule)(x)
-                np.testing.assert_allclose(
-                    out, ref, rtol=0, atol=1e-6,
-                    err_msg=f"{key}={choice}",
-                )
+        _assert_every_schedule_point_matches(model, _batch("tiny", 2))
+
+    @pytest.mark.parametrize("profile", ("paper", "paper-reduced"))
+    @pytest.mark.parametrize("name", PACKABLE)
+    def test_serving_geometry_matches_reference(self, name, profile):
+        """The 96×96 geometry the ``overload`` full and reduced tiers
+        serve, on the default schedule and every schedule point."""
+        model = build_model(name, profile=profile, inference=True)
+        _assert_every_schedule_point_matches(model, _batch(profile, 3))
+
+    @pytest.mark.parametrize("profile", ("tiny", "small"))
+    @pytest.mark.parametrize(
+        "name,overrides", VARIANTS,
+        ids=[f"{n}-{'-'.join(f'{k}={v}' for k, v in o.items())}"
+             for n, o in VARIANTS],
+    )
+    def test_dynamics_variant_matches_reference(self, name, overrides,
+                                                profile):
+        model = build_model(name, profile=profile, inference=True,
+                            **overrides)
+        assert CompiledPlan.supported(model)
+        _assert_every_schedule_point_matches(model, _batch(profile, 2))
 
     def test_compiled_is_deterministic(self):
         model = build_model("odenet", profile="tiny", inference=True)
@@ -325,9 +373,18 @@ class TestZeroStepAllocation:
         """After the warm-up bind, the ODE block stages — the Euler
         loop, the hot path the arena exists for — execute with every
         numpy constructor replaced by a tripwire."""
-        model = build_model(name, profile="tiny", inference=True)
+        self._check_blocks_allocation_free(name, "tiny", 2)
+
+    @pytest.mark.parametrize("name", PACKABLE)
+    def test_euler_blocks_run_allocation_free_at_paper_reduced(self, name):
+        """The same at the reduced serve tier's geometry, batch 1."""
+        self._check_blocks_allocation_free(name, "paper-reduced", 1)
+
+    @staticmethod
+    def _check_blocks_allocation_free(name, profile, batch):
+        model = build_model(name, profile=profile, inference=True)
         plan = compile_model(model)
-        x = RNG.standard_normal((2, 3, 32, 32)).astype(np.float32)
+        x = _batch(profile, batch)
         ref = plan(x)  # warm-up: bind geometry, allocate the arena
 
         bound = plan._bound(x.shape, x.dtype)

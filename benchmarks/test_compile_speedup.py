@@ -3,12 +3,11 @@
 :class:`~repro.compile.CompiledPlan` is the float fast executor — same
 numerics as the module-forward oracle (≤1e-6 of ``reference``), better
 schedule: BN folded into conv weights, the Euler step body running
-channels-last out of one preallocated arena, per-machine autotuned
-depthwise strategies.  This bench times it against the module forward
+channels-last out of one preallocated arena.  This bench times the plan
+every compiled session binds against the module forward
 (:class:`ModulePlan`) on the same ``fused`` kernels for each compilable
-registry model at two points — ``tiny`` at batch 8 on the autotuned
-schedule, where Python dispatch dominates, and the ``paper`` geometry
-at batch 1 on the default schedule serving binds (no autotune) —
+registry model at two points — ``tiny`` at batch 8, where Python
+dispatch dominates, and the ``paper`` geometry at batch 1 —
 asserts the headline ≥1.3× claim at both, prints the table and
 persists it as ``BENCH_compile_speedup.json`` for CI artifact upload.
 """
@@ -21,16 +20,15 @@ import pytest
 from _artifacts import record_bench
 from conftest import show
 from repro import kernels
-from repro.compile import autotune, default_schedule, lower
 from repro.models import PROFILES, build_model
 from repro.runtime import InferenceSession, ModulePlan, SessionConfig
 
 RNG = np.random.default_rng(0)
 
 MODELS = ("odenet", "ode_botnet")
-#: (profile, batch, autotune): the dispatch-bound test geometry on the
-#: tuned schedule, and the 96×96 serve geometry on the default one
-POINTS = (("tiny", 8, True), ("paper", 1, False))
+#: (profile, batch): the dispatch-bound test geometry and the 96×96
+#: serve geometry
+POINTS = (("tiny", 8), ("paper", 1))
 REQUIRED_SPEEDUP = 1.3
 
 
@@ -46,32 +44,18 @@ def _best_of(fn, repeats=7, inner=5):
 
 
 @pytest.fixture(scope="module")
-def compile_speedup_rows(tmp_path_factory):
+def compile_speedup_rows():
     """Time module forward vs compiled per model and point, persist."""
-    cold_cache = str(tmp_path_factory.mktemp("cold-schedule-cache"))
     rows = []
-    for profile, batch, tune in POINTS:
+    for profile, batch in POINTS:
         size = PROFILES[profile]["input_size"]
         x = RNG.standard_normal((batch, 3, size, size)).astype(np.float32)
         for name in MODELS:
             model = build_model(name, profile=profile, inference=True)
-            stages = lower(model)
-            with pytest.MonkeyPatch.context() as mp:
-                if tune:
-                    # Tune + warm the on-disk schedule cache so the
-                    # compiled session picks the tuned schedule up
-                    # transparently.
-                    schedule, report = autotune(stages, x, save=True)
-                else:
-                    # a cold cache: the session binds the default
-                    # schedule, as every serving replica does
-                    mp.setenv("REPRO_COMPILE_CACHE", cold_cache)
-                    schedule, report = default_schedule(stages), None
-                compiled = InferenceSession(
-                    model, config=SessionConfig(backend="fused")
-                )
+            compiled = InferenceSession(
+                model, config=SessionConfig(backend="fused")
+            )
             assert compiled.plan_kind == "compiled"
-            assert compiled._plan.schedule == schedule
             compiled.predict_batch(x)  # warm: plan binding
             compiled_s = _best_of(lambda: compiled.predict_batch(x))
             module = ModulePlan(model)
@@ -86,10 +70,6 @@ def compile_speedup_rows(tmp_path_factory):
                 "fused_ms": module_s * 1e3,
                 "compiled_ms": compiled_s * 1e3,
                 "speedup": module_s / compiled_s,
-                "schedule": schedule,
-                "autotuned": tune,
-                "autotune_best_ms": None if report is None
-                else report["best_ms"],
             })
 
     body = "\n".join(
@@ -114,8 +94,7 @@ def test_compiled_beats_fused(compile_speedup_rows, name):
 
 @pytest.mark.parametrize("name", MODELS)
 def test_compiled_beats_fused_at_paper_geometry(compile_speedup_rows, name):
-    """The same gate at the 96×96 serve geometry, batch 1, on the
-    default schedule."""
+    """The same gate at the 96×96 serve geometry, batch 1."""
     _assert_speedup(compile_speedup_rows, name, "paper")
 
 

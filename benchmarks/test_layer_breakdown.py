@@ -2,8 +2,8 @@
 
 The compiled-plan slice of the ROADMAP perf ledger: for ``ode_botnet``
 at ``paper`` and ``paper-reduced`` (the ``full`` and ``reduced`` serve
-tiers' 96×96 geometry), batch 1 and 8, on the default schedule serving
-binds, it records the median milliseconds and share of the forward of
+tiers' 96×96 geometry), batch 1 and 8, on the plan every compiled
+session binds, it records the median milliseconds and share of the forward of
 
 * every bound IR stage (``stem.conv`` … ``head.fc``), each stage timed
   on its own from the previous stage's real output;
@@ -25,7 +25,7 @@ import pytest
 
 from _artifacts import record_bench
 from conftest import show
-from repro.compile import CompiledPlan, default_schedule, lower
+from repro.compile import CompiledPlan, lower
 from repro.models import PROFILES, build_model
 
 RNG = np.random.default_rng(0)
@@ -45,7 +45,7 @@ def _breakdown(profile, batch):
     """One (profile, batch) point: forward, stage and step-op rows."""
     model = build_model(MODEL, profile=profile, inference=True)
     stages = lower(model)
-    plan = CompiledPlan(stages, default_schedule(stages))
+    plan = CompiledPlan(stages)
     size = PROFILES[profile]["input_size"]
     x = RNG.standard_normal((batch, 3, size, size)).astype(np.float32)
     plan(x)  # bind geometry, allocate the arena
@@ -127,11 +127,10 @@ def _render(point):
 @pytest.fixture(scope="module")
 def layer_breakdown():
     points = [_breakdown(profile, batch) for profile, batch in POINTS]
-    show(f"compiled plan layer breakdown ({MODEL}, default schedule)",
+    show(f"compiled plan layer breakdown ({MODEL})",
          "\n".join(_render(p) for p in points))
     record_bench("layer_breakdown", {
         "model": MODEL,
-        "schedule": "default",
         "tolerance": TOLERANCE,
         "points": points,
     })

@@ -1,12 +1,11 @@
 """repro.compile — the float fast executor for Euler ODENets.
 
-Lowers an eval-mode :class:`~repro.models.ODENet` into a fused,
+Lowers an eval-mode :class:`~repro.models.ODENet` into one fused,
 arena-backed execution plan (see ``docs/COMPILE.md``):
 
 * :mod:`~repro.compile.ir` — lowering: BatchNorm folding into fused
-  scale-shift-ReLU passes and neighbouring convs, time-channel
-  decomposition of the ODE dynamics' time-concat convs, and the
-  structural graph hash the schedule cache is keyed by.
+  scale-shift-ReLU passes and neighbouring convs, and time-channel
+  decomposition of the ODE dynamics' time-concat convs.
 * :mod:`~repro.compile.arena` — static buffer planning: named
   preallocated workspace buffers plus build-time alias validation of
   the step program.
@@ -14,9 +13,8 @@ arena-backed execution plan (see ``docs/COMPILE.md``):
   construction (lint rule CMP001 bans array constructors here).
 * :mod:`~repro.compile.plan` — :class:`CompiledPlan`: binds lowered IR
   to a concrete geometry, runs the Euler loop through
-  :func:`repro.ode.fixed_grid_loop` out of one arena.
-* :mod:`~repro.compile.autotune` — per-machine schedule search with a
-  disk cache keyed by graph hash × machine fingerprint.
+  :func:`repro.ode.fixed_grid_loop` out of one arena;
+  :func:`compile_model` is ``CompiledPlan(lower(model))``.
 
 Most callers never import this package: an
 :class:`~repro.runtime.InferenceSession` on any kernel backend but
@@ -26,24 +24,10 @@ binds :func:`compile_model`'s plan for every model it supports.
 """
 
 from .arena import Arena, OpList, PlanValidationError
-from .autotune import (
-    autotune,
-    cache_dir,
-    cache_path,
-    compile_model,
-    default_schedule,
-    graph_hash,
-    graph_signature,
-    load_schedule,
-    machine_fingerprint,
-    save_schedule,
-    schedule_axes,
-)
-from .ir import COMPILE_VERSION, CompileError, lower
-from .plan import CompiledPlan
+from .ir import CompileError, lower
+from .plan import CompiledPlan, compile_model
 
 __all__ = [
-    "COMPILE_VERSION",
     "Arena",
     "OpList",
     "PlanValidationError",
@@ -51,14 +35,4 @@ __all__ = [
     "CompileError",
     "compile_model",
     "lower",
-    "autotune",
-    "default_schedule",
-    "schedule_axes",
-    "graph_hash",
-    "graph_signature",
-    "machine_fingerprint",
-    "cache_dir",
-    "cache_path",
-    "load_schedule",
-    "save_schedule",
 ]

@@ -9,9 +9,8 @@ per-step numpy allocations (asserted by ``tests/test_compile.py`` and
 linted by rule CMP001).
 
 Buffer reuse is what makes the arena small — and what makes aliasing
-the compiler's main hazard: a schedule transform that reorders ops, or
-a binder bug that assigns one buffer to two concurrently-live values,
-silently corrupts results.  :class:`OpList` therefore records, at build
+the compiler's main hazard: a binder that reorders ops, or assigns one
+buffer to two concurrently-live values, silently corrupts results.  :class:`OpList` therefore records, at build
 time, *which write* each op's reads refer to (buffer name + writer
 version); :meth:`OpList.validate` replays the program and fails loudly
 if any op would observe a buffer overwritten since the write it was
@@ -59,20 +58,6 @@ class Arena:
     def __contains__(self, name):
         return name in self._bufs
 
-    def __len__(self):
-        return len(self._bufs)
-
-    @property
-    def nbytes(self):
-        return sum(b.nbytes for b in self._bufs.values())
-
-    def describe(self):
-        """{name: (shape, dtype, nbytes)} for docs and tests."""
-        return {
-            name: (buf.shape, str(buf.dtype), buf.nbytes)
-            for name, buf in sorted(self._bufs.items())
-        }
-
 
 class Op:
     """One scheduled step op: a kernel-named callable plus its declared
@@ -104,7 +89,7 @@ class OpList:
     the op that last wrote that buffer — the value the step was built
     to consume.  :meth:`validate` then replays the program and checks
     every read still sees its recorded writer, which catches reordering
-    and buffer-sharing hazards introduced by schedule transforms.  The
+    and buffer-sharing hazards introduced by a binder.  The
     loop-carried state (the Euler ``z`` and anything first written by a
     previous iteration) is declared via ``loop_carried`` at validation.
     """
@@ -141,7 +126,7 @@ class OpList:
                         raise PlanValidationError(
                             f"op {idx} ({op.tag or op.kernel}) reads "
                             f"buffer {name!r} from write #{expected}, but "
-                            f"the last write is #{actual} — the schedule "
+                            f"the last write is #{actual} — the program "
                             f"aliases or reorders this buffer"
                         )
                 for name in op.writes:

@@ -19,28 +19,16 @@ execution order and lowers each layer into a :class:`Stage` holding
   from every conv inside the Euler loop.
 
 Lowering never copies activations and never runs a kernel — it only
-reshapes and rescales weights.  A compile lowers exactly once:
-:func:`graph_signature` / :func:`graph_hash` derive the *structural*
-cache key (op kinds, shapes, solver grids — not weight values) the
-autotuner's schedule cache is keyed by from the lowered stages, and so
-do the schedule axes.
+reshapes and rescales weights.  A compile lowers exactly once and binds
+the resulting stages (:func:`repro.compile.plan.compile_model`).
 """
 
 from __future__ import annotations
-
-import hashlib
-import json
 
 import numpy as np
 
 from ..nn import DepthwiseSeparableConv2d, MHSA2d, functional as F
 from ..ode import ConvODEFunc, MHSABottleneckODEFunc
-
-#: bump to invalidate every cached schedule across releases
-#: (2: float32 convs lost their gemm axis — cached schedules carrying
-#: one would now silently bind as tensordot)
-#: (3: the plan runs channels-last; NCHW-tuned ``dw:*=taps`` picks are stale)
-COMPILE_VERSION = 3
 
 _F64 = np.float64
 
@@ -97,21 +85,11 @@ class ConvSpec:
         self.padding = tuple(padding)
         self.groups = groups
 
-    def signature(self):
-        return {
-            "kind": "conv",
-            "weight": list(self.weight.shape),
-            "bias": self.bias is not None,
-            "stride": list(self.stride),
-            "padding": list(self.padding),
-            "groups": self.groups,
-        }
-
 
 class TimeConvIR:
     """A time-concat conv split into data-conv + additive time map.
 
-    ``kind`` is ``"dsc"`` (depthwise-separable: depthwise taps over the
+    ``kind`` is ``"dsc"`` (depthwise-separable: a depthwise conv over the
     data channels, then a pointwise GEMM) or ``"dense"``.  The trailing
     input channel — the one the runtime fed the ``t`` plane — is carried
     separately (``dw_t`` / ``w_t`` and, for DSC, its pointwise column
@@ -166,17 +144,6 @@ class TimeConvIR:
             return False
         return self.w_x.shape[2:] == (1, 1) and self.stride == (1, 1)
 
-    def signature(self):
-        w = self.dw_x if self.kind == "dsc" else self.w_x
-        return {
-            "kind": f"time-{self.kind}",
-            "weight": list(w.shape),
-            "out": self.out_channels,
-            "bias": self.bias is not None,
-            "stride": list(self.stride),
-            "padding": list(self.padding),
-        }
-
 
 class ConvFuncIR:
     """dsODENet dynamics, folded: (scale-shift-ReLU → time-conv) × 2."""
@@ -188,13 +155,6 @@ class ConvFuncIR:
         self.conv1 = TimeConvIR(func.conv1)
         self.scale2, self.shift2 = bn_scale_shift(func.norm2)
         self.conv2 = TimeConvIR(func.conv2)
-
-    def signature(self):
-        return {
-            "kind": self.kind,
-            "conv1": self.conv1.signature(),
-            "conv2": self.conv2.signature(),
-        }
 
 
 class MHSAIR:
@@ -228,17 +188,6 @@ class MHSAIR:
                 for p in (norm.weight, norm.bias)
             ) + (float(norm.eps),)
 
-    def signature(self):
-        return {
-            "kind": "mhsa",
-            "dim": list(self.w_q.shape),
-            "heads": self.heads,
-            "activation": self.activation,
-            "rel": None if self.rel_t is None else list(self.rel_t.shape),
-            "abs": self.abs_table is not None,
-            "ln": self.ln is not None,
-        }
-
 
 class MHSAFuncIR:
     """The proposed bottleneck dynamics, folded: ssr → 1x1 down →
@@ -252,14 +201,6 @@ class MHSAFuncIR:
         self.mhsa = MHSAIR(func.mhsa)
         self.scale2, self.shift2 = bn_scale_shift(func.norm2)
         self.up = TimeConvIR(func.up)
-
-    def signature(self):
-        return {
-            "kind": self.kind,
-            "down": self.down.signature(),
-            "mhsa": self.mhsa.signature(),
-            "up": self.up.signature(),
-        }
 
 
 class OdeBlockIR:
@@ -285,15 +226,6 @@ class OdeBlockIR:
             ts.append(t)
             t += h
         return ts, h
-
-    def signature(self):
-        return {
-            "kind": "ode",
-            "steps": self.steps,
-            "t0": self.t0,
-            "t1": self.t1,
-            "func": self.func.signature(),
-        }
 
 
 class Stage:
@@ -370,32 +302,3 @@ def lower(model):
             fc.weight.data, None if fc.bias is None else fc.bias.data,
         )),
     ]
-
-
-def graph_signature(stages):
-    """The structural signature of lowered *stages* — shapes, geometry
-    and solver grids, *not* weight values — as a JSON-able structure."""
-    sig = []
-    for stage in stages:
-        ir = stage.ir
-        if stage.op in ("conv", "fconv", "ode"):
-            detail = [ir.signature()]
-        elif stage.op == "ssr":
-            detail = [list(ir[0].shape)]
-        elif stage.op == "maxpool":
-            detail = [[list(p) for p in ir]]
-        elif stage.op == "linear":
-            detail = [list(ir[0].shape), ir[1] is not None]
-        else:  # gap
-            detail = []
-        sig.append([stage.name, stage.op, *detail])
-    return {"compile_version": COMPILE_VERSION, "graph": sig}
-
-
-def graph_hash(stages):
-    """sha256 (hex) of :func:`graph_signature` — the schedule cache key
-    component that invalidates on any structural change."""
-    payload = json.dumps(
-        graph_signature(stages), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]

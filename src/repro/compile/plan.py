@@ -3,15 +3,15 @@
 :class:`CompiledPlan` is the float fast executor an
 :class:`~repro.runtime.InferenceSession` binds for Euler ODENets under
 any kernel backend but ``reference``.  Compile time
-(:func:`~repro.compile.compile_model`) lowers the model once via
-:mod:`repro.compile.ir` and is geometry-free; the first call with a
-concrete input shape *binds* the plan — computes the time maps ``M``,
-precomputes per-step additive planes, allocates the workspace
-:class:`~repro.compile.arena.Arena`, builds the alias-checked step
-program and validates it.  Bindings are cached per thread and per input
-shape, so steady-state calls run the Euler loop entirely out of
-preallocated buffers (zero per-step numpy allocation; see
-:mod:`repro.compile.steps`).
+(:func:`compile_model`) lowers the model once via
+:mod:`repro.compile.ir`, is geometry-free and touches no disk; the
+first call with a concrete input shape *binds* the plan — computes the
+time maps ``M``, precomputes every Euler step's additive plane,
+allocates the workspace :class:`~repro.compile.arena.Arena`, builds the
+alias-checked step program and validates it.  Bindings are cached per
+thread and per input shape, so steady-state calls run the Euler loop
+entirely out of preallocated buffers (zero per-step numpy allocation;
+see :mod:`repro.compile.steps`).
 
 Activations run channels-last.  The stem conv takes the NCHW batch on
 the ``fused`` kernel and hands on a transposed view of its output; from
@@ -21,13 +21,6 @@ the stem's scale-shift-ReLU to the head every stage reads and writes
 depthwise conv one einsum, and the MHSA token view a plain reshape.
 A (scale-shift-)ReLU feeding a padded conv inside the Euler loop
 writes straight into the interior of that conv's zero-bordered canvas.
-
-The step program is scheduled by a plain dict (see
-:mod:`repro.compile.autotune`): the depthwise strategy per ODE conv
-(``einsum`` vs per-offset ``taps``) and the time-plane mode
-(``unrolled`` per-step precomputation vs ``runtime`` multiply).
-Unknown keys are ignored and missing keys fall back to the defaults,
-so cached schedules stay forward compatible.
 
 When kernel instrumentation is active (``kernels.collect`` /
 ``SessionConfig(instrument=True)``), every step op routes through
@@ -49,17 +42,9 @@ from ..kernels import shapes
 from ..ode.solvers import fixed_grid_loop
 from . import steps
 from .arena import Arena, OpList
-from .ir import CompileError, graph_hash, unsupported_reason
+from .ir import CompileError, lower, unsupported_reason
 
 _F64 = np.float64
-
-
-def _dw_mode(schedule, site):
-    return schedule.get(f"dw:{site}", "einsum")
-
-
-def _time_mode(schedule):
-    return schedule.get("time_planes", "unrolled")
 
 
 def _gemm_weight(weight, out_scale=None):
@@ -129,29 +114,16 @@ def _time_planes(tc, h, w, impl):
     return np.ascontiguousarray(m, dtype=_F64), tc.bias
 
 
-class _PlaneSource:
-    """Per-step additive plane: precomputed (``unrolled``) or computed
-    into an arena scratch each step (``runtime``)."""
-
-    def __init__(self, m, bias, ts, mode, arena, name):
-        self.mode = mode
-        if mode == "unrolled":
-            planes = []
-            for t in ts:
-                p = t * m
-                if bias is not None:
-                    p = p + bias
-                planes.append(np.ascontiguousarray(p, dtype=_F64))
-            self.planes = planes
-        else:
-            self.m = m
-            self.bias = bias
-            self.scratch = arena.buffer(name, m.shape)
-
-    def get(self, i, t):
-        if self.mode == "unrolled":
-            return self.planes[i]
-        return steps.runtime_plane(self.m, self.bias, t, self.scratch)
+def _step_planes(m, bias, ts):
+    """The additive plane ``t_i * m (+ bias)`` of every Euler step,
+    precomputed at bind time."""
+    planes = []
+    for t in ts:
+        p = t * m
+        if bias is not None:
+            p = p + bias
+        planes.append(np.ascontiguousarray(p, dtype=_F64))
+    return planes
 
 
 class _BoundTimeConv:
@@ -172,7 +144,7 @@ class _BoundTimeConv:
     the downstream op into a bare ReLU or a bare state add.
     """
 
-    def __init__(self, tc, site, n, h, w, schedule, arena, impl, ts,
+    def __init__(self, tc, site, n, h, w, arena, impl, ts,
                  out_scale=None, out_shift=None):
         c = tc.in_channels
         m, bias = _time_planes(tc, h, w, impl)
@@ -187,9 +159,7 @@ class _BoundTimeConv:
             bias = shift if bias is None else np.ascontiguousarray(
                 bias + shift
             )
-        self.plane = _PlaneSource(
-            m, bias, ts, _time_mode(schedule), arena, f"{site}.plane"
-        )
+        self.planes = _step_planes(m, bias, ts)
         self.site = site
         self.kind = "pointwise" if tc.is_pointwise else tc.kind
         if self.kind == "pointwise":
@@ -212,35 +182,19 @@ class _BoundTimeConv:
             self.rows = n * oh * ow
         if self.kind == "dsc":
             self.d = arena.buffer(f"{site}.dw", (n, oh, ow, c))
-            self.dw = self._bind_depthwise(tc.dw_x, _dw_mode(schedule, site),
-                                           arena)
+            self.w_ijc = np.ascontiguousarray(
+                tc.dw_x[:, 0].transpose(1, 2, 0)
+            )
             self.wmat_t = _gemm_weight(tc.pw_x[:, :, None, None], sc)
         elif self.kind == "dense":  # conv="full": arena im2col GEMM
             self.colbuf = arena.buffer(f"{site}.cols", self.patches.shape)
             self.wmat_t = _gemm_weight(tc.w_x, sc)
 
-    def _bind_depthwise(self, dw_x, mode, arena):
-        patches, d = self.patches, self.d
-        if mode == "taps":
-            kh, kw = dw_x.shape[2:]
-            scratch = arena.buffer(f"{self.site}.dwscratch", d.shape)
-            pairs = [
-                (np.ascontiguousarray(dw_x[:, 0, i, j]),
-                 patches[:, :, :, i, j, :])
-                for i in range(kh) for j in range(kw)
-            ]
-            (tap0, win0), rest = pairs[0], tuple(pairs[1:])
-            return lambda i, t: steps.depthwise_taps(
-                tap0, win0, rest, d, scratch
-            )
-        w_ijc = np.ascontiguousarray(dw_x[:, 0].transpose(1, 2, 0))
-        return lambda i, t: steps.depthwise(patches, w_ijc, d)
-
     def add_ops(self, ops, dst_name, dst, tag):
         """Register this conv writing ``dst`` (N, H', W', F): a
         depthwise-separable conv as ``<tag>.dw`` + ``<tag>.pw``, any
         other as one ``<tag>`` op."""
-        plane, wmat_t = self.plane, self.wmat_t
+        planes, wmat_t = self.planes, self.wmat_t
         out2d = dst.reshape(self.rows, -1)
         if self.kind == "dense":
             patches, colbuf = self.patches, self.colbuf
@@ -248,16 +202,17 @@ class _BoundTimeConv:
             ops.add(
                 "conv2d",
                 lambda i, t: steps.dense_conv_cols(
-                    patches, colbuf, col2d, wmat_t, out2d,
-                    plane.get(i, t), dst,
+                    patches, colbuf, col2d, wmat_t, out2d, planes[i], dst,
                 ),
                 reads=(self.src_name,),
                 writes=(f"{self.site}.cols", dst_name), tag=tag,
             )
             return
         if self.kind == "dsc":
-            ops.add("conv2d", self.dw, reads=(self.src_name,),
-                    writes=(f"{self.site}.dw",), tag=f"{tag}.dw")
+            patches, w_ijc, d = self.patches, self.w_ijc, self.d
+            ops.add("conv2d", lambda i, t: steps.depthwise(patches, w_ijc, d),
+                    reads=(self.src_name,), writes=(f"{self.site}.dw",),
+                    tag=f"{tag}.dw")
             src_name, x2d = f"{self.site}.dw", self.d.reshape(self.rows, -1)
             tag = f"{tag}.pw"
         else:
@@ -265,13 +220,13 @@ class _BoundTimeConv:
         ops.add(
             "matmul",
             lambda i, t: steps.pointwise_affine(
-                x2d, wmat_t, plane.get(i, t), dst, out2d
+                x2d, wmat_t, planes[i], dst, out2d
             ),
             reads=(src_name,), writes=(dst_name,), tag=tag,
         )
 
 
-def _bind_conv_func(ir, prefix, n, c, h, w, schedule, arena, impl, ts, h_step):
+def _bind_conv_func(ir, prefix, n, c, h, w, arena, impl, ts, h_step):
     """Bind dsODENet dynamics: two (ssr → time-conv) passes + Euler.
 
     The second BN's scale/shift are folded into conv1's weights/plane
@@ -285,11 +240,11 @@ def _bind_conv_func(ir, prefix, n, c, h, w, schedule, arena, impl, ts, h_step):
     f = arena.buffer(f"{prefix}.f", (n, h, w, c))
 
     tc1 = _BoundTimeConv(
-        ir.conv1, f"{prefix}.conv1", n, h, w, schedule, arena, impl, ts,
+        ir.conv1, f"{prefix}.conv1", n, h, w, arena, impl, ts,
         out_scale=ir.scale2, out_shift=ir.shift2,
     )
     tc2 = _BoundTimeConv(
-        ir.conv2, f"{prefix}.conv2", n, h, w, schedule, arena, impl, ts,
+        ir.conv2, f"{prefix}.conv2", n, h, w, arena, impl, ts,
         out_scale=h_step,
     )
     s1, sh1 = ir.scale1.reshape(-1), ir.shift1.reshape(-1)
@@ -316,7 +271,7 @@ def _bind_conv_func(ir, prefix, n, c, h, w, schedule, arena, impl, ts, h_step):
     return z, ops
 
 
-def _bind_mhsa_func(ir, prefix, n, c, h, w, schedule, arena, impl, ts, h_step):
+def _bind_mhsa_func(ir, prefix, n, c, h, w, arena, impl, ts, h_step):
     """Bind the bottleneck dynamics: ssr → 1x1 down → MHSA → ssr →
     1x1 up + Euler, fully arena-buffered."""
     if not (ir.down.is_pointwise and ir.up.is_pointwise):
@@ -333,10 +288,10 @@ def _bind_mhsa_func(ir, prefix, n, c, h, w, schedule, arena, impl, ts, h_step):
     m_out = arena.buffer(f"{prefix}.mhsa", (n, h, w, inner))
     f = arena.buffer(f"{prefix}.f", (n, h, w, c))
     down = _BoundTimeConv(
-        ir.down, f"{prefix}.down", n, h, w, schedule, arena, impl, ts
+        ir.down, f"{prefix}.down", n, h, w, arena, impl, ts
     )
     up = _BoundTimeConv(
-        ir.up, f"{prefix}.up", n, h, w, schedule, arena, impl, ts,
+        ir.up, f"{prefix}.up", n, h, w, arena, impl, ts,
         out_scale=h_step,
     )
     a, a2 = down.src, up.src
@@ -489,7 +444,6 @@ class _BoundPlan:
 
     def __init__(self, plan, shape, dtype):
         n, c, h, w = shape
-        schedule = plan.schedule
         impl = kernels.get_backend("fused")
         arena = Arena()
         stages = []       # (kernel_name, fn, is_block)
@@ -542,8 +496,7 @@ class _BoundPlan:
                     else _bind_mhsa_func
                 )
                 z, ops_list = binder(
-                    ir.func, name, n, c, h, w, schedule, arena, impl,
-                    ts, h_step,
+                    ir.func, name, n, c, h, w, arena, impl, ts, h_step,
                 )
                 ops_list.validate(loop_carried=(f"{name}.z",))
                 self.block_ops[name] = ops_list
@@ -615,22 +568,19 @@ class CompiledPlan:
     """A lowered ODE net compiled to a fused, arena-backed executable.
 
     Construction takes the lowered stages (:func:`~repro.compile.ir.lower`)
-    and a schedule, and is geometry-free; calling binds to the input
-    shape on first use and reuses the binding afterwards.  Bindings are
-    per thread — concurrent micro-batcher workers never share arena
-    buffers.
+    and is geometry-free; calling binds to the input shape on first use
+    and reuses the binding afterwards.  Bindings are per thread —
+    concurrent micro-batcher workers never share arena buffers.
     """
 
-    def __init__(self, stages, schedule):
-        self.schedule = dict(schedule)
+    def __init__(self, stages):
         self.stages = list(stages)
-        self.graph_hash = graph_hash(self.stages)
         self._local = threading.local()
 
     @staticmethod
     def supported(model) -> bool:
-        """Whether :func:`~repro.compile.compile_model` can compile
-        *model* (see :func:`~repro.compile.ir.unsupported_reason`)."""
+        """Whether :func:`compile_model` can compile *model* (see
+        :func:`~repro.compile.ir.unsupported_reason`)."""
         return unsupported_reason(model) is None
 
     def _bound(self, shape, dtype):
@@ -647,20 +597,8 @@ class CompiledPlan:
         x = np.asarray(x)
         return self._bound(x.shape, x.dtype).run(x)
 
-    def describe(self):
-        """Schedule + per-binding arena/op summary (docs and tests)."""
-        bindings = {}
-        for key, bound in getattr(self._local, "bound", {}).items():
-            bindings[str(key)] = {
-                "arena_buffers": len(bound.arena),
-                "arena_nbytes": bound.arena.nbytes,
-                "stages": len(bound.stages),
-                "step_ops": {
-                    name: len(ops) for name, ops in bound.block_ops.items()
-                },
-            }
-        return {
-            "graph_hash": self.graph_hash,
-            "schedule": dict(self.schedule),
-            "bindings": bindings,
-        }
+
+def compile_model(model):
+    """Compile an eval-mode Euler ODENet: lower it once into a
+    :class:`CompiledPlan`."""
+    return CompiledPlan(lower(model))

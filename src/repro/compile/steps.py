@@ -68,20 +68,6 @@ def depthwise(patches, weight, out):
     return out
 
 
-def depthwise_taps(tap0, win0, rest, out, scratch):
-    """Depthwise conv as multiply-accumulate over the kernel offsets.
-
-    The (C,) per-tap weight rows and the strided canvas window views are
-    both precomputed at bind time; first tap writes ``out`` directly,
-    later taps go through *scratch*.
-    """
-    np.multiply(tap0, win0, out=out)
-    for tap, window in rest:
-        np.multiply(tap, window, out=scratch)
-        np.add(out, scratch, out=out)
-    return out
-
-
 def pointwise_affine(x2d, wmat_t, plane, out, out2d):
     """1x1 conv as one flat channel GEMM plus a fused additive plane.
 
@@ -108,15 +94,6 @@ def dense_conv_cols(patches, colbuf, col2d, wmat_t, out2d, plane, out):
     np.copyto(colbuf, patches)
     np.matmul(col2d, wmat_t, out=out2d)
     np.add(out, plane, out=out)
-    return out
-
-
-def runtime_plane(m, bias, t, out):
-    """``t * M (+ bias)`` computed at step time — the ``runtime``
-    alternative to precomputed (``unrolled``) per-step planes."""
-    np.multiply(m, t, out=out)
-    if bias is not None:
-        np.add(out, bias, out=out)
     return out
 
 

@@ -29,7 +29,7 @@ from repro.adapt import (
 )
 from repro.data import DriftSchedule, make_drift_stream
 from repro.models import build_model
-from repro.runtime import SessionConfig
+from repro.runtime import InferenceSession, SessionConfig
 from repro.serve import ReplicaPool, Server, run_load
 
 
@@ -242,21 +242,36 @@ class TestAdaptConfig:
 
 # ----------------------------------------------------------------------
 class TestWeightPublisher:
-    def test_swap_moves_every_replica_and_serving_tracks(self):
-        pool = ReplicaPool.build("ode_botnet", "tiny", 2, seed=0)
+    @pytest.mark.parametrize("backend", ("reference", "fused"))
+    def test_swap_moves_every_replica_and_serving_tracks(self, backend):
+        """On ``fused`` the swap re-compiles each replica's plan through
+        ``InferenceSession.refresh``; on ``reference`` it re-binds the
+        module forward."""
+        config = SessionConfig(backend=backend)
+        pool = ReplicaPool.build("ode_botnet", "tiny", 2, seed=0,
+                                 config=config)
         try:
             x = _stream(n=3)[0]
             before = pool.replicas[0].run(x)
-            new_model = build_model("ode_botnet", profile="tiny", seed=99)
+            state = build_model("ode_botnet", profile="tiny",
+                                seed=99).state_dict()
             publisher = WeightPublisher(pool)
-            info = publisher.publish(new_model.state_dict())
+            info = publisher.publish(state)
             assert info["replicas"] == 2
             assert {r.weights_version for r in pool} == {info["version"]}
             after = [r.run(x) for r in pool.replicas]
             # both replicas agree on the new generation's outputs...
             np.testing.assert_array_equal(after[0], after[1])
-            # ...which differ from the old generation's
+            # ...which differ from the old generation's...
             assert not np.array_equal(before, after[0])
+            # ...and are bit-exact with a session built directly on it
+            fresh = InferenceSession(
+                build_model("ode_botnet", profile="tiny",
+                            pretrained_state=state, inference=True),
+                config=config,
+            )
+            assert pool.replicas[0].session.plan_kind == fresh.plan_kind
+            np.testing.assert_array_equal(after[0], fresh.predict_batch(x))
             assert publisher.snapshot()["swaps"] == 1
         finally:
             pool.close()

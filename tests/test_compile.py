@@ -1,18 +1,14 @@
 """Tests for :mod:`repro.compile` — the float fast executor.
 
-Five contracts:
+Four contracts:
 
 * **parity** — the compiled plan agrees with the ``reference`` oracle
   to ≤1e-6 on every compilable registry model, at the ``tiny`` test
   geometry and at the ``paper`` / ``paper-reduced`` geometry the serve
-  tiers run, on the dense time-conv and MHSA variants, and at every
-  schedule point (BN/step-size folding may reassociate float ops, never
-  change the math);
-* **one lowering per compile** — the cache key, schedule axes and plan
-  all derive from a single :func:`~repro.compile.lower`;
-* **schedule cache** — hit/miss/invalidation round-trips through the
-  on-disk cache keyed by graph hash × machine fingerprint, honouring
-  ``$REPRO_COMPILE_CACHE`` and the compiler version;
+  tiers run, and on the dense time-conv and MHSA variants (BN/step-size
+  folding may reassociate float ops, never change the math);
+* **one lowering per compile** — binding a compiled session folds each
+  ODE block's weights exactly once;
 * **aliasing safety** — the arena op program's build-time bookkeeping
   catches reordered and aliased buffers, including across solver
   iterations, with the Euler state exempt as loop-carried;
@@ -20,26 +16,15 @@ Five contracts:
   with numpy's Python-level array constructors forbidden outright.
 """
 
-import json
-
 import numpy as np
 import pytest
 
 from repro.compile import (
-    COMPILE_VERSION,
     CompiledPlan,
     OpList,
     PlanValidationError,
-    cache_path,
     compile_model,
-    default_schedule,
-    graph_hash,
     ir,
-    load_schedule,
-    lower,
-    machine_fingerprint,
-    save_schedule,
-    schedule_axes,
 )
 from repro.models import MODELS, PROFILES, build_model
 from repro.runtime import InferenceSession, SessionConfig
@@ -65,24 +50,9 @@ def _reference(model, x):
     ).predict_batch(x)
 
 
-def _schedule_points(stages):
-    """``(label, schedule)``: the default, then every one-axis departure
-    from it — each point the autotuner's coordinate descent can visit
-    first."""
-    base = default_schedule(stages)
-    yield "default", base
-    for key, choices in schedule_axes(stages):
-        for choice in choices[1:]:
-            yield f"{key}={choice}", {**base, key: choice}
-
-
-def _assert_every_schedule_point_matches(model, x):
-    stages = lower(model)
-    ref = _reference(model, x)
-    for label, schedule in _schedule_points(stages):
-        out = CompiledPlan(stages, schedule)(x)
-        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-6,
-                                   err_msg=label)
+def _assert_matches_reference(model, x):
+    np.testing.assert_allclose(compile_model(model)(x), _reference(model, x),
+                               rtol=0, atol=1e-6)
 
 
 def _batch(profile, n):
@@ -99,13 +69,6 @@ VARIANTS = (
     ("ode_botnet", {"pos_enc": "absolute"}),
     ("ode_botnet", {"pos_enc": "none"}),
 )
-
-
-@pytest.fixture
-def schedule_cache(tmp_path, monkeypatch):
-    """An isolated on-disk schedule cache."""
-    monkeypatch.setenv("REPRO_COMPILE_CACHE", str(tmp_path))
-    return tmp_path
 
 
 # ----------------------------------------------------------------------
@@ -127,20 +90,13 @@ class TestCompiledParity:
         out = session.predict_batch(x)
         np.testing.assert_allclose(out, ref, rtol=0, atol=1e-6)
 
-    @pytest.mark.parametrize("name", PACKABLE)
-    def test_every_schedule_point_matches_reference(self, name):
-        """Parity is schedule-independent: the autotuner may pick any
-        point of the search space, so every choice must agree."""
-        model = build_model(name, profile="tiny", inference=True)
-        _assert_every_schedule_point_matches(model, _batch("tiny", 2))
-
     @pytest.mark.parametrize("profile", ("paper", "paper-reduced"))
     @pytest.mark.parametrize("name", PACKABLE)
     def test_serving_geometry_matches_reference(self, name, profile):
         """The 96×96 geometry the ``overload`` full and reduced tiers
-        serve, on the default schedule and every schedule point."""
+        serve."""
         model = build_model(name, profile=profile, inference=True)
-        _assert_every_schedule_point_matches(model, _batch(profile, 3))
+        _assert_matches_reference(model, _batch(profile, 3))
 
     @pytest.mark.parametrize("profile", ("tiny", "small"))
     @pytest.mark.parametrize(
@@ -153,7 +109,7 @@ class TestCompiledParity:
         model = build_model(name, profile=profile, inference=True,
                             **overrides)
         assert CompiledPlan.supported(model)
-        _assert_every_schedule_point_matches(model, _batch(profile, 2))
+        _assert_matches_reference(model, _batch(profile, 2))
 
     def test_compiled_is_deterministic(self):
         model = build_model("odenet", profile="tiny", inference=True)
@@ -166,16 +122,12 @@ class TestCompiledParity:
 # one lowering per compile
 # ----------------------------------------------------------------------
 class TestOneLowering:
-    @pytest.mark.parametrize("cache", ("cold", "warm"))
-    def test_session_compile_folds_each_block_once(
-        self, cache, schedule_cache, monkeypatch
-    ):
+    @pytest.mark.parametrize("state", ("cold", "warm"))
+    def test_session_compile_folds_each_block_once(self, state, monkeypatch):
         """Binding a compiled session folds every ODE block's weights
-        exactly once, with or without a cached schedule."""
+        exactly once — on its first batch (cold), and still once after
+        a second batch geometry binds a fresh arena (warm)."""
         model = build_model("ode_botnet", profile="tiny", inference=True)
-        if cache == "warm":
-            stages = lower(model)
-            save_schedule(stages, default_schedule(stages))
         folded = []
         init = ir.OdeBlockIR.__init__
 
@@ -189,82 +141,10 @@ class TestOneLowering:
         )
         session.predict_batch(RNG.standard_normal((1, 3, 32, 32))
                               .astype(np.float32))
+        if state == "warm":
+            session.predict_batch(RNG.standard_normal((2, 3, 32, 32))
+                                  .astype(np.float32))
         assert len(folded) == 3  # block1, block2, block3
-
-
-# ----------------------------------------------------------------------
-# schedule cache
-# ----------------------------------------------------------------------
-class TestScheduleCache:
-    def _stages(self, name="odenet"):
-        return lower(build_model(name, profile="tiny", inference=True))
-
-    def test_cache_dir_honours_env(self, schedule_cache):
-        stages = self._stages()
-        assert cache_path(stages).startswith(str(schedule_cache))
-
-    def test_miss_then_hit_round_trip(self, schedule_cache):
-        stages = self._stages()
-        assert load_schedule(stages) is None  # cold cache: miss
-
-        schedule = default_schedule(stages)
-        schedule["time_planes"] = "runtime"
-        path = save_schedule(stages, schedule, tuned=True, best_ms=1.5)
-        assert path == cache_path(stages)
-
-        entry = load_schedule(stages)
-        assert entry is not None
-        assert entry["schedule"] == schedule
-        assert entry["tuned"] is True
-        assert entry["graph_hash"] == graph_hash(stages)
-        assert entry["machine"] == machine_fingerprint()
-
-    def test_compile_packed_picks_up_cached_schedule(self, schedule_cache):
-        model = build_model("odenet", profile="tiny", inference=True)
-        stages = lower(model)
-        schedule = default_schedule(stages)
-        schedule["time_planes"] = "runtime"
-        save_schedule(stages, schedule)
-        assert compile_model(model).schedule == schedule
-
-    def test_graph_change_is_a_miss(self, schedule_cache):
-        odenet = self._stages("odenet")
-        botnet = self._stages("ode_botnet")
-        assert graph_hash(odenet) != graph_hash(botnet)
-        save_schedule(odenet, default_schedule(odenet))
-        # the other architecture keys a different file: still cold
-        assert cache_path(botnet) != cache_path(odenet)
-        assert load_schedule(botnet) is None
-
-    def test_compiler_version_bump_invalidates(self, schedule_cache):
-        stages = self._stages()
-        path = save_schedule(stages, default_schedule(stages))
-        with open(path, encoding="utf-8") as fh:
-            entry = json.load(fh)
-        assert entry["compile_version"] == COMPILE_VERSION
-        entry["compile_version"] = "0.0-stale"
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(entry, fh)
-        assert load_schedule(stages) is None
-
-    def test_corrupt_cache_file_is_a_miss(self, schedule_cache):
-        stages = self._stages()
-        path = save_schedule(stages, default_schedule(stages))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("{not json")
-        assert load_schedule(stages) is None
-        # and compile still works off the heuristic default
-        model = build_model("odenet", profile="tiny", inference=True)
-        assert compile_model(model).schedule == default_schedule(stages)
-
-    def test_graph_hash_is_structural_not_weights(self):
-        a = lower(
-            build_model("odenet", profile="tiny", seed=0, inference=True)
-        )
-        b = lower(
-            build_model("odenet", profile="tiny", seed=1, inference=True)
-        )
-        assert graph_hash(a) == graph_hash(b)
 
 
 # ----------------------------------------------------------------------
@@ -282,7 +162,7 @@ class TestAliasValidation:
 
     def test_clobbered_read_is_caught(self):
         """An op reading a buffer rewritten since its producer ran —
-        the schedule aliased two logical tensors onto one buffer."""
+        the binder aliased two logical tensors onto one buffer."""
         ops = OpList()
         ops.add("produce", self._noop(), writes=("x",))
         ops.add("clobber", self._noop(), writes=("x",))

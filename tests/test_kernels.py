@@ -293,7 +293,7 @@ def _quantized_executor(name, fmt="16(8)-12(4)"):
     return QuantizedODENetExecutor(model, ffmt, pfmt)
 
 
-class TestQuantizedBackend:
+class TestFusedIntegerPath:
     """The fused backend's integer path: exact integer GEMMs rerouted
     through float BLAS.  Its whole contract is *bit-identity* with the
     scalar reference path — any deviation means the mantissa bound is
@@ -324,7 +324,7 @@ class TestQuantizedBackend:
         np.testing.assert_array_equal(ref, out)
 
     @pytest.mark.parametrize("name", ODE_MODELS)
-    def test_session_quantized_backend_bit_identical(self, name):
+    def test_session_quantized_plan_bit_identical(self, name):
         """SessionConfig(backend='fused') binds a QuantizedPlan and must
         reproduce the executor's reference output bit-for-bit."""
         from repro.runtime import SessionConfig
@@ -337,7 +337,7 @@ class TestQuantizedBackend:
         assert session.plan_kind == "quantized"
         np.testing.assert_array_equal(ref, session.predict_batch(x))
 
-    def test_quantized_mhsa_exact_under_quantized_backend(self, rng):
+    def test_quantized_mhsa_exact_under_fused_backend(self, rng):
         """The backend-invariance contract holds with the reroute on:
         identical integers whichever backend runs the GEMMs."""
         m = MHSA2d(8, 3, 3, heads=2, attention_activation="relu",

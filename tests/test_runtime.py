@@ -56,7 +56,7 @@ class TestSessionParity:
         np.testing.assert_allclose(out, ref, rtol=0, atol=1e-6)
 
     @pytest.mark.parametrize("name", ("odenet", "ode_botnet"))
-    def test_packed_plan_is_bit_exact(self, name):
+    def test_reference_session_is_bit_exact(self, name):
         """A ``reference`` session on the paper models is the module
         forward, bit for bit."""
         model = build_model(name, profile="tiny", inference=True)

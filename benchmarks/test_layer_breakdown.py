@@ -1,16 +1,18 @@
-"""Layer-by-layer time of the compiled float plan at the serve geometry.
+"""Layer-by-layer time of the compiled plans at the serve geometry.
 
 The compiled-plan slice of the ROADMAP perf ledger: for ``ode_botnet``
 at ``paper`` and ``paper-reduced`` (the ``full`` and ``reduced`` serve
 tiers' 96×96 geometry), batch 1 and 8, on the plan every compiled
-session binds, it records the median milliseconds and share of the forward of
+session binds — plus the ``int8`` and ``int4`` rungs' fixed-point plans
+at ``paper-reduced`` batch 8 — it records the median milliseconds and
+share of the forward of
 
 * every bound IR stage (``stem.conv`` … ``head.fc``), each stage timed
   on its own from the previous stage's real output;
 * every step op inside each ODE block (``ssr1``, ``conv1.dw``,
-  ``conv1.pw``, …, ``mhsa.attend``, ``euler``), summed over the block's
-  Euler steps, with the block's state reset from its real input before
-  each replay.
+  ``conv1.pw``, …, ``mhsa.attend``, ``euler``; in fixed point ``bn1``,
+  …, ``mhsa``, ``euler``), summed over the block's Euler steps, with
+  the block's state reset from its real input before each replay.
 
 The one gate: the stage rows sum to within 15% of a timed whole
 forward, so the table accounts for the time it claims to break down.
@@ -25,14 +27,17 @@ import pytest
 
 from _artifacts import record_bench
 from conftest import show
-from repro.compile import CompiledPlan, lower
+from repro.compile import CompiledPlan, lower, lower_fixed
 from repro.models import PROFILES, build_model
+from repro.serve import BUILTIN_TIERS
 
 RNG = np.random.default_rng(0)
 
 MODEL = "ode_botnet"
-POINTS = (("paper", 1), ("paper", 8), ("paper-reduced", 1),
-          ("paper-reduced", 8))
+#: (profile, batch, fixed-point tier or None for the float plan)
+POINTS = (("paper", 1, None), ("paper", 8, None), ("paper-reduced", 1, None),
+          ("paper-reduced", 8, None), ("paper-reduced", 8, "int8"),
+          ("paper-reduced", 8, "int4"))
 REPS = {1: 21, 8: 7}
 TOLERANCE = 0.15
 
@@ -41,10 +46,13 @@ def _median_ms(samples):
     return float(np.median(samples)) * 1e3
 
 
-def _breakdown(profile, batch):
-    """One (profile, batch) point: forward, stage and step-op rows."""
+def _breakdown(profile, batch, tier):
+    """One (profile, batch, tier) point: forward, stage and step-op
+    rows."""
     model = build_model(MODEL, profile=profile, inference=True)
-    stages = lower(model)
+    stages = lower(model) if tier is None else lower_fixed(
+        model, *BUILTIN_TIERS[tier].formats()
+    )
     plan = CompiledPlan(stages)
     size = PROFILES[profile]["input_size"]
     x = RNG.standard_normal((batch, 3, size, size)).astype(np.float32)
@@ -75,7 +83,8 @@ def _breakdown(profile, batch):
     by_name = {stage.name: stage for stage in stages}
     for name, ops in bound.block_ops.items():
         ts, _ = by_name[name].ir.time_grid()
-        z = bound.arena.buffer(f"{name}.z", block_in[name].shape)
+        z = bound.arena.buffer(f"{name}.z", block_in[name].shape,
+                               dtype=block_in[name].dtype)
         ops = tuple(ops)
         for _ in range(reps):
             np.copyto(z, block_in[name])
@@ -102,6 +111,7 @@ def _breakdown(profile, batch):
     return {
         "profile": profile,
         "batch": batch,
+        "tier": tier,
         "reps": reps,
         "forward_ms": forward_ms,
         "stage_sum_ms": sum(r["ms"] for r in stage_rows),
@@ -112,7 +122,8 @@ def _breakdown(profile, batch):
 
 def _render(point):
     lines = [
-        f"{point['profile']} batch {point['batch']}: forward "
+        f"{point['profile']} batch {point['batch']}"
+        f"{' ' + point['tier'] if point['tier'] else ''}: forward "
         f"{point['forward_ms']:.2f} ms, stage sum "
         f"{point['stage_sum_ms']:.2f} ms"
     ]
@@ -126,7 +137,7 @@ def _render(point):
 
 @pytest.fixture(scope="module")
 def layer_breakdown():
-    points = [_breakdown(profile, batch) for profile, batch in POINTS]
+    points = [_breakdown(*point) for point in POINTS]
     show(f"compiled plan layer breakdown ({MODEL})",
          "\n".join(_render(p) for p in points))
     record_bench("layer_breakdown", {
@@ -137,16 +148,19 @@ def layer_breakdown():
     return points
 
 
-@pytest.mark.parametrize("profile,batch", POINTS,
-                         ids=[f"{p}-b{b}" for p, b in POINTS])
+@pytest.mark.parametrize(
+    "profile,batch,tier", POINTS,
+    ids=[f"{p}-b{b}" + (f"-{t}" if t else "") for p, b, t in POINTS],
+)
 def test_stage_rows_account_for_the_forward(layer_breakdown, profile,
-                                            batch):
+                                            batch, tier):
     """The stage rows sum to within 15% of a timed whole forward."""
     point = next(p for p in layer_breakdown
-                 if p["profile"] == profile and p["batch"] == batch)
+                 if (p["profile"], p["batch"], p["tier"])
+                 == (profile, batch, tier))
     gap = abs(point["stage_sum_ms"] / point["forward_ms"] - 1.0)
     assert gap <= TOLERANCE, (
-        f"{profile} batch {batch}: stage rows sum to "
+        f"{profile} batch {batch} {tier or 'float'}: stage rows sum to "
         f"{point['stage_sum_ms']:.2f} ms vs a {point['forward_ms']:.2f} ms "
         f"forward ({gap:.1%} apart, allowed {TOLERANCE:.0%})"
     )

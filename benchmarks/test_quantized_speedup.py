@@ -1,16 +1,17 @@
-"""The quantized plan's speed gate: ≥5× the scalar fixed-point path.
+"""The fixed-point plan's speed gate: ≥5× the scalar fixed-point path.
 
 The fixed-point fast executor exists to make full-network fixed-point
 inference *fast enough to serve*: the scalar reference path
 (``QuantizedODENetExecutor.run`` under the ``reference`` backend) walks
 every integer GEMM in pure numpy loops over int64 raws, while the
-scale-folded :class:`~repro.fixedpoint.QuantizedPlan` reroutes the same
-integers through float BLAS wherever the accumulator provably fits the
-mantissa.  The claim is only interesting because the outputs are
-**bit-identical** — this bench asserts identity first, then times both
-paths at the paper deployment point (``ode_botnet`` at the paper
-profile, 16(8)-12(4), batch 8), asserts the headline ≥5×, prints the
-table and persists ``BENCH_quantized_speedup.json`` for CI.
+compiled fixed-point plan (``compile_model(model, formats)``) runs the
+same integers channels-last on float BLAS, each site in a dtype whose
+mantissa provably holds its accumulator.  The claim is only
+interesting because the outputs are **bit-identical** — this bench
+asserts identity first, then times both paths at the paper deployment
+point (``ode_botnet`` at the paper profile, 16(8)-12(4), batch 8),
+asserts the headline ≥5×, prints the table and persists
+``BENCH_quantized_speedup.json`` for CI.
 """
 
 import time
@@ -21,11 +22,8 @@ import pytest
 from _artifacts import record_bench
 from conftest import show
 from repro import kernels
-from repro.fixedpoint import (
-    QuantizedODENetExecutor,
-    QuantizedPlan,
-    parse_format_pair,
-)
+from repro.compile import compile_model
+from repro.fixedpoint import QuantizedODENetExecutor, parse_format_pair
 from repro.models import build_model
 from repro.models.registry import PROFILES
 
@@ -55,23 +53,22 @@ def quantized_speedup_row():
     model = build_model(MODEL, profile=PROFILE, inference=True)
     ffmt, pfmt = parse_format_pair(FORMAT)
     executor = QuantizedODENetExecutor(model, ffmt, pfmt)
-    plan = QuantizedPlan.from_executor(executor)
+    plan = compile_model(model, (ffmt, pfmt))
 
     size = PROFILES[PROFILE]["input_size"]
     x = RNG.standard_normal((BATCH, 3, size, size)).astype(np.float32)
 
     with kernels.use_backend("reference"):
         ref = executor.run(x)
-    fast = plan.run(x)
+    fast = plan(x)  # binds the geometry
     np.testing.assert_array_equal(ref, fast)  # the claim's precondition
 
     def scalar():
         with kernels.use_backend("reference"):
             executor.run(x)
 
-    plan.run(x)  # warm
     scalar_s = _best_of(scalar)
-    plan_s = _best_of(lambda: plan.run(x), repeats=5, inner=3)
+    plan_s = _best_of(lambda: plan(x), repeats=5, inner=3)
     return {
         "model": MODEL,
         "profile": PROFILE,
@@ -85,10 +82,10 @@ def quantized_speedup_row():
 
 
 def test_quantized_plan_beats_scalar_reference(quantized_speedup_row):
-    """The quantized plan ≥ 5x the scalar fixed-point reference path."""
+    """The fixed-point plan ≥ 5x the scalar fixed-point reference path."""
     row = quantized_speedup_row
     show(
-        "quantized plan vs scalar fixed point — full-model forward",
+        "fixed-point plan vs scalar fixed point — full-model forward",
         f"{row['model']} @ {row['profile']} {row['format']} "
         f"batch {row['batch']}\n"
         f"scalar {row['scalar_ms']:9.2f} ms   "
@@ -100,7 +97,7 @@ def test_quantized_plan_beats_scalar_reference(quantized_speedup_row):
         {"required_speedup": REQUIRED_SPEEDUP, "rows": [row]},
     )
     assert row["speedup"] >= REQUIRED_SPEEDUP, (
-        f"quantized plan speedup {row['speedup']:.2f}x over the scalar "
+        f"fixed-point plan speedup {row['speedup']:.2f}x over the scalar "
         f"reference path (need >={REQUIRED_SPEEDUP}x)"
     )
 

@@ -12,9 +12,9 @@ generation **without pausing serving**:
 * plain thread replicas get an in-place
   :meth:`~repro.serve.Replica.load_weights` — the primary *and* every
   degrade-tier float model, which hold private copies without a store
-  (packed plans hold ``.data`` by reference, so the write is the swap)
-  — plus a :meth:`~repro.serve.Replica.refresh` to re-freeze tiers and
-  tick ``weights_version``;
+  — plus a :meth:`~repro.serve.Replica.refresh`, which rebinds every
+  session's plan from the written weights (a compiled plan holds its
+  own lowered arrays) and ticks ``weights_version``;
 * :class:`~repro.cluster.RemoteReplica` slots ship the state over the
   wire via the worker's ``publish`` op — once per worker *address*
   (sibling slots observe the same host-side swap and only sync their

@@ -226,9 +226,10 @@ class SharedWeightStore:
     def adopt(self, model):
         """Rebind *model*'s parameters and buffers to the mapping.
 
-        After this, the model — and any packed plan built from it,
-        since packing holds ``.data`` by reference — serves directly
-        out of shared memory.  Shapes and dtypes must match the stored
+        After this, the model serves directly out of shared memory.  A
+        compiled plan lowered from it holds its own (mostly copied)
+        arrays, so a store write reaches the plan through the session's
+        ``refresh()``.  Shapes and dtypes must match the stored
         ``state_dict``; returns *model* for chaining.
         """
         views = self.arrays()

@@ -62,7 +62,8 @@ class Arena:
 class Op:
     """One scheduled step op: a kernel-named callable plus its declared
     buffer reads (with the writer version each was built against) and
-    writes."""
+    writes.  ``kernel`` is ``None`` for an op whose body dispatches
+    (and so records) its own kernels."""
 
     __slots__ = ("kernel", "fn", "reads", "writes", "tag")
 

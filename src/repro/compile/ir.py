@@ -21,12 +21,24 @@ execution order and lowers each layer into a :class:`Stage` holding
 Lowering never copies activations and never runs a kernel — it only
 reshapes and rescales weights.  A compile lowers exactly once and binds
 the resulting stages (:func:`repro.compile.plan.compile_model`).
+
+:func:`lower_fixed` is the second lowering, into the fixed-point domain
+of :class:`~repro.fixedpoint.QuantizedODENetExecutor`.  It folds
+nothing: every place the executor rounds (each BN, both halves of each
+time conv, the MHSA output, the Euler step, the head linear) stays a
+:class:`Site`, because folding a BN or the step size into a conv would
+move a rounding point.  Weights are quantized once and pre-scaled by
+their site's power of two, so a site is a float GEMM over
+integer-valued operands followed by ``rint`` + ``clip``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..fixedpoint import QuantizedMHSA2d, accumulator_bits, requantize
+from ..fixedpoint.ops import F32_EXACT_BITS, F64_EXACT_BITS
+from ..fixedpoint.quantized_layers import fold_batchnorm
 from ..nn import DepthwiseSeparableConv2d, MHSA2d, functional as F
 from ..ode import ConvODEFunc, MHSABottleneckODEFunc
 
@@ -35,6 +47,10 @@ _F64 = np.float64
 
 class CompileError(RuntimeError):
     """The model contains a construct the compiler cannot lower."""
+
+
+def _data(param):
+    return None if param is None else param.data
 
 
 def bn_scale_shift(bn):
@@ -56,7 +72,7 @@ def fold_bn_after_conv(conv, bn):
     ``w'`` and bias ``b'`` (float64, bias shaped (1, F, 1, 1)); valid
     because an eval BN is affine per output channel."""
     mean, inv, bn_w, bn_b = F.batchnorm2d_params(bn)
-    bias = None if conv.bias is None else conv.bias.data
+    bias = _data(conv.bias)
     scale = (inv if bn_w is None else inv * bn_w).reshape(-1)
     w = conv.weight.data * scale[:, None, None, None].astype(_F64)
     base = -mean.reshape(-1) * scale if bias is None else (
@@ -73,10 +89,11 @@ class ConvSpec:
 
     The weight keeps its dtype: the stem conv stays float32 (its input
     is the float32 batch, so float64 weights would change the dtype the
-    module forward computes in); folded convs arrive as float64.
+    module forward computes in); folded convs arrive as float64, and
+    fixed-point convs in their site's dtype with ``site`` set.
     """
 
-    def __init__(self, weight, bias, stride, padding, groups=1):
+    def __init__(self, weight, bias, stride, padding, groups=1, site=None):
         self.weight = np.ascontiguousarray(weight)
         self.bias = None if bias is None else np.ascontiguousarray(
             bias.reshape(1, -1, 1, 1)
@@ -84,6 +101,96 @@ class ConvSpec:
         self.stride = tuple(stride)
         self.padding = tuple(padding)
         self.groups = groups
+        self.site = site
+
+
+class Site:
+    """A fixed-point rounding point: ``rint`` (round half to even, the
+    executor's ``_rescale``), then saturation into the feature format's
+    raw range ``[lo, hi]``; ``scale`` is the value of one raw LSB."""
+
+    __slots__ = ("lo", "hi", "scale")
+
+    def __init__(self, ffmt):
+        self.lo, self.hi = float(ffmt.raw_min), float(ffmt.raw_max)
+        self.scale = ffmt.scale
+
+
+class _FloatParams:
+    """The float lowering's parameter source: float64 copies, no sites."""
+
+    site = None
+
+    @staticmethod
+    def dtype(fan_in):
+        return _F64
+
+    @staticmethod
+    def param(a, dtype, bias=False):
+        return None if a is None else np.ascontiguousarray(a, dtype=dtype)
+
+
+class FixedParams:
+    """The fixed-point lowering's parameter source for one format pair.
+
+    Each parameter is quantized once into the param format and
+    pre-scaled by a power of two (exact: only the exponent moves), so a
+    site's accumulator is directly in output raws.  Each site computes
+    in the narrowest float whose mantissa holds its worst-case
+    accumulator (:func:`~repro.fixedpoint.accumulator_bits`); every
+    partial sum is then an exact multiple of one LSB, so any summation
+    order gives the executor's bits.
+    """
+
+    def __init__(self, ffmt, pfmt):
+        self.ffmt, self.pfmt, self.site = ffmt, pfmt, Site(ffmt)
+
+    def dtype(self, fan_in):
+        """float32 or float64 for a site summing *fan_in* products."""
+        bits = accumulator_bits(
+            self.ffmt.total_bits, self.pfmt.total_bits, fan_in
+        )
+        if bits > F64_EXACT_BITS:
+            raise CompileError(
+                f"a fan-in-{fan_in} site of {self.ffmt}-{self.pfmt} needs "
+                f"{bits} accumulator bits, past the float64 mantissa"
+            )
+        return np.float32 if bits <= F32_EXACT_BITS else _F64
+
+    def param(self, a, dtype, bias=False):
+        """A weight pre-scaled by ``2^-P_frac``, a bias by
+        ``2^(F_frac - P_frac)``."""
+        if a is None:
+            return None
+        exponent = (self.ffmt.frac_bits if bias else 0) - self.pfmt.frac_bits
+        return np.ascontiguousarray(
+            self.pfmt.quantize(a) * 2.0 ** exponent, dtype=dtype
+        )
+
+    def bn(self, bn):
+        """A BN site: its pre-scaled scale, and its shift cast into the
+        feature format."""
+        scale, shift = fold_batchnorm(bn, self.pfmt)
+        dtype = self.dtype(1)
+        return (
+            (scale * 2.0 ** -self.pfmt.frac_bits).astype(dtype),
+            requantize(shift, self.pfmt, self.ffmt).astype(dtype),
+        )
+
+    def conv(self, conv):
+        """A stem or downsample conv site."""
+        w, b = conv.weight.data, _data(conv.bias)
+        dtype = self.dtype(w[0].size + (b is not None))
+        return ConvSpec(self.param(w, dtype), self.param(b, dtype, True),
+                        conv.stride, conv.padding, conv.groups, self.site)
+
+    def time_grid(self, t0, t1, steps):
+        """The executor's grid: the raws of ``t0 + i*h``, and ``h`` as a
+        pre-scaled param-format constant."""
+        h = (t1 - t0) / steps
+        ts = [float(self.ffmt.quantize(np.array(t0 + i * h)))
+              for i in range(steps)]
+        return ts, self.param(np.array(h), _F64).item()
 
 
 class TimeConvIR:
@@ -95,45 +202,51 @@ class TimeConvIR:
     separately (``dw_t`` / ``w_t`` and, for DSC, its pointwise column
     ``pw_t``) so the plan can precompute ``M`` once per geometry and add
     ``t_i · M + bias`` as a single fused plane per solver step.
+
+    *params* is where the arrays come from: float64 copies by default,
+    or a :class:`FixedParams`, which quantizes them for the conv's
+    ``site`` and picks its ``dtype`` (a DSC conv computes both halves in
+    the wider of its two sites' dtypes).
     """
 
-    def __init__(self, layer):
+    def __init__(self, layer, params=None):
+        params = _FloatParams if params is None else params
+        self.site = params.site
         conv = layer.conv
         if isinstance(conv, DepthwiseSeparableConv2d):
             dw = conv.depthwise.weight.data
             pw = conv.pointwise.weight.data
-            pw_bias = conv.pointwise.bias
+            bias = _data(conv.pointwise.bias)
             cin = dw.shape[0] - 1  # last channel was the t plane
+            self.dtype = params.dtype(
+                max(dw[0].size, cin + 1 + (bias is not None))
+            )
+            dw = params.param(dw, self.dtype)
+            pw2d = params.param(pw, self.dtype).reshape(pw.shape[0], cin + 1)
             self.kind = "dsc"
             self.stride = tuple(conv.depthwise.stride)
             self.padding = tuple(conv.depthwise.padding)
-            self.dw_x = np.ascontiguousarray(dw[:cin], dtype=_F64)
-            self.dw_t = np.ascontiguousarray(
-                dw[cin : cin + 1], dtype=_F64
-            )  # (1, 1, kh, kw)
-            pw2d = pw.reshape(pw.shape[0], cin + 1)
-            self.pw_x = np.ascontiguousarray(pw2d[:, :cin], dtype=_F64)
-            self.pw_t = np.ascontiguousarray(pw2d[:, cin], dtype=_F64)
-            self.bias = None if pw_bias is None else np.ascontiguousarray(
-                pw_bias.data, dtype=_F64
-            )
+            self.dw_x = np.ascontiguousarray(dw[:cin])
+            self.dw_t = np.ascontiguousarray(dw[cin : cin + 1])  # (1, 1, kh, kw)
+            self.pw_x = np.ascontiguousarray(pw2d[:, :cin])
+            self.pw_t = np.ascontiguousarray(pw2d[:, cin])
             self.out_channels = pw.shape[0]
-            self.in_channels = cin
         else:  # a plain conv over C+1 channels
             weight = conv.weight.data
+            bias = _data(conv.bias)
             cin = weight.shape[1] - 1
+            self.dtype = params.dtype(weight[0].size + (bias is not None))
+            weight = params.param(weight, self.dtype)
             self.kind = "dense"
             self.stride = tuple(conv.stride)
             self.padding = tuple(conv.padding)
-            self.w_x = np.ascontiguousarray(weight[:, :cin], dtype=_F64)
+            self.w_x = np.ascontiguousarray(weight[:, :cin])
             self.w_t = np.ascontiguousarray(
-                weight[:, cin : cin + 1], dtype=_F64
+                weight[:, cin : cin + 1]
             )  # (F, 1, kh, kw)
-            self.bias = None if conv.bias is None else np.ascontiguousarray(
-                conv.bias.data, dtype=_F64
-            )
             self.out_channels = weight.shape[0]
-            self.in_channels = cin
+        self.bias = params.param(bias, self.dtype, bias=True)
+        self.in_channels = cin
 
     @property
     def is_pointwise(self):
@@ -143,18 +256,6 @@ class TimeConvIR:
         if self.kind != "dense":
             return False
         return self.w_x.shape[2:] == (1, 1) and self.stride == (1, 1)
-
-
-class ConvFuncIR:
-    """dsODENet dynamics, folded: (scale-shift-ReLU → time-conv) × 2."""
-
-    kind = "conv"
-
-    def __init__(self, func):
-        self.scale1, self.shift1 = bn_scale_shift(func.norm1)
-        self.conv1 = TimeConvIR(func.conv1)
-        self.scale2, self.shift2 = bn_scale_shift(func.norm2)
-        self.conv2 = TimeConvIR(func.conv2)
 
 
 class MHSAIR:
@@ -189,36 +290,47 @@ class MHSAIR:
             ) + (float(norm.eps),)
 
 
-class MHSAFuncIR:
-    """The proposed bottleneck dynamics, folded: ssr → 1x1 down →
-    MHSA → ssr → 1x1 up."""
+class FuncIR:
+    """ODE dynamics, lowered: BN → ReLU → time conv ``conv1`` → [MHSA] →
+    BN → ReLU → time conv ``conv2``.
 
-    kind = "mhsa"
+    ``kind`` is ``"conv"`` (dsODENet) or ``"mhsa"`` (the proposed
+    bottleneck, whose 1x1 down/up projections are ``conv1``/``conv2``).
+    BNs are folded to ``(scale, shift)`` — or, under a
+    :class:`FixedParams`, kept as sites, with the MHSA the oracle's own
+    :class:`~repro.fixedpoint.QuantizedMHSA2d`.
+    """
 
-    def __init__(self, func):
-        self.scale1, self.shift1 = bn_scale_shift(func.norm1)
-        self.down = TimeConvIR(func.down)
-        self.mhsa = MHSAIR(func.mhsa)
-        self.scale2, self.shift2 = bn_scale_shift(func.norm2)
-        self.up = TimeConvIR(func.up)
+    def __init__(self, func, params=None):
+        bn = bn_scale_shift if params is None else params.bn
+        self.kind = "conv" if isinstance(func, ConvODEFunc) else "mhsa"
+        conv = self.kind == "conv"
+        self.scale1, self.shift1 = bn(func.norm1)
+        self.conv1 = TimeConvIR(func.conv1 if conv else func.down, params)
+        self.mhsa = None if conv else (
+            MHSAIR(func.mhsa) if params is None
+            else QuantizedMHSA2d(func.mhsa, params.ffmt, params.pfmt)
+        )
+        self.scale2, self.shift2 = bn(func.norm2)
+        self.conv2 = TimeConvIR(func.conv2 if conv else func.up, params)
 
 
 class OdeBlockIR:
-    """An Euler block: the folded dynamics plus the fixed time grid."""
+    """An Euler block: the lowered dynamics plus the fixed time grid."""
 
-    def __init__(self, block):
+    def __init__(self, block, params=None):
         self.steps = block.steps
         self.t0 = float(block.t0)
         self.t1 = float(block.t1)
-        func = block.func
-        self.func = (
-            ConvFuncIR(func) if isinstance(func, ConvODEFunc)
-            else MHSAFuncIR(func)
-        )
+        self.params = params
+        self.func = FuncIR(block.func, params)
 
     def time_grid(self):
         """The ``(t_i, h)`` sequence, accumulated exactly as the solver
-        loop accumulates it (repeated addition, not ``t0 + i*h``)."""
+        loop accumulates it (repeated addition, not ``t0 + i*h``) — or,
+        in fixed point, :meth:`FixedParams.time_grid`."""
+        if self.params is not None:
+            return self.params.time_grid(self.t0, self.t1, self.steps)
         h = (self.t1 - self.t0) / self.steps
         ts = []
         t = self.t0
@@ -239,12 +351,14 @@ class Stage:
         self.ir = ir
 
 
-def unsupported_reason(model):
-    """Why :func:`lower` cannot take *model*, or ``None`` when it can.
+def unsupported_reason(model, fixed=False):
+    """Why :func:`lower` (or, with *fixed*, :func:`lower_fixed`) cannot
+    take *model*, or ``None`` when it can.
 
     The compiler takes an eval-mode :class:`~repro.models.ODENet` whose
     blocks all run the Euler solver on conv or full-MHSA dynamics (the
-    paper's deployed configuration).
+    paper's deployed configuration); the fixed-point MHSA has no
+    absolute position table.
     """
     from ..models.odenet import ODENet
 
@@ -261,6 +375,9 @@ def unsupported_reason(model):
                 isinstance(func, MHSABottleneckODEFunc)
                 and isinstance(func.mhsa, MHSA2d))):
             return f"{name} dynamics {type(func).__name__}"
+        if fixed and isinstance(func, MHSABottleneckODEFunc) and (
+                func.mhsa.pos_enc == "absolute"):
+            return f"{name} absolute position encoding in fixed point"
     return None
 
 
@@ -280,11 +397,10 @@ def lower(model):
     if problem is not None:
         raise CompileError(f"cannot compile this model: {problem}")
     conv, norm, _, pool = model.stem
-    fc = model.fc
     return [
         Stage("stem.conv", "conv", ConvSpec(
-            conv.weight.data, None if conv.bias is None else conv.bias.data,
-            conv.stride, conv.padding, conv.groups,
+            conv.weight.data, _data(conv.bias), conv.stride, conv.padding,
+            conv.groups,
         )),
         Stage("stem.norm", "ssr", bn_scale_shift(norm)),
         Stage("stem.pool", "maxpool",
@@ -298,7 +414,53 @@ def lower(model):
         Stage("block3", "ode", OdeBlockIR(model.block3)),
         Stage("head.norm", "ssr", bn_scale_shift(model.head_norm)),
         Stage("head.pool", "gap", None),
+        Stage("head.fc", "linear",
+              (model.fc.weight.data, _data(model.fc.bias), None)),
+    ]
+
+
+def lower_fixed(model, ffmt, pfmt):
+    """Lower an eval-mode Euler ODENet into the fixed-point domain of
+    ``QuantizedODENetExecutor(model, ffmt, pfmt)``, in execution order.
+
+    Every rounding site of the executor is kept, in its order:
+    ``quantize`` (the input cast), ``fconv`` (stem and downsample convs,
+    each a site), ``bn`` (a BN site, then ReLU), ``maxpool``, ``ode``
+    (BN, time-conv halves, MHSA and the Euler step as sites), ``gap``
+    (the exact integer average) and ``linear`` (a site, then the
+    dequantized logits).  Nothing is folded.  Raises
+    :class:`CompileError` for a model :func:`unsupported_reason`
+    rejects or a site whose accumulator outgrows the float64 mantissa.
+    """
+    problem = unsupported_reason(model, fixed=True)
+    if problem is not None:
+        raise CompileError(f"cannot compile this model: {problem}")
+    params = FixedParams(ffmt, pfmt)
+    site = params.site
+
+    def bn(norm):
+        return params.bn(norm) + (site,)
+
+    conv, norm, _, pool = model.stem
+    fc_w, fc_b = model.fc.weight.data, _data(model.fc.bias)
+    fc_dtype = params.dtype(fc_w.shape[1] + (fc_b is not None))
+    return [
+        Stage("stem.quantize", "quantize", site),
+        Stage("stem.conv", "fconv", params.conv(conv)),
+        Stage("stem.norm", "bn", bn(norm)),
+        Stage("stem.pool", "maxpool",
+              (pool.kernel_size, pool.stride, pool.padding)),
+        Stage("block1", "ode", OdeBlockIR(model.block1, params)),
+        Stage("down1.conv", "fconv", params.conv(model.down1.conv)),
+        Stage("down1.norm", "bn", bn(model.down1.bn)),
+        Stage("block2", "ode", OdeBlockIR(model.block2, params)),
+        Stage("down2.conv", "fconv", params.conv(model.down2.conv)),
+        Stage("down2.norm", "bn", bn(model.down2.bn)),
+        Stage("block3", "ode", OdeBlockIR(model.block3, params)),
+        Stage("head.norm", "bn", bn(model.head_norm)),
+        Stage("head.pool", "gap", site),
         Stage("head.fc", "linear", (
-            fc.weight.data, None if fc.bias is None else fc.bias.data,
+            params.param(fc_w, fc_dtype), params.param(fc_b, fc_dtype, True),
+            site,
         )),
     ]

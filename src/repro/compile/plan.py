@@ -1,8 +1,10 @@
-"""The compiled execution plan: binding folded IR to arena buffers.
+"""The compiled execution plan: binding lowered IR to arena buffers.
 
-:class:`CompiledPlan` is the float fast executor an
+:class:`CompiledPlan` is the fast executor an
 :class:`~repro.runtime.InferenceSession` binds for Euler ODENets under
-any kernel backend but ``reference``.  Compile time
+any kernel backend but ``reference`` — for a float module, and, lowered
+by :func:`~repro.compile.ir.lower_fixed`, for a
+:class:`~repro.fixedpoint.QuantizedODENetExecutor`.  Compile time
 (:func:`compile_model`) lowers the model once via
 :mod:`repro.compile.ir`, is geometry-free and touches no disk; the
 first call with a concrete input shape *binds* the plan — computes the
@@ -21,6 +23,9 @@ the stem's scale-shift-ReLU to the head every stage reads and writes
 depthwise conv one einsum, and the MHSA token view a plain reshape.
 A (scale-shift-)ReLU feeding a padded conv inside the Euler loop
 writes straight into the interior of that conv's zero-bordered canvas.
+The fixed-point plan binds the same ops (its stem is an im2col GEMM
+too, after the input cast) and closes every rounding site with a
+:mod:`~repro.compile.steps` epilogue.
 
 When kernel instrumentation is active (``kernels.collect`` /
 ``SessionConfig(instrument=True)``), every step op routes through
@@ -38,11 +43,12 @@ from types import SimpleNamespace
 import numpy as np
 
 from .. import kernels
+from ..fixedpoint import div_round_half_even
 from ..kernels import shapes
 from ..ode.solvers import fixed_grid_loop
 from . import steps
 from .arena import Arena, OpList
-from .ir import CompileError, lower, unsupported_reason
+from .ir import CompileError, lower, lower_fixed, unsupported_reason
 
 _F64 = np.float64
 
@@ -65,7 +71,9 @@ def _bind_fconv(name, n, c, h, w, spec, arena, dtype):
     arena storage with their views built once, so a call is
     copy/copy/GEMM with zero allocation, and the GEMM writes the
     (N, OH, OW, F) output directly.  ``dtype`` is the promoted
-    input×weight dtype the reference path computes this conv in.
+    input×weight dtype the reference path computes this conv in.  A
+    fixed-point conv (``spec.site`` set) closes its site instead of the
+    ReLU: its BN is a site of its own.
     """
     f, _, kh, kw = spec.weight.shape
     (sh, sw), (ph, pw) = spec.stride, spec.padding
@@ -80,6 +88,7 @@ def _bind_fconv(name, n, c, h, w, spec, arena, dtype):
     out2d = out.reshape(n * oh * ow, f)
     wmat_t = _gemm_weight(spec.weight).astype(dtype, copy=False)
     bias = None if spec.bias is None else spec.bias.reshape(-1)
+    site = spec.site
 
     def fn(x):
         np.copyto(interior, x)
@@ -87,7 +96,10 @@ def _bind_fconv(name, n, c, h, w, spec, arena, dtype):
         np.matmul(col2d, wmat_t, out=out2d)
         if bias is not None:
             np.add(out, bias, out=out)
-        np.maximum(out, 0.0, out=out)
+        if site is None:
+            np.maximum(out, 0.0, out=out)
+        else:
+            steps.round_site(out, site.lo, site.hi)
         return out
 
     return fn, (oh, ow, f)
@@ -114,7 +126,7 @@ def _time_planes(tc, h, w, impl):
     return np.ascontiguousarray(m, dtype=_F64), tc.bias
 
 
-def _step_planes(m, bias, ts):
+def _step_planes(m, bias, ts, dtype=_F64):
     """The additive plane ``t_i * m (+ bias)`` of every Euler step,
     precomputed at bind time."""
     planes = []
@@ -122,7 +134,29 @@ def _step_planes(m, bias, ts):
         p = t * m
         if bias is not None:
             p = p + bias
-        planes.append(np.ascontiguousarray(p, dtype=_F64))
+        planes.append(np.ascontiguousarray(p, dtype=dtype))
+    return planes
+
+
+def _fixed_step_planes(tc, h, w, impl, ts):
+    """Every Euler step's additive plane of a fixed-point time conv, *ts*
+    the t channel's raws: ``t_i · M + bias`` as in the float plan, but
+    ``site(t_i · M_dw) ⊗ pw_t + bias`` for a depthwise-separable conv,
+    whose t channel passes its own depthwise site first.  A plane is an
+    exact partial sum of the site's accumulator."""
+    if tc.kind != "dsc":
+        m, bias = _time_planes(tc, h, w, impl)
+        return _step_planes(m, bias, ts, tc.dtype)
+    ones = np.ones((1, 1, h, w), dtype=_F64)
+    mdw = impl.conv2d(ones, tc.dw_t.astype(_F64), stride=tc.stride,
+                      padding=tc.padding)[:, 0, :, :, None]
+    site = tc.site
+    planes = []
+    for t in ts:
+        p = np.clip(np.rint(t * mdw), site.lo, site.hi) * tc.pw_t
+        if tc.bias is not None:
+            p = p + tc.bias
+        planes.append(np.ascontiguousarray(p, dtype=tc.dtype))
     return planes
 
 
@@ -136,43 +170,51 @@ class _BoundTimeConv:
     :meth:`add_ops` registers the conv as step ops whose every view
     (the patch view of the canvas, the flat GEMM aliases of the arena
     buffers) is precomputed, so the Euler loop does no per-step slicing
-    or reshaping.
+    or reshaping.  Buffers take the conv's ``dtype``; a fixed-point
+    conv closes each of its sites with :func:`steps.round_site`.
 
     ``out_scale`` / ``out_shift`` fold a per-output-channel affine —
     a following BN's scale/shift, or the Euler step size ``h`` — into
     the conv's weights and additive time plane at bind time, turning
-    the downstream op into a bare ReLU or a bare state add.
+    the downstream op into a bare ReLU or a bare state add (float
+    only: folding would move a fixed-point rounding site).
     """
 
-    def __init__(self, tc, site, n, h, w, arena, impl, ts,
+    def __init__(self, tc, prefix, n, h, w, arena, impl, ts,
                  out_scale=None, out_shift=None):
         c = tc.in_channels
-        m, bias = _time_planes(tc, h, w, impl)
+        dt = tc.dtype
         sc = None
-        if out_scale is not None:
-            sc = np.asarray(out_scale, dtype=_F64).reshape(-1)
-            m = np.ascontiguousarray(m * sc)
-            if bias is not None:
-                bias = np.ascontiguousarray(bias * sc)
-        if out_shift is not None:
-            shift = np.asarray(out_shift, dtype=_F64).reshape(-1)
-            bias = shift if bias is None else np.ascontiguousarray(
-                bias + shift
-            )
-        self.planes = _step_planes(m, bias, ts)
-        self.site = site
+        if tc.site is not None:
+            self.planes = _fixed_step_planes(tc, h, w, impl, ts)
+        else:
+            m, bias = _time_planes(tc, h, w, impl)
+            if out_scale is not None:
+                sc = np.asarray(out_scale, dtype=_F64).reshape(-1)
+                m = np.ascontiguousarray(m * sc)
+                if bias is not None:
+                    bias = np.ascontiguousarray(bias * sc)
+            if out_shift is not None:
+                shift = np.asarray(out_shift, dtype=_F64).reshape(-1)
+                bias = shift if bias is None else np.ascontiguousarray(
+                    bias + shift
+                )
+            self.planes = _step_planes(m, bias, ts)
+        self.prefix = prefix
+        self.site = tc.site
         self.kind = "pointwise" if tc.is_pointwise else tc.kind
         if self.kind == "pointwise":
-            self.src_name = f"{site}.in"
-            self.src = arena.buffer(self.src_name, (n, h, w, c))
+            self.src_name = f"{prefix}.in"
+            self.src = arena.buffer(self.src_name, (n, h, w, c), dtype=dt)
             self.rows = n * h * w
             self.wmat_t = _gemm_weight(tc.w_x, sc)
         else:
             weight = tc.dw_x if self.kind == "dsc" else tc.w_x
             (sh, sw), (ph, pw) = tc.stride, tc.padding
-            self.src_name = f"{site}.canvas"
+            self.src_name = f"{prefix}.canvas"
             canvas = arena.buffer(
-                self.src_name, (n, h + 2 * ph, w + 2 * pw, c), zero=True
+                self.src_name, (n, h + 2 * ph, w + 2 * pw, c), dtype=dt,
+                zero=True,
             )
             self.src = canvas[:, ph : ph + h, pw : pw + w, :]
             self.patches = shapes.as_strided_patches_nhwc(
@@ -181,14 +223,22 @@ class _BoundTimeConv:
             oh, ow = self.patches.shape[1:3]
             self.rows = n * oh * ow
         if self.kind == "dsc":
-            self.d = arena.buffer(f"{site}.dw", (n, oh, ow, c))
+            self.d = arena.buffer(f"{prefix}.dw", (n, oh, ow, c), dtype=dt)
             self.w_ijc = np.ascontiguousarray(
                 tc.dw_x[:, 0].transpose(1, 2, 0)
             )
             self.wmat_t = _gemm_weight(tc.pw_x[:, :, None, None], sc)
         elif self.kind == "dense":  # conv="full": arena im2col GEMM
-            self.colbuf = arena.buffer(f"{site}.cols", self.patches.shape)
+            self.colbuf = arena.buffer(f"{prefix}.cols", self.patches.shape,
+                                       dtype=dt)
             self.wmat_t = _gemm_weight(tc.w_x, sc)
+
+    def _closed(self, fn):
+        """*fn*, followed by its fixed-point site (if any)."""
+        if self.site is None:
+            return fn
+        lo, hi = self.site.lo, self.site.hi
+        return lambda i, t: steps.round_site(fn(i, t), lo, hi)
 
     def add_ops(self, ops, dst_name, dst, tag):
         """Register this conv writing ``dst`` (N, H', W', F): a
@@ -201,27 +251,28 @@ class _BoundTimeConv:
             col2d = colbuf.reshape(self.rows, -1)
             ops.add(
                 "conv2d",
-                lambda i, t: steps.dense_conv_cols(
+                self._closed(lambda i, t: steps.dense_conv_cols(
                     patches, colbuf, col2d, wmat_t, out2d, planes[i], dst,
-                ),
+                )),
                 reads=(self.src_name,),
-                writes=(f"{self.site}.cols", dst_name), tag=tag,
+                writes=(f"{self.prefix}.cols", dst_name), tag=tag,
             )
             return
         if self.kind == "dsc":
             patches, w_ijc, d = self.patches, self.w_ijc, self.d
-            ops.add("conv2d", lambda i, t: steps.depthwise(patches, w_ijc, d),
-                    reads=(self.src_name,), writes=(f"{self.site}.dw",),
+            ops.add("conv2d", self._closed(
+                        lambda i, t: steps.depthwise(patches, w_ijc, d)),
+                    reads=(self.src_name,), writes=(f"{self.prefix}.dw",),
                     tag=f"{tag}.dw")
-            src_name, x2d = f"{self.site}.dw", self.d.reshape(self.rows, -1)
+            src_name, x2d = f"{self.prefix}.dw", self.d.reshape(self.rows, -1)
             tag = f"{tag}.pw"
         else:
             src_name, x2d = self.src_name, self.src.reshape(self.rows, -1)
         ops.add(
             "matmul",
-            lambda i, t: steps.pointwise_affine(
+            self._closed(lambda i, t: steps.pointwise_affine(
                 x2d, wmat_t, planes[i], dst, out2d
-            ),
+            )),
             reads=(src_name,), writes=(dst_name,), tag=tag,
         )
 
@@ -274,11 +325,11 @@ def _bind_conv_func(ir, prefix, n, c, h, w, arena, impl, ts, h_step):
 def _bind_mhsa_func(ir, prefix, n, c, h, w, arena, impl, ts, h_step):
     """Bind the bottleneck dynamics: ssr → 1x1 down → MHSA → ssr →
     1x1 up + Euler, fully arena-buffered."""
-    if not (ir.down.is_pointwise and ir.up.is_pointwise):
+    if not (ir.conv1.is_pointwise and ir.conv2.is_pointwise):
         raise CompileError(
             "MHSA bottleneck down/up projections must be 1x1 stride-1"
         )
-    inner = ir.down.out_channels
+    inner = ir.conv1.out_channels
     heads = ir.mhsa.heads
     dh, ntok = shapes.mhsa_geometry(inner, heads, h, w)
 
@@ -288,10 +339,10 @@ def _bind_mhsa_func(ir, prefix, n, c, h, w, arena, impl, ts, h_step):
     m_out = arena.buffer(f"{prefix}.mhsa", (n, h, w, inner))
     f = arena.buffer(f"{prefix}.f", (n, h, w, c))
     down = _BoundTimeConv(
-        ir.down, f"{prefix}.down", n, h, w, arena, impl, ts
+        ir.conv1, f"{prefix}.down", n, h, w, arena, impl, ts
     )
     up = _BoundTimeConv(
-        ir.up, f"{prefix}.up", n, h, w, arena, impl, ts,
+        ir.conv2, f"{prefix}.up", n, h, w, arena, impl, ts,
         out_scale=h_step,
     )
     a, a2 = down.src, up.src
@@ -406,6 +457,76 @@ def _bind_mhsa_func(ir, prefix, n, c, h, w, arena, impl, ts, h_step):
     return z, ops
 
 
+def _bind_fixed_func(ir, prefix, n, c, h, w, arena, impl, ts, h_step):
+    """Bind fixed-point dynamics: BN → time conv → [MHSA] → BN → time
+    conv → Euler, every one a rounding site of the executor.
+
+    Nothing folds: each BN (+ ReLU) is a :func:`steps.bn_site_relu`
+    into the next conv's input, the Euler update a
+    :func:`steps.euler_site` on the state.  The MHSA op runs the
+    oracle's own :class:`~repro.fixedpoint.QuantizedMHSA2d` on the
+    channels-last token views under the ``fused`` kernels (exact
+    integer GEMMs on BLAS); it allocates as the oracle does, and its
+    kernels record themselves (``kernel=None``).
+    """
+    mhsa = ir.kind == "mhsa"
+    tag1, tag2 = ("down", "up") if mhsa else ("conv1", "conv2")
+    if mhsa and not (ir.conv1.is_pointwise and ir.conv2.is_pointwise):
+        raise CompileError(
+            "MHSA bottleneck down/up projections must be 1x1 stride-1"
+        )
+    inner = ir.conv1.out_channels
+    lo, hi = ir.conv1.site.lo, ir.conv1.site.hi
+    s1, t1, s2, t2 = ir.scale1, ir.shift1, ir.scale2, ir.shift2
+
+    ops = OpList()
+    z = arena.buffer(f"{prefix}.z", (n, h, w, c), dtype=s1.dtype)
+    acc = arena.buffer(f"{prefix}.acc", (n, h, w, c), dtype=s1.dtype)
+    y = arena.buffer(f"{prefix}.y", (n, h, w, inner), dtype=ir.conv1.dtype)
+    acc2 = arena.buffer(f"{prefix}.acc2", (n, h, w, inner), dtype=s2.dtype)
+    f = arena.buffer(f"{prefix}.f", (n, h, w, c), dtype=ir.conv2.dtype)
+    conv_a = _BoundTimeConv(ir.conv1, f"{prefix}.{tag1}", n, h, w, arena,
+                            impl, ts)
+    conv_b = _BoundTimeConv(ir.conv2, f"{prefix}.{tag2}", n, h, w, arena,
+                            impl, ts)
+    a, b = conv_a.src, conv_b.src
+
+    ops.add(
+        "batchnorm2d",
+        lambda i, t: steps.bn_site_relu(z, s1, t1, lo, hi, acc, a),
+        reads=(f"{prefix}.z",), writes=(f"{prefix}.acc", conv_a.src_name),
+        tag="bn1",
+    )
+    conv_a.add_ops(ops, f"{prefix}.y", y, tag1)
+    mid, mid_name = y, f"{prefix}.y"
+    if mhsa:
+        mid_name = f"{prefix}.mhsa"
+        mid = arena.buffer(mid_name, (n, h, w, inner), dtype=s2.dtype)
+        qm = ir.mhsa
+        ytok = y.reshape(n, h * w, inner)
+        mtok = mid.reshape(n, h * w, inner)
+
+        def attend(i, t):
+            with kernels.use_backend("fused"):
+                np.copyto(mtok, qm.forward_tokens(ytok.astype(np.int64)))
+
+        ops.add(None, attend, reads=(f"{prefix}.y",), writes=(mid_name,),
+                tag="mhsa")
+    ops.add(
+        "batchnorm2d",
+        lambda i, t: steps.bn_site_relu(mid, s2, t2, lo, hi, acc2, b),
+        reads=(mid_name,), writes=(f"{prefix}.acc2", conv_b.src_name),
+        tag="bn2",
+    )
+    conv_b.add_ops(ops, f"{prefix}.f", f, tag2)
+    ops.add(
+        "add", lambda i, t: steps.euler_site(z, f, h_step, lo, hi, acc),
+        reads=(f"{prefix}.f", f"{prefix}.z"),
+        writes=(f"{prefix}.acc", f"{prefix}.z"), tag="euler",
+    )
+    return z, ops
+
+
 def _bind_maxpool(name, n, c, h, w, spec, arena, dtype):
     """Bind a channels-last max-pool as ``kh*kw`` shifted-slice maximum
     passes over a persistent canvas — much cheaper than a strided-view
@@ -470,11 +591,35 @@ class _BoundPlan:
                 )
                 c = ir.weight.shape[0]
                 cur_dtype = np.result_type(cur_dtype, ir.weight.dtype)
+            elif op == "quantize":
+                # the fixed-point input cast, in float64 as the executor
+                outbuf = arena.buffer(f"{name}.out", (n, h, w, c))
+
+                def fn(x, *, _s=ir, _o=outbuf):
+                    np.multiply(x.transpose(0, 2, 3, 1), 1.0 / _s.scale,
+                                out=_o, dtype=_F64)
+                    return steps.round_site(_o, _s.lo, _s.hi)
+
+                stages.append(("quantize", fn, False))
             elif op == "fconv":
-                cur_dtype = np.result_type(cur_dtype, ir.weight.dtype)
+                # a fixed-point site computes in its own dtype
+                cur_dtype = ir.weight.dtype if ir.site is not None else (
+                    np.result_type(cur_dtype, ir.weight.dtype)
+                )
                 fn, (h, w, c) = _bind_fconv(name, n, c, h, w, ir, arena,
                                             cur_dtype)
                 stages.append(("conv2d", fn, False))
+            elif op == "bn":
+                scale, shift, site = ir
+                cur_dtype = scale.dtype
+                outbuf = arena.buffer(f"{name}.out", (n, h, w, c),
+                                      dtype=cur_dtype)
+
+                def fn(x, *, _s=scale, _t=shift, _site=site, _o=outbuf):
+                    return steps.bn_site_relu(x, _s, _t, _site.lo,
+                                              _site.hi, _o, _o)
+
+                stages.append(("batchnorm2d", fn, False))
             elif op == "ssr":
                 scale, shift = (a.reshape(-1) for a in ir)
                 cur_dtype = np.result_type(cur_dtype, scale.dtype)
@@ -492,7 +637,8 @@ class _BoundPlan:
             elif op == "ode":
                 ts, h_step = ir.time_grid()
                 binder = (
-                    _bind_conv_func if ir.func.kind == "conv"
+                    _bind_fixed_func if ir.params is not None
+                    else _bind_conv_func if ir.func.kind == "conv"
                     else _bind_mhsa_func
                 )
                 z, ops_list = binder(
@@ -506,17 +652,25 @@ class _BoundPlan:
                     True,
                 ))
             elif op == "gap":
-                stages.append((
-                    "global_avg_pool", lambda x: x.mean(axis=(1, 2)), False
-                ))
-            elif op == "linear":
-                fc_w, fc_b = ir
+                def fn(x, *, _s=ir, _hw=h * w):
+                    if _s is None:
+                        return x.mean(axis=(1, 2))
+                    # the executor's exact integer average
+                    acc = x.astype(np.int64).sum(axis=(1, 2))
+                    return np.clip(div_round_half_even(acc, _hw), _s.lo,
+                                   _s.hi)
 
-                def fn(x, *, _w=fc_w, _b=fc_b):
-                    out = x @ _w.T
+                stages.append(("global_avg_pool", fn, False))
+            elif op == "linear":
+                def fn(x, *, _w=ir[0], _b=ir[1], _s=ir[2]):
+                    out = (x if _s is None else x.astype(_w.dtype)) @ _w.T
                     if _b is not None:
                         out += _b
-                    return out
+                    if _s is None:
+                        return out
+                    # a site, then the dequantized float64 logits
+                    steps.round_site(out, _s.lo, _s.hi)
+                    return np.multiply(out, _s.scale, dtype=_F64)
 
                 stages.append(("linear", fn, False))
             else:  # pragma: no cover - lower() is a closed vocabulary
@@ -534,7 +688,11 @@ class _BoundPlan:
             if kernels.active_collectors():
                 def body(i, t, h):
                     for op in ops:
-                        kernels.record_dispatch(op.kernel, op.fn, (i, t), {})
+                        if op.kernel is None:  # records its own kernels
+                            op.fn(i, t)
+                        else:
+                            kernels.record_dispatch(op.kernel, op.fn,
+                                                    (i, t), {})
             else:
                 def body(i, t, h):
                     for op in ops:
@@ -567,8 +725,8 @@ class _BoundPlan:
 class CompiledPlan:
     """A lowered ODE net compiled to a fused, arena-backed executable.
 
-    Construction takes the lowered stages (:func:`~repro.compile.ir.lower`)
-    and is geometry-free; calling binds to the input shape on first use
+    Construction takes the lowered stages (:func:`~repro.compile.ir.lower`
+    or :func:`~repro.compile.ir.lower_fixed`) and is geometry-free; calling binds to the input shape on first use
     and reuses the binding afterwards.  Bindings are per thread —
     concurrent micro-batcher workers never share arena buffers.
     """
@@ -598,7 +756,14 @@ class CompiledPlan:
         return self._bound(x.shape, x.dtype).run(x)
 
 
-def compile_model(model):
+def compile_model(model, formats=None):
     """Compile an eval-mode Euler ODENet: lower it once into a
-    :class:`CompiledPlan`."""
-    return CompiledPlan(lower(model))
+    :class:`CompiledPlan`.
+
+    With *formats* — a ``(feature_fmt, param_fmt)`` pair — the plan is
+    the fixed-point one (:func:`~repro.compile.ir.lower_fixed`), whose
+    output equals ``QuantizedODENetExecutor(model, *formats).run`` bit
+    for bit.
+    """
+    stages = lower(model) if formats is None else lower_fixed(model, *formats)
+    return CompiledPlan(stages)

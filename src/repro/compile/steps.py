@@ -20,6 +20,13 @@ scale-shift-ReLU is the folded BN→ReLU pair, the softmax/LayerNorm
 in-place sequences follow the reference composites — so results stay
 within 1e-6 of the ``reference`` backend (float64 throughout, pinned by
 the parity suite).
+
+The fixed-point plan runs the same conv bodies over integer-valued
+floats and closes each rounding site with an epilogue below
+(:func:`round_site`, :func:`bn_site_relu`, :func:`euler_site`):
+``rint`` is the executor's round-half-even and ``clip`` its
+saturation, so the plan matches ``QuantizedODENetExecutor.run`` bit
+for bit.
 """
 
 from __future__ import annotations
@@ -53,6 +60,39 @@ def state_add(z, f):
     """``z += f`` in place — the Euler update once the step size ``h``
     has been folded into the dynamics' final conv at bind time."""
     np.add(z, f, out=z)
+    return z
+
+
+def round_site(x, lo, hi):
+    """Close a fixed-point site in place: round half-to-even onto the
+    raw grid, then saturate into ``[lo, hi]``."""
+    np.rint(x, out=x)
+    np.clip(x, lo, hi, out=x)
+    return x
+
+
+def bn_site_relu(x, scale, shift, lo, hi, acc, out):
+    """A fixed-point BN site, then ReLU, into *out*.
+
+    ``clip(rint(x * scale)) + shift`` saturated, as the executor's
+    ``fixed_bn_apply``; the final saturation and the ReLU fuse into one
+    ``clip(·, 0, hi)`` because ``lo <= 0``.  *acc* is contiguous
+    scratch (it may be *out* itself); *out* may be a canvas interior.
+    """
+    np.multiply(x, scale, out=acc)
+    round_site(acc, lo, hi)
+    np.add(acc, shift, out=acc)
+    np.clip(acc, 0.0, hi, out=out)
+    return out
+
+
+def euler_site(z, f, h, lo, hi, acc):
+    """The fixed-point Euler update ``z = sat(z + site(h * f))`` in
+    place, *h* the pre-scaled step constant and *acc* scratch."""
+    np.multiply(f, h, out=acc)
+    round_site(acc, lo, hi)
+    np.add(z, acc, out=z)
+    np.clip(z, lo, hi, out=z)
     return z
 
 

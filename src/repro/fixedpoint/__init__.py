@@ -24,7 +24,6 @@ from .ops import (
     fixed_scale,
     requantize,
 )
-from .plan import QuantizedPlan
 from .qat import QATMHSA2d, fake_quantize, prepare_qat
 from .qformat import PAPER_FORMATS, QFormat, parse_format_pair
 from .quantized_layers import (
@@ -52,7 +51,6 @@ __all__ = [
     "accumulator_bits",
     "div_round_half_even",
     "QuantizedMHSA2d",
-    "QuantizedPlan",
     "fake_quantize",
     "prepare_qat",
     "QATMHSA2d",

@@ -18,9 +18,10 @@ from .. import kernels
 from .qformat import QFormat
 
 #: integer magnitudes below 2^24 / 2^53 are exactly representable in
-#: float32 / float64 — the bound the ``quantized`` backend and
-#: :class:`~repro.fixedpoint.plan.QuantizedPlan` use to decide when an
-#: integer GEMM may run on the float BLAS path and stay bit-exact.
+#: float32 / float64 — the bound the ``fused`` backend and the
+#: fixed-point lowering (:func:`repro.compile.ir.lower_fixed`) use to
+#: decide when an integer GEMM may run on the float BLAS path and stay
+#: bit-exact.
 F32_EXACT_BITS = 24
 F64_EXACT_BITS = 52
 
@@ -32,10 +33,10 @@ def accumulator_bits(a_total_bits: int, b_total_bits: int, fan_in: int) -> int:
     ``b_total_bits``-wide value are summed: each product needs
     ``(Wa-1) + (Wb-1)`` magnitude bits, the sum adds
     ``ceil(log2(fan_in))``, plus one sign bit.  This is the single
-    formula behind the lint overflow checker (SHP003), the
-    ``quantized`` backend's float-exactness decision and the
-    :class:`QuantizedPlan` per-site dtype choice — change it here or
-    not at all.
+    formula behind the lint overflow checker (SHP003) and the
+    fixed-point lowering's per-site float32/float64 choice
+    (:func:`repro.compile.ir.lower_fixed`) — change it here or not at
+    all.
     """
     if fan_in <= 0:
         return 0

@@ -46,6 +46,11 @@ class QuantizedMHSA2d:
     """
 
     def __init__(self, mhsa: MHSA2d, feature_fmt: QFormat, param_fmt: QFormat):
+        if not isinstance(mhsa, MHSA2d):
+            raise NotImplementedError(
+                "the FPGA kernel implements full MHSA2d attention, got "
+                f"{type(mhsa).__name__}"
+            )
         if mhsa.pos_enc == "absolute":
             raise NotImplementedError(
                 "the FPGA kernel implements relative or no position encoding"
@@ -80,15 +85,23 @@ class QuantizedMHSA2d:
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Run the block on float NCHW input; returns float output that
         is exactly representable in the feature format."""
+        b, d, h, w = x.shape
+        tokens = self.feature_fmt.quantize(
+            np.asarray(x, dtype=np.float64).reshape(b, d, h * w)
+            .transpose(0, 2, 1)
+        )
+        out = self.forward_tokens(tokens)
+        return self.feature_fmt.dequantize(out).transpose(0, 2, 1).reshape(
+            b, d, h, w
+        ).astype(x.dtype)
+
+    def forward_tokens(self, tokens: np.ndarray) -> np.ndarray:
+        """Run the block on int64 feature-format raws laid out as
+        (B, N, D) tokens; returns the (B, N, D) output raws."""
         m = self.mhsa
         ffmt, pfmt = self.feature_fmt, self.param_fmt
-        b, d, h, w = x.shape
-        n = h * w
+        b, n, d = tokens.shape
         heads, dh = m.heads, m.dim_head
-
-        tokens = ffmt.quantize(
-            np.asarray(x, dtype=np.float64).reshape(b, d, n).transpose(0, 2, 1)
-        )
 
         def split(t):
             return t.reshape(b, n, heads, dh).transpose(0, 2, 1, 3)
@@ -119,10 +132,7 @@ class QuantizedMHSA2d:
 
         if m.norm is not None:
             out = self._layernorm(out)
-
-        return ffmt.dequantize(out).transpose(0, 2, 1).reshape(b, d, h, w).astype(
-            x.dtype
-        )
+        return out
 
     # ------------------------------------------------------------------
     def _layernorm(self, raw: np.ndarray) -> np.ndarray:

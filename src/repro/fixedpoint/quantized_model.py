@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..models.odenet import Downsample, ODENet
-from ..nn import BatchNorm2d, Conv2d, DepthwiseSeparableConv2d
+from ..nn import BatchNorm2d, Conv2d, DepthwiseSeparableConv2d, MHSA2d
 from ..ode import ConvODEFunc, MHSABottleneckODEFunc, ODEBlock
 from ..ode.odeblock import TimeConcatConv2d, TimeConcatDSC2d
 from .qformat import QFormat
@@ -54,6 +54,20 @@ class QuantizedODENetExecutor:
             raise TypeError(f"expected ODENet, got {type(model).__name__}")
         if model.training:
             raise ValueError("call model.eval() before quantising")
+        for name in ("block1", "block2", "block3"):
+            func = getattr(model, name).func
+            if not isinstance(func, MHSABottleneckODEFunc):
+                continue
+            if not isinstance(func.mhsa, MHSA2d):
+                raise NotImplementedError(
+                    f"{name}: fixed-point attention runs MHSA2d, got "
+                    f"{type(func.mhsa).__name__}"
+                )
+            if func.mhsa.pos_enc == "absolute":
+                raise NotImplementedError(
+                    f"{name}: the fixed-point MHSA implements relative or "
+                    "no position encoding, got 'absolute'"
+                )
         self.model = model
         self.ffmt = feature_fmt
         self.pfmt = param_fmt

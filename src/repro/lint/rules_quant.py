@@ -12,7 +12,7 @@ mis-round exactly where a hardware divider would not.  The integer
 spellings exist for every banned pattern (``>>`` shifts with the
 round-half-even fixup in ``_rescale``,
 :func:`~repro.fixedpoint.ops.div_round_half_even` for mean/average
-reductions), and the ``quantized`` backend's exact float-BLAS rerouting
+reductions), and the ``fused`` backend's exact float-BLAS rerouting
 lives *behind* the kernel seam where the mantissa bound is checked —
 not in these bodies.
 

@@ -122,7 +122,7 @@ class Module:
                         f"{params[name].data.shape} vs {value.shape}"
                     )
                 # checkpoint restore writes in place so existing views
-                # (packed plans, optimizers) observe the loaded weights
+                # (shared-store mappings, optimizers) observe the loaded weights
                 params[name].data[...] = value  # repro-lint: ignore[MUT001]
         return self
 

@@ -7,7 +7,7 @@
                                      ┌────────────────────┴────────────────────┐
                              reference backend                         any other backend
                             (oracle per domain)                   (fast executor per domain)
-                        ModulePlan / executor.run               CompiledPlan / QuantizedPlan
+                        ModulePlan / executor.run          CompiledPlan (float / fixed point)
 
 :class:`InferenceSession` wraps any model the repo can produce — a
 float module from :func:`repro.models.build_model`, a

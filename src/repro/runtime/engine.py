@@ -9,17 +9,20 @@ domain         oracle (``reference`` backend)    fast executor (any other)
 =============  ================================  ===============================
 float          :class:`ModulePlan` — the         :class:`~repro.compile.CompiledPlan`
                module's own forward              — Euler ODENets
-fixed point    ``QuantizedODENetExecutor.run``   :class:`~repro.fixedpoint.QuantizedPlan`
-                                                 — formats that fit its float64 carry
+fixed point    ``QuantizedODENetExecutor.run``   :class:`~repro.compile.CompiledPlan`
+                                                 from ``compile_model(model, formats)``
+                                                 — sites within the float64 mantissa
 =============  ================================  ===============================
 
-A model its domain's fast executor cannot take (adaptive solvers,
-ResNet/BoTNet/ViT, efficient-attention variants, formats wider than
-the carry) runs its oracle on the selected kernels instead.  The
-oracles define the numbers: a ``reference`` float session is
-bit-identical to ``model(Tensor(x))`` in eval mode, the compiled plan
-agrees to ≤1e-6, and the quantized plan is bit-identical to the
-executor (pinned by ``tests/test_runtime.py``).
+Both fast executors come out of the one compile binder.  A model its
+domain's fast executor cannot take (adaptive solvers, ResNet/BoTNet/ViT,
+efficient-attention variants, a site wider than the float64 mantissa —
+any :class:`~repro.compile.CompileError`) runs its oracle on the
+selected kernels instead.  The oracles define the numbers: a
+``reference`` float session is bit-identical to ``model(Tensor(x))`` in
+eval mode, the compiled float plan agrees to ≤1e-6, and the compiled
+fixed-point plan is bit-identical to the executor (pinned by
+``tests/test_runtime.py``).
 """
 
 from __future__ import annotations
@@ -58,8 +61,8 @@ def bind_plan(model, fast):
     (an object with ``run(batch)``, e.g. the FPGA models) or
     ``"callable"``.
     """
-    from ..compile import CompiledPlan, compile_model
-    from ..fixedpoint import QuantizedODENetExecutor, QuantizedPlan
+    from ..compile import CompiledPlan, CompileError, compile_model
+    from ..fixedpoint import QuantizedODENetExecutor
 
     if isinstance(model, Module):
         model.eval()
@@ -67,11 +70,14 @@ def bind_plan(model, fast):
             return "compiled", compile_model(model)
         return "module", ModulePlan(model)
     if isinstance(model, QuantizedODENetExecutor):
-        if fast and QuantizedPlan.supported(model):
-            return "quantized", QuantizedPlan.from_executor(model)
+        if fast:
+            try:
+                return "quantized", compile_model(
+                    model.model, (model.ffmt, model.pfmt)
+                )
+            except CompileError:
+                pass
         return "executor", model.run
-    if isinstance(model, QuantizedPlan):
-        return "quantized", model
     if callable(getattr(model, "run", None)):
         return "accelerator", model.run
     if callable(model):

@@ -6,8 +6,7 @@ every way this repo can run a model:
 * a float :class:`~repro.nn.Module` from
   :func:`repro.models.build_model`,
 * a :class:`~repro.fixedpoint.QuantizedODENetExecutor` (the paper's
-  8/16-bit fixed-point deployment arithmetic) or a
-  :class:`~repro.fixedpoint.QuantizedPlan`,
+  8/16-bit fixed-point deployment arithmetic),
 * an FPGA-style executor (:class:`~repro.fpga.MHSAAccelerator`,
   :class:`~repro.fpga.DeployedMHSA`, or any object with ``run``/
   ``__call__`` mapping a numpy batch to a numpy batch).
@@ -46,8 +45,8 @@ class InferenceSession:
     ----------
     model:
         a :class:`~repro.nn.Module`, a
-        :class:`~repro.fixedpoint.QuantizedODENetExecutor`, a
-        :class:`~repro.fixedpoint.QuantizedPlan`, or any object exposing
+        :class:`~repro.fixedpoint.QuantizedODENetExecutor`, or any object
+        exposing
         ``run(batch)`` or ``__call__(batch)`` on numpy arrays (e.g. the
         FPGA accelerator models).
     stats:
@@ -105,14 +104,11 @@ class InferenceSession:
 
     def refresh(self) -> None:
         """Re-derive the bound plan from the model's current weights
-        (call after mutating them): a quantized plan re-quantizes in
-        place (bumping its ``version``), an executor drops its cached
-        quantized weights, and float plans are rebound."""
-        from ..fixedpoint import QuantizedODENetExecutor, QuantizedPlan
+        (call after mutating them): an executor drops its cached
+        quantized weights, and the plan is rebound — a compiled plan,
+        float or fixed point, is lowered afresh."""
+        from ..fixedpoint import QuantizedODENetExecutor
 
-        if isinstance(self._plan, QuantizedPlan):
-            self._plan.refresh()
-            return
         if isinstance(self.model, QuantizedODENetExecutor):
             self.model.refresh()
         self.plan_kind, self._plan = bind_plan(self.model, self._fast)

@@ -9,11 +9,11 @@ a threshold mark it unhealthy and routing skips it until
 :meth:`ReplicaPool.revive`.
 
 Every tier shares the primary session's weights.  The quantized tiers
-derive their integer weights exactly once, at construction (inside the
-tier session's :class:`~repro.fixedpoint.QuantizedPlan`); the
-replica's ``weights_version`` counter ticks on :meth:`Replica.refresh`,
-which re-freezes every session — so metrics can confirm all tiers of a
-replica serve the same weight generation.
+derive their integer weights when the tier session compiles its
+fixed-point plan, and again on :meth:`Replica.refresh`, which rebinds
+every session; the replica's ``weights_version`` counter ticks there —
+so metrics can confirm all tiers of a replica serve the same weight
+generation.
 
 The :class:`ReplicaPool` routes by **least outstanding work**: every
 dispatch leases the healthy replica with the fewest in-flight batches,
@@ -133,7 +133,7 @@ class Replica:
         for session in self.tier_sessions.values():
             net = session.model
             if not isinstance(net, Module):
-                net = net.model  # a quantized plan wraps the float net
+                net = net.model  # a quantized tier's executor
             net.load_state_dict(state)
 
     def refresh(self) -> None:

@@ -12,20 +12,19 @@ cliff:
     (:func:`repro.models.reduced_profile`), same float weights, roughly
     half the solver compute.
 ``int8``
-    the reduced profile executed in 8(4)-8(4) fixed point by a
-    :class:`~repro.fixedpoint.QuantizedPlan` — integer arithmetic,
-    narrow accumulators, fastest software path the repo has for the
-    model.
+    the reduced profile in 8(4)-8(4) fixed point, run by the compiled
+    fixed-point plan (``compile_model(model, formats)``) — integer
+    arithmetic on narrow float32 accumulators, bit-identical to the
+    :class:`~repro.fixedpoint.QuantizedODENetExecutor`.
 ``int4``
-    the same plan at 4(2)-4(2) — the paper's collapse-edge format,
-    kept as the last-resort rung because it is the cheapest thing that
-    still answers.
+    the same at 4(2)-4(2) — the paper's collapse-edge format, kept as
+    the last-resort rung because it is the cheapest thing that still
+    answers.
 
 Every tier shares the primary session's weight set: tier sessions are
 built from the same ``state_dict`` and the quantized tiers derive their
-integer weights from it exactly once per replica (the plan's
-``version`` counter tracks re-derivations after
-:meth:`~repro.serve.Replica.refresh`).  Pools built on a
+integer weights from it once per plan binding, again on every
+:meth:`~repro.serve.Replica.refresh`.  Pools built on a
 :class:`~repro.cluster.SharedWeightStore` adopt each tier's float model
 onto the shared mapping, so a hot weight swap reaches every rung; pools
 without a store move tiers via :meth:`~repro.serve.Replica.load_weights`
@@ -105,28 +104,29 @@ class TierSpec:
         """Build this tier's :class:`~repro.runtime.InferenceSession`.
 
         The session shares *state* (the primary session's weight set)
-        and *stats*.  Quantized tiers bind a scale-folded
-        :class:`~repro.fixedpoint.QuantizedPlan` directly, whatever the
-        config's kernel backend — the integer weights are derived
-        exactly once here.
+        and *stats*.  Quantized tiers wrap the tier net in a
+        :class:`~repro.fixedpoint.QuantizedODENetExecutor` and run on
+        the ``fused`` backend whatever the config's, so they bind the
+        compiled fixed-point plan.
 
         With a *store* (a :class:`repro.cluster.SharedWeightStore`) the
         tier's float model is rebound onto the shared mapping before
-        the session packs its plan — the reduced profile keeps every
+        the session compiles its plan — the reduced profile keeps every
         parameter shape, so the tier literally shares the primary's
         arrays and a hot weight swap (in-place store write + refresh)
         moves this tier too; quantized tiers re-derive their integer
         weights from the updated floats on
         :meth:`~repro.serve.Replica.refresh`.
         """
-        from ..fixedpoint import QuantizedPlan
-        from ..runtime import InferenceSession
+        from ..fixedpoint import QuantizedODENetExecutor
+        from ..runtime import InferenceSession, SessionConfig
 
         net = self.build_model(model, profile, seed=seed, state=state)
         if store is not None:
             store.adopt(net)
         if self.is_quantized:
-            net = QuantizedPlan(net, *self.formats())
+            net = QuantizedODENetExecutor(net, *self.formats())
+            config = (config or SessionConfig()).with_backend("fused")
         return InferenceSession(net, stats=stats, config=config)
 
     def __repr__(self):

@@ -1,4 +1,6 @@
-"""Tests for :mod:`repro.compile` — the float fast executor.
+"""Tests for :mod:`repro.compile` — the fast executor of both numeric
+domains (the fixed-point plan's bit-identity lives in
+``tests/test_quantized_plan.py``).
 
 Four contracts:
 
@@ -11,7 +13,8 @@ Four contracts:
   ODE block's weights exactly once;
 * **aliasing safety** — the arena op program's build-time bookkeeping
   catches reordered and aliased buffers, including across solver
-  iterations, with the Euler state exempt as loop-carried;
+  iterations, with the Euler state exempt as loop-carried; every bound
+  plan, float or fixed point, validates;
 * **zero per-step allocation** — once bound, the Euler block bodies run
   with numpy's Python-level array constructors forbidden outright.
 """
@@ -26,6 +29,7 @@ from repro.compile import (
     compile_model,
     ir,
 )
+from repro.fixedpoint import parse_format_pair
 from repro.models import MODELS, PROFILES, build_model
 from repro.runtime import InferenceSession, SessionConfig
 
@@ -204,6 +208,17 @@ class TestAliasValidation:
         assert bound.validate()
         assert bound.block_ops, "plan bound no ODE block programs"
 
+    @pytest.mark.parametrize("fmt", ("8(4)-8(4)", "16(8)-12(4)"))
+    @pytest.mark.parametrize("name", PACKABLE)
+    def test_bound_fixed_point_plans_validate(self, name, fmt):
+        model = build_model(name, profile="tiny", inference=True)
+        plan = compile_model(model, parse_format_pair(fmt))
+        x = RNG.standard_normal((2, 3, 32, 32)).astype(np.float32)
+        plan(x)  # bind
+        bound = plan._bound(x.shape, x.dtype)
+        assert bound.validate()
+        assert set(bound.block_ops) == {"block1", "block2", "block3"}
+
 
 # ----------------------------------------------------------------------
 # zero per-step allocation
@@ -260,24 +275,41 @@ class TestZeroStepAllocation:
         """The same at the reduced serve tier's geometry, batch 1."""
         self._check_blocks_allocation_free(name, "paper-reduced", 1)
 
+    @pytest.mark.parametrize("fmt", ("8(4)-8(4)", "16(8)-12(4)"))
+    @pytest.mark.parametrize("name,blocks", (
+        ("odenet", ("block1", "block2", "block3")),
+        ("ode_botnet", ("block1", "block2")),
+    ))
+    def test_fixed_point_conv_blocks_run_allocation_free(self, name, blocks,
+                                                         fmt):
+        """The fixed-point plan's conv dynamics, every site included.
+        ode_botnet's block3 is exempt: its MHSA op runs the oracle's
+        own QuantizedMHSA2d, which allocates on every call."""
+        self._check_blocks_allocation_free(
+            name, "tiny", 2, formats=parse_format_pair(fmt), blocks=blocks,
+        )
+
     @staticmethod
-    def _check_blocks_allocation_free(name, profile, batch):
+    def _check_blocks_allocation_free(name, profile, batch, formats=None,
+                                      blocks=None):
         model = build_model(name, profile=profile, inference=True)
-        plan = compile_model(model)
+        plan = compile_model(model, formats)
         x = _batch(profile, batch)
         ref = plan(x)  # warm-up: bind geometry, allocate the arena
 
         bound = plan._bound(x.shape, x.dtype)
-        block_stages = [s for s in bound.stages if s[2]]
-        assert block_stages, "no ODE block stages bound"
+        names = [stage.name for stage in plan.stages]
+        if blocks is None:
+            blocks = [n for n, s in zip(names, bound.stages) if s[2]]
+        assert blocks, "no ODE block stages bound"
         h = x
         ran = 0
-        for kernel, fn, is_block in bound.stages:
-            if is_block:
+        for stage_name, (kernel, fn, is_block) in zip(names, bound.stages):
+            if stage_name in blocks:
                 with _forbid_numpy_allocation():
                     h = fn(h)
                 ran += 1
             else:
                 h = fn(h)
-        assert ran == len(block_stages)
+        assert ran == len(blocks)
         np.testing.assert_array_equal(h, ref)

@@ -153,6 +153,22 @@ class TestExecutor:
         with pytest.raises(TypeError):
             QuantizedODENetExecutor(model, F, P)
 
+    @pytest.mark.parametrize("attention", ("linear", "window"))
+    def test_rejects_attention_it_cannot_run(self, attention):
+        """Only MHSA2d has a fixed-point datapath: a linear or window
+        attention block is refused at construction, by name — not with
+        an AttributeError or a broadcast error on the first run."""
+        model = build_model("ode_botnet", profile="paper", inference=True,
+                            attention=attention)
+        with pytest.raises(NotImplementedError, match="block3.*MHSA2d"):
+            QuantizedODENetExecutor(model, F, P)
+
+    def test_rejects_absolute_position_encoding(self):
+        model = build_model("ode_botnet", profile="tiny", inference=True,
+                            pos_enc="absolute")
+        with pytest.raises(NotImplementedError, match="block3.*absolute"):
+            QuantizedODENetExecutor(model, F, P)
+
     def test_works_on_plain_odenet(self, rng):
         model = build_model("odenet", profile="tiny").eval()
         images = rng.normal(size=(2, 3, 32, 32)).astype(np.float32)

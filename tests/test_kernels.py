@@ -325,8 +325,9 @@ class TestFusedIntegerPath:
 
     @pytest.mark.parametrize("name", ODE_MODELS)
     def test_session_quantized_plan_bit_identical(self, name):
-        """SessionConfig(backend='fused') binds a QuantizedPlan and must
-        reproduce the executor's reference output bit-for-bit."""
+        """SessionConfig(backend='fused') binds the compiled fixed-point
+        plan and must reproduce the executor's reference output
+        bit-for-bit."""
         from repro.runtime import SessionConfig
 
         q = _quantized_executor(name)

@@ -7,7 +7,8 @@ each plan keeps its parity contract: ``reference`` sessions match the
 eval-mode training forward *bitwise* for every registry model
 (adaptive solvers included) and *exactly* equal
 ``QuantizedODENetExecutor.run`` for quantized models; the compiled plan
-agrees to 1e-6 and the quantized plan bit for bit.  These tests pin
+agrees to 1e-6 and the compiled fixed-point plan bit for bit.  These
+tests pin
 that contract, the refresh path, the micro-batcher's correctness and
 the serving statistics.
 """
@@ -20,7 +21,6 @@ from repro.compile import CompileError, CompiledPlan, compile_model
 from repro.fixedpoint import (
     QFormat,
     QuantizedODENetExecutor,
-    QuantizedPlan,
     parse_format_pair,
 )
 from repro.models import MODELS, build_model
@@ -121,7 +121,7 @@ PLAN_TABLE = {
 PLAN_TYPES = {
     "module": ModulePlan,
     "compiled": CompiledPlan,
-    "quantized": QuantizedPlan,
+    "quantized": CompiledPlan,
 }
 
 
@@ -185,7 +185,7 @@ class TestRefresh:
     @pytest.mark.parametrize("backend", ("reference", "fused"))
     def test_executor_session_answers_with_new_weights(self, backend, fmt):
         """refresh() re-derives the executor's quantized weights, whether
-        the session runs the executor or a quantized plan over it."""
+        the session runs the executor or the compiled fixed-point plan."""
         model = build_model("ode_botnet", profile="tiny", inference=True)
         ffmt, pfmt = parse_format_pair(fmt)
         session = InferenceSession(

@@ -722,11 +722,12 @@ class TestTierLadder:
         replica = next(iter(pool))
         assert set(replica.tier_sessions) == {"reduced", "int8"}
         # every rung derives from the primary session's weight set
-        from repro.fixedpoint import QuantizedPlan
+        from repro.compile import CompiledPlan
 
         assert replica.tier_sessions["reduced"].plan_kind == "compiled"
+        assert replica.tier_sessions["int8"].plan_kind == "quantized"
         assert isinstance(
-            replica.tier_sessions["int8"]._plan, QuantizedPlan
+            replica.tier_sessions["int8"]._plan, CompiledPlan
         )
         x = _samples(n=2, shape=(3, 32, 32))
         full_out = replica.run(x)

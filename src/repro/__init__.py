@@ -18,8 +18,8 @@ Subpackages
 ``repro.fixedpoint``
     bit-accurate Q-format arithmetic (ap_fixed semantics).
 ``repro.runtime``
-    batched inference runtime: InferenceSession + MicroBatcher, the
-    single predict API over float/quantized/FPGA execution.
+    batched inference runtime: InferenceSession, the single predict
+    API over float/quantized/FPGA execution.
 ``repro.fpga``
     ZCU104 accelerator simulator: cycles, resources, power, DMA.
 ``repro.profiling``

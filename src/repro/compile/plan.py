@@ -728,7 +728,7 @@ class CompiledPlan:
     Construction takes the lowered stages (:func:`~repro.compile.ir.lower`
     or :func:`~repro.compile.ir.lower_fixed`) and is geometry-free; calling binds to the input shape on first use
     and reuses the binding afterwards.  Bindings are per thread —
-    concurrent micro-batcher workers never share arena buffers.
+    concurrent serve executor threads never share arena buffers.
     """
 
     def __init__(self, stages):

@@ -14,7 +14,7 @@ implemented by :func:`resolve_backend`:
    test suite under every backend this way);
 4. **default** — ``"reference"``.
 
-Selection is per-thread, so micro-batcher workers and tests can pick
+Selection is per-thread, so serve executor threads and tests can pick
 different backends concurrently.  ``"compiled"`` is an alias of
 ``"fused"``: the kernels are the same, and
 :class:`repro.runtime.InferenceSession` binds the compiled plan under

@@ -2,7 +2,7 @@
 
 ::
 
-    requests ──submit()──▶ MicroBatcher ──batches──▶ InferenceSession
+                          predict / predict_batch ──▶ InferenceSession
                                                           │
                                      ┌────────────────────┴────────────────────┐
                              reference backend                         any other backend
@@ -14,11 +14,10 @@ float module from :func:`repro.models.build_model`, a
 :class:`~repro.fixedpoint.QuantizedODENetExecutor`, or an FPGA
 accelerator object — behind one ``predict`` / ``predict_batch`` API,
 freezing parameters once and recording batch-size/latency statistics.
-:class:`MicroBatcher` turns concurrent single-sample submissions into
-batched dispatches.  See ``docs/ARCHITECTURE.md`` §9.
+Batching concurrent single-sample requests is the serving layer's job
+(:class:`repro.serve.Server`).  See ``docs/ARCHITECTURE.md`` §9.
 """
 
-from .batcher import BatcherStopped, MicroBatcher
 from .config import SessionConfig
 from .engine import ModulePlan
 from .session import InferenceSession
@@ -27,8 +26,6 @@ from .stats import SessionStats
 __all__ = [
     "InferenceSession",
     "SessionConfig",
-    "MicroBatcher",
-    "BatcherStopped",
     "SessionStats",
     "ModulePlan",
 ]

@@ -20,8 +20,7 @@ other (the table in :mod:`repro.runtime.engine`) — and every dispatch
 runs on it, whichever thread dispatches.  The plan is frozen:
 parameter mutations are not observed until
 :meth:`InferenceSession.refresh`.  Every dispatch is recorded in
-:class:`~repro.runtime.SessionStats` (batch size + wall latency), which
-the :class:`~repro.runtime.MicroBatcher` shares.
+:class:`~repro.runtime.SessionStats` (batch size + wall latency).
 """
 
 from __future__ import annotations
@@ -132,7 +131,7 @@ class InferenceSession:
         """Plan call under a ``session`` span (which also makes *tracer*
         ambient, so the solver loop and the kernel dispatcher nest their
         spans beneath it) and/or the session's kernel counters.  Runs on
-        whichever thread dispatches (micro-batcher workers included) —
+        whichever thread dispatches (serve executor threads included) —
         every mechanism here is thread-local."""
         counters = kernels.KernelCounters() if self.instrument else None
         with ExitStack() as stack:

@@ -1,7 +1,7 @@
 """Per-session serving statistics: requests, batch sizes, latency.
 
 ``SessionStats`` is deliberately tiny and lock-protected so the
-micro-batcher's worker threads can record into one shared instance; the
+serving layer's executor threads can record into one shared instance; the
 observability layer planned in the ROADMAP hooks in via
 :meth:`SessionStats.snapshot`.
 """

@@ -8,8 +8,8 @@
                                                         priority)     routing,
                                                                       health)
 
-PR 1 gave the repo one ``InferenceSession`` behind a ``MicroBatcher``;
-this package turns that into a servable system:
+This package turns the runtime's ``InferenceSession`` into a
+servable system:
 
 * :class:`ReplicaPool` — N :class:`~repro.runtime.InferenceSession`
   replicas (mixed kernel backends allowed), least-outstanding-work
@@ -22,8 +22,9 @@ this package turns that into a servable system:
   :mod:`repro.serve.tiers`), every active tier statically certified by
   the overflow checker at :meth:`Server.build`
   (:mod:`repro.serve.certify`);
-* :class:`Scheduler` — dynamic batching per replica with
-  :class:`~repro.runtime.MicroBatcher` mechanics, deadline fail-fast
+* :class:`Scheduler` — dynamic batching per replica (a partial batch
+  waits at most ``max_wait_ms``, and only while it is below the fill
+  recent batches reached), deadline fail-fast
   (:class:`DeadlineExceeded`), priority classes drained high-first;
 * :class:`Server` — the facade: ``submit() / predict() / health() /
   metrics()``, with :mod:`~repro.serve.metrics` aggregating every
@@ -42,7 +43,6 @@ See ``docs/SERVING.md`` for semantics and tuning,
 from .admission import POLICIES, AdmissionQueue
 from .certify import certify_ladder, certify_tier
 from .errors import (
-    BatcherStopped,
     DeadlineExceeded,
     QueueFull,
     ReplicaUnavailable,
@@ -86,7 +86,6 @@ __all__ = [
     "ServerStopped",
     "ReplicaUnavailable",
     "TierCertificationError",
-    "BatcherStopped",
     "snapshot",
     "render_report",
     "arrival_offsets",

@@ -34,6 +34,11 @@ Ordering is priority-first (higher :class:`~repro.serve.Priority`
 classes drain first), FIFO within a class.  A popped batch may mix
 degraded and full-quality requests; the scheduler groups them before
 dispatch.
+
+:meth:`AdmissionQueue.next_batch` is the one place a batch is formed.
+A partial batch waits only while it is smaller than a recent batch, so
+a lone caller stops paying the wait while a load that filled a recent
+batch keeps getting full ones.
 """
 
 from __future__ import annotations
@@ -41,12 +46,16 @@ from __future__ import annotations
 import heapq
 import threading
 import time
+from collections import deque
 
 from .errors import QueueFull, ServerStopped
 from .tiers import DEFAULT_LADDER
 
 #: the recognised shedding policies
 POLICIES = ("reject", "reject-oldest", "degrade")
+
+#: how many recently popped batches set the fill a new batch waits for
+FILL_WINDOW = 8
 
 
 def _tier_bands(tier_names, headroom):
@@ -107,6 +116,8 @@ class AdmissionQueue:
         self._cond = threading.Condition()
         self._closed = False
         self._seq = 0
+        # sizes of the last FILL_WINDOW popped batches (protected by _cond)
+        self._recent = deque(maxlen=FILL_WINDOW)
         # counters (all protected by _cond's lock)
         self.admitted = 0
         self.shed_incoming = 0
@@ -197,10 +208,12 @@ class AdmissionQueue:
         """Pop up to *max_batch* requests, priority classes high-first.
 
         Blocks until at least one request is available (or the queue is
-        closed *and* empty, returning ``[]``), then keeps collecting
-        until ``max_batch`` requests are gathered or ``max_wait_s`` has
-        passed since the first — the same partial-batch latency budget
-        as :class:`repro.runtime.MicroBatcher`.
+        closed *and* empty, returning ``[]``), then takes every queued
+        request up to ``max_batch``.  It waits for more only while the
+        batch is below its fill — the largest of the last
+        :data:`FILL_WINDOW` batches, capped at ``max_batch`` (which it
+        is until that many batches were popped) — and never longer
+        than ``max_wait_s`` after the first request.
         """
         batch = []
         with self._cond:
@@ -208,6 +221,9 @@ class AdmissionQueue:
                 if self._closed:
                     return []
                 self._cond.wait(poll_s)
+            fill = max_batch
+            if len(self._recent) == FILL_WINDOW:
+                fill = min(max(self._recent), max_batch)
             batch.append(heapq.heappop(self._heap)[1])
             deadline = time.perf_counter() + float(max_wait_s)
             while len(batch) < max_batch:
@@ -215,9 +231,10 @@ class AdmissionQueue:
                     batch.append(heapq.heappop(self._heap)[1])
                     continue
                 remaining = deadline - time.perf_counter()
-                if remaining <= 0 or self._closed:
+                if len(batch) >= fill or remaining <= 0 or self._closed:
                     break
                 self._cond.wait(remaining)
+            self._recent.append(len(batch))
         return batch
 
     # ------------------------------------------------------------------
@@ -257,4 +274,4 @@ class AdmissionQueue:
             }
 
 
-__all__ = ["AdmissionQueue", "POLICIES"]
+__all__ = ["AdmissionQueue", "POLICIES", "FILL_WINDOW"]

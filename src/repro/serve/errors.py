@@ -16,15 +16,9 @@ classify outcomes without string matching:
 * :class:`TierCertificationError` — a degrade-ladder tier failed the
   static overflow certification at :meth:`~repro.serve.Server.build`
   time; the server refuses to start with an uncertifiable ladder.
-
-:class:`~repro.runtime.BatcherStopped` (the micro-batcher's typed
-shutdown error) is re-exported here for symmetry — it is the same
-contract one layer down.
 """
 
 from __future__ import annotations
-
-from ..runtime.batcher import BatcherStopped
 
 
 class ServeError(RuntimeError):
@@ -103,5 +97,4 @@ __all__ = [
     "ServerStopped",
     "ReplicaUnavailable",
     "TierCertificationError",
-    "BatcherStopped",
 ]

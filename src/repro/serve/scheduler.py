@@ -1,11 +1,11 @@
 """The dispatch engine: queue -> batches -> replicas.
 
-One collector thread drains the :class:`~repro.serve.AdmissionQueue`
-with the same partial-batch mechanics as
-:class:`~repro.runtime.MicroBatcher` (dispatch at ``max_batch_size``,
-or ``max_wait_ms`` after the first request), then routes each formed
-batch to the least-loaded healthy replica, where a dedicated
-single-thread executor runs it.  Priority classes drain high-first
+One collector thread pops batches from the
+:class:`~repro.serve.AdmissionQueue` (up to ``max_batch_size``, waiting
+at most ``max_wait_ms`` for a partial batch to reach the fill recent
+batches reached; see :meth:`~repro.serve.AdmissionQueue.next_batch`),
+then routes each batch to the least-loaded healthy replica, where a
+dedicated single-thread executor runs it.  Priority classes drain high-first
 (the queue is a priority heap); requests are grouped by degrade-ladder
 *tier* into their own sub-batches (full quality first, then ladder
 order) so a batch always runs on exactly one session.
@@ -32,6 +32,7 @@ with :class:`~repro.serve.ServerStopped`, then stop).
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import Counter
@@ -103,8 +104,8 @@ class Scheduler:
     queue:
         the :class:`~repro.serve.AdmissionQueue` to drain.
     max_batch_size, max_wait_ms:
-        micro-batching knobs, same semantics as
-        :class:`~repro.runtime.MicroBatcher`.
+        the largest batch, and the longest a partial batch may wait
+        for more requests (finite, >= 0).
     tracer:
         optional :class:`repro.trace.Tracer`.  When set, batches that
         contain sampled requests (``Request.trace_id`` is not ``None``)
@@ -125,6 +126,10 @@ class Scheduler:
             raise ValueError(
                 f"inflight_per_replica must be >= 1, got "
                 f"{inflight_per_replica}"
+            )
+        if not 0.0 <= float(max_wait_ms) < math.inf:
+            raise ValueError(
+                f"max_wait_ms must be finite and >= 0, got {max_wait_ms}"
             )
         self.pool = pool
         self.queue = queue

@@ -627,7 +627,7 @@ class TestCleanTree:
     def test_model_covers_the_threaded_classes(self):
         model = package_lock_model()
         for name in ("Scheduler", "AdmissionQueue",
-                     "MicroBatcher", "SessionStats", "Tracer",
+                     "SessionStats", "Tracer",
                      "WorkerClient", "ClusterWorker", "Autoscaler",
                      "SharedWeightStore", "SampleTap", "WeightPublisher",
                      "AdaptationController"):

@@ -1,4 +1,4 @@
-"""InferenceSession / MicroBatcher: the plan table, parity, statistics.
+"""InferenceSession: the plan table, parity, statistics.
 
 The runtime's contract is strict.  A session binds one plan at
 construction — the oracle of the model's numeric domain under the
@@ -9,8 +9,7 @@ eval-mode training forward *bitwise* for every registry model
 ``QuantizedODENetExecutor.run`` for quantized models; the compiled plan
 agrees to 1e-6 and the compiled fixed-point plan bit for bit.  These
 tests pin
-that contract, the refresh path, the micro-batcher's correctness and
-the serving statistics.
+that contract, the refresh path and the serving statistics.
 """
 
 import numpy as np
@@ -25,9 +24,7 @@ from repro.fixedpoint import (
 )
 from repro.models import MODELS, build_model
 from repro.runtime import (
-    BatcherStopped,
     InferenceSession,
-    MicroBatcher,
     ModulePlan,
     SessionConfig,
     SessionStats,
@@ -311,109 +308,3 @@ class TestStats:
         stats.reset()
         assert stats.snapshot()["batches"] == 0
         assert np.isnan(stats.latency_ms(50))
-
-
-class TestMicroBatcher:
-    def test_batched_results_match_direct_predict(self):
-        session = InferenceSession(
-            build_model("ode_botnet", profile="tiny", inference=True)
-        )
-        rng = np.random.default_rng(11)
-        xs = rng.standard_normal((12, 3, 32, 32)).astype(np.float32)
-        direct = session.predict_batch(xs)
-        session.stats.reset()  # keep only the batched-phase statistics
-
-        with MicroBatcher(session, max_batch_size=4, max_wait_ms=200.0) as mb:
-            futures = [mb.submit(x) for x in xs]
-            rows = [f.result(timeout=60) for f in futures]
-
-        # dispatched batch sizes differ from the direct batch, so allow
-        # BLAS shape-dependent rounding (well below any decision change)
-        for row, ref in zip(rows, direct):
-            np.testing.assert_allclose(row, ref, rtol=1e-12, atol=1e-9)
-        snap = session.stats.snapshot()
-        assert snap["requests"] == 12
-        assert snap["batches"] <= 12
-        assert any(size > 1 for size in snap["batch_histogram"])
-
-    def test_blocking_predict_and_restartable_stop(self):
-        session = InferenceSession(
-            build_model("odenet", profile="tiny", inference=True)
-        )
-        x = _input_for(session.model, batch=1, seed=9)[0]
-        mb = MicroBatcher(session, max_batch_size=2, max_wait_ms=1.0)
-        row = mb.predict(x)
-        assert np.array_equal(row, session.predict(x))
-        mb.stop()
-        with pytest.raises(BatcherStopped):
-            mb.submit(x)
-
-    def test_submit_close_race_never_hangs_a_future(self):
-        # Hammer submit() from several threads while close() runs: every
-        # submit must either return a future that resolves, or raise the
-        # typed BatcherStopped — a hung future fails the result(timeout).
-        import threading
-
-        session = InferenceSession(
-            build_model("odenet", profile="tiny", inference=True)
-        )
-        x = _input_for(session.model, batch=1, seed=4)[0]
-        expected = session.predict(x)
-        for _ in range(5):  # repeat: the race window is narrow
-            mb = MicroBatcher(session, max_batch_size=4, max_wait_ms=1.0)
-            mb.submit(x)
-            outcomes = []
-            lock = threading.Lock()
-
-            def hammer():
-                for _ in range(10):
-                    try:
-                        fut = mb.submit(x)
-                    except BatcherStopped:
-                        with lock:
-                            outcomes.append("stopped")
-                        continue
-                    row = fut.result(timeout=60)  # hangs -> test fails
-                    with lock:
-                        # batch-size-dependent BLAS rounding, as in
-                        # test_batched_results_match_direct_predict
-                        outcomes.append(
-                            bool(np.allclose(row, expected,
-                                             rtol=1e-12, atol=1e-9))
-                        )
-
-            threads = [threading.Thread(target=hammer) for _ in range(3)]
-            for t in threads:
-                t.start()
-            mb.close()
-            for t in threads:
-                t.join()
-            assert all(o is True or o == "stopped" for o in outcomes)
-            # after close the typed error is immediate and consistent
-            with pytest.raises(BatcherStopped):
-                mb.submit(x)
-
-    def test_worker_pool_mode(self):
-        session = InferenceSession(
-            build_model("odenet", profile="tiny", inference=True)
-        )
-        rng = np.random.default_rng(13)
-        xs = rng.standard_normal((8, 3, 32, 32)).astype(np.float32)
-        direct = session.predict_batch(xs)
-        with MicroBatcher(
-            session, max_batch_size=2, max_wait_ms=5.0, workers=2
-        ) as mb:
-            rows = [f.result(timeout=60) for f in [mb.submit(x) for x in xs]]
-        for row, ref in zip(rows, direct):
-            np.testing.assert_allclose(row, ref, rtol=1e-12, atol=1e-9)
-
-    def test_errors_propagate_to_futures(self):
-        def broken(batch):
-            raise RuntimeError("backend down")
-
-        session = InferenceSession(broken)
-        assert session.plan_kind == "callable"
-        with MicroBatcher(session, max_batch_size=2, max_wait_ms=1.0) as mb:
-            fut = mb.submit(np.zeros(3, dtype=np.float32))
-            with pytest.raises(RuntimeError, match="backend down"):
-                fut.result(timeout=60)

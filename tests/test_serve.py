@@ -40,6 +40,7 @@ from repro.serve import (
     render_report,
     run_load,
 )
+from repro.serve.admission import FILL_WINDOW
 
 
 def _echo_session(scale=1.0, delay_s=0.0):
@@ -158,6 +159,50 @@ class TestAdmissionQueue:
         with pytest.raises(ServerStopped):
             req.future.result(timeout=1)
         assert q.next_batch(4, max_wait_s=0.01) == []
+
+    def _pop_batches(self, q, size):
+        """Pop FILL_WINDOW batches of *size* queued requests, no wait."""
+        for _ in range(FILL_WINDOW):
+            for _ in range(size):
+                q.offer(self._request(q))
+            assert len(q.next_batch(8, max_wait_s=0.0)) == size
+
+    def test_fresh_queue_waits_out_max_wait(self):
+        q = AdmissionQueue(16)
+        q.offer(self._request(q))
+        t0 = time.perf_counter()
+        assert len(q.next_batch(8, max_wait_s=0.2)) == 1
+        assert time.perf_counter() - t0 >= 0.2
+
+    def test_lone_request_skips_the_wait_after_single_batches(self):
+        q = AdmissionQueue(16)
+        self._pop_batches(q, 1)
+        q.offer(self._request(q))
+        t0 = time.perf_counter()
+        assert len(q.next_batch(8, max_wait_s=1.0)) == 1
+        assert time.perf_counter() - t0 < 0.2
+
+    def test_partial_batch_waits_after_full_batches(self):
+        # a load that filled a recent batch (saturate's closed loop)
+        # keeps waiting for full batches
+        q = AdmissionQueue(16)
+        self._pop_batches(q, 8)
+        for _ in range(3):
+            q.offer(self._request(q))
+        t0 = time.perf_counter()
+        assert len(q.next_batch(8, max_wait_s=0.2)) == 3
+        assert time.perf_counter() - t0 >= 0.2
+
+    def test_queued_requests_join_a_batch_past_its_fill(self):
+        # growth needs no learning: at fill 1 everything already queued
+        # still leaves in one batch, and at once
+        q = AdmissionQueue(16)
+        self._pop_batches(q, 1)
+        for _ in range(5):
+            q.offer(self._request(q))
+        t0 = time.perf_counter()
+        assert len(q.next_batch(8, max_wait_s=1.0)) == 5
+        assert time.perf_counter() - t0 < 0.2
 
 
 # ----------------------------------------------------------------------
@@ -381,6 +426,25 @@ class TestServer:
             blocker.result(timeout=30)
         assert len(ran) == 1  # the expired request never reached a replica
 
+    @pytest.mark.parametrize("wait_ms", [float("inf"), float("nan"), -1.0])
+    def test_non_finite_or_negative_wait_is_rejected(self, wait_ms):
+        # an infinite wait killed the collector thread (Condition.wait
+        # overflowed) and stranded the popped request's future
+        pool = ReplicaPool([Replica("r0", _echo_session())])
+        with pytest.raises(ValueError, match="max_wait_ms"):
+            Server(pool, max_wait_ms=wait_ms)
+
+    def test_lone_caller_stops_waiting_for_batchmates(self):
+        pool = ReplicaPool([Replica("r0", _echo_session())])
+        x = np.ones(2, np.float32)
+        with Server(pool, max_batch_size=8, max_wait_ms=200.0) as server:
+            for _ in range(FILL_WINDOW):  # each waits out the 200 ms
+                server.predict(x, timeout=30)
+            for _ in range(5):
+                t0 = time.perf_counter()
+                assert server.predict(x, timeout=30) == pytest.approx(2.0)
+                assert time.perf_counter() - t0 < 0.1
+
     def test_expired_on_submit_fails_immediately(self):
         with Server(ReplicaPool([Replica("r0", _echo_session())])) as server:
             fut = server.submit(np.zeros(2, np.float32), deadline_ms=0.0)
@@ -485,6 +549,40 @@ class TestServer:
         # everything resolved; at least the tail was failed typed
         assert len(outcomes) == 4
         assert "stopped" in outcomes
+
+    def test_submit_close_race_never_hangs_a_future(self):
+        # three threads submit while close() runs: every future resolves,
+        # to its row or to ServerStopped (a hung one fails result(timeout))
+        x = np.ones(2, np.float32)
+        for _ in range(5):  # repeat: the race window is narrow
+            pool = ReplicaPool([Replica("r0", _echo_session())])
+            server = Server(pool, max_batch_size=4, max_wait_ms=1.0)
+            server.submit(x)
+            outcomes = []
+            lock = threading.Lock()
+
+            def hammer():
+                for _ in range(10):
+                    fut = server.submit(x)
+                    try:
+                        outcome = bool(fut.result(timeout=30)
+                                       == pytest.approx(2.0))
+                    except ServerStopped:
+                        outcome = "stopped"
+                    with lock:
+                        outcomes.append(outcome)
+
+            threads = [threading.Thread(target=hammer) for _ in range(3)]
+            for t in threads:
+                t.start()
+            server.close()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert len(outcomes) == 30
+            assert all(o is True or o == "stopped" for o in outcomes)
+            with pytest.raises(ServerStopped):
+                server.submit(x).result(timeout=1)
 
     def test_bad_shape_batchmate_fails_whole_group_typed(self):
         # regression: np.stack over a mixed-shape micro-batch raised in

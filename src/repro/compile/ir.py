@@ -19,8 +19,12 @@ execution order and lowers each layer into a :class:`Stage` holding
   from every conv inside the Euler loop.
 
 Lowering never copies activations and never runs a kernel — it only
-reshapes and rescales weights.  A compile lowers exactly once and binds
-the resulting stages (:func:`repro.compile.plan.compile_model`).
+reshapes and rescales weights.  Every lowered array is the plan's own:
+none aliases a model parameter, because a weight load writes the new
+generation into the parameters in place, and a bound plan must keep
+serving the generation it was compiled from until it is replaced.  A
+compile lowers exactly once and binds the resulting stages
+(:func:`repro.compile.plan.compile_model`).
 
 :func:`lower_fixed` is the second lowering, into the fixed-point domain
 of :class:`~repro.fixedpoint.QuantizedODENetExecutor`.  It folds
@@ -50,7 +54,8 @@ class CompileError(RuntimeError):
 
 
 def _data(param):
-    return None if param is None else param.data
+    """A copy of *param*'s array (None for a missing bias)."""
+    return None if param is None else param.data.copy()
 
 
 def bn_scale_shift(bn):
@@ -399,7 +404,7 @@ def lower(model):
     conv, norm, _, pool = model.stem
     return [
         Stage("stem.conv", "conv", ConvSpec(
-            conv.weight.data, _data(conv.bias), conv.stride, conv.padding,
+            _data(conv.weight), _data(conv.bias), conv.stride, conv.padding,
             conv.groups,
         )),
         Stage("stem.norm", "ssr", bn_scale_shift(norm)),
@@ -415,7 +420,7 @@ def lower(model):
         Stage("head.norm", "ssr", bn_scale_shift(model.head_norm)),
         Stage("head.pool", "gap", None),
         Stage("head.fc", "linear",
-              (model.fc.weight.data, _data(model.fc.bias), None)),
+              (_data(model.fc.weight), _data(model.fc.bias), None)),
     ]
 
 

@@ -20,7 +20,8 @@ the ``fused`` kernel and hands on a transposed view of its output; from
 the stem's scale-shift-ReLU to the head every stage reads and writes
 (N, H, W, C) arena buffers, so each pointwise conv is one flat
 (N·H·W, C) GEMM, each strided downsample one im2col GEMM, each
-depthwise conv one einsum, and the MHSA token view a plain reshape.
+depthwise conv one einsum over contiguous OW·C output rows, and the
+MHSA token view a plain reshape.
 A (scale-shift-)ReLU feeding a padded conv inside the Euler loop
 writes straight into the interior of that conv's zero-bordered canvas.
 The fixed-point plan binds the same ops (its stem is an im2col GEMM
@@ -61,6 +62,13 @@ def _gemm_weight(weight, out_scale=None):
     if out_scale is not None:
         weight = weight * out_scale.reshape(-1, 1, 1, 1)
     return np.ascontiguousarray(weight.transpose(2, 3, 1, 0).reshape(-1, f))
+
+
+def _depthwise_row_weight(dw, ow):
+    """A (C, 1, KH, KW) depthwise kernel as the (KH, KW, OW·C) operand of
+    :func:`steps.depthwise`: the channel vector tiled once per output
+    column, matching the channels-last order of an output row."""
+    return np.tile(dw[:, 0].transpose(1, 2, 0), (1, 1, ow))
 
 
 def _bind_fconv(name, n, c, h, w, spec, arena, dtype):
@@ -168,10 +176,13 @@ class _BoundTimeConv:
     is the interior of the zero-bordered canvas itself, so the
     preceding (scale-shift-)ReLU fills the canvas with no separate copy.
     :meth:`add_ops` registers the conv as step ops whose every view
-    (the patch view of the canvas, the flat GEMM aliases of the arena
-    buffers) is precomputed, so the Euler loop does no per-step slicing
-    or reshaping.  Buffers take the conv's ``dtype``; a fixed-point
-    conv closes each of its sites with :func:`steps.round_site`.
+    (the row or patch view of the canvas, the flat GEMM aliases of the
+    arena buffers) is precomputed, so the Euler loop does no per-step
+    slicing or reshaping.  The depthwise half of a depthwise-separable
+    conv reads the canvas as (N, OH, KH, KW, OW·C) output rows against
+    its (KH, KW, C) kernel tiled OW times, made once per binding.
+    Buffers take the conv's ``dtype``; a fixed-point conv closes each
+    of its sites with :func:`steps.round_site`.
 
     ``out_scale`` / ``out_shift`` fold a per-output-channel affine —
     a following BN's scale/shift, or the Euler step size ``h`` — into
@@ -210,6 +221,7 @@ class _BoundTimeConv:
             self.wmat_t = _gemm_weight(tc.w_x, sc)
         else:
             weight = tc.dw_x if self.kind == "dsc" else tc.w_x
+            kh, kw = weight.shape[2:]
             (sh, sw), (ph, pw) = tc.stride, tc.padding
             self.src_name = f"{prefix}.canvas"
             canvas = arena.buffer(
@@ -217,18 +229,17 @@ class _BoundTimeConv:
                 zero=True,
             )
             self.src = canvas[:, ph : ph + h, pw : pw + w, :]
-            self.patches = shapes.as_strided_patches_nhwc(
-                canvas, *weight.shape[2:], sh, sw
-            )
-            oh, ow = self.patches.shape[1:3]
+            oh, ow = shapes.conv_out_size(h, w, kh, kw, sh, sw, ph, pw)
             self.rows = n * oh * ow
-        if self.kind == "dsc":
-            self.d = arena.buffer(f"{prefix}.dw", (n, oh, ow, c), dtype=dt)
-            self.w_ijc = np.ascontiguousarray(
-                tc.dw_x[:, 0].transpose(1, 2, 0)
-            )
+        if self.kind == "dsc":  # stride 1: the Euler update adds f to z
+            self.canvas_rows = shapes.as_strided_rows_nhwc(canvas, kh, kw)
+            self.d_rows = arena.buffer(f"{prefix}.dw", (n, oh, ow, c),
+                                       dtype=dt).reshape(n, oh, ow * c)
+            self.w_rows = _depthwise_row_weight(tc.dw_x, ow)
             self.wmat_t = _gemm_weight(tc.pw_x[:, :, None, None], sc)
         elif self.kind == "dense":  # conv="full": arena im2col GEMM
+            self.patches = shapes.as_strided_patches_nhwc(canvas, kh, kw,
+                                                          sh, sw)
             self.colbuf = arena.buffer(f"{prefix}.cols", self.patches.shape,
                                        dtype=dt)
             self.wmat_t = _gemm_weight(tc.w_x, sc)
@@ -259,12 +270,13 @@ class _BoundTimeConv:
             )
             return
         if self.kind == "dsc":
-            patches, w_ijc, d = self.patches, self.w_ijc, self.d
+            rows, w_rows, d_rows = self.canvas_rows, self.w_rows, self.d_rows
             ops.add("conv2d", self._closed(
-                        lambda i, t: steps.depthwise(patches, w_ijc, d)),
+                        lambda i, t: steps.depthwise(rows, w_rows, d_rows)),
                     reads=(self.src_name,), writes=(f"{self.prefix}.dw",),
                     tag=f"{tag}.dw")
-            src_name, x2d = f"{self.prefix}.dw", self.d.reshape(self.rows, -1)
+            src_name = f"{self.prefix}.dw"
+            x2d = self.d_rows.reshape(self.rows, -1)
             tag = f"{tag}.pw"
         else:
             src_name, x2d = self.src_name, self.src.reshape(self.rows, -1)

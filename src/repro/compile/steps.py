@@ -12,8 +12,9 @@ runtime.  Anything that must allocate (binding, plane precomputation,
 the outer non-loop stages) belongs in :mod:`repro.compile.plan`.
 
 Every activation is channels-last, (N, H, W, C): a pointwise conv is
-one flat (N·H·W, C) GEMM, a depthwise conv one einsum with the channel
-axis innermost, and the MHSA token view a plain reshape.
+one flat (N·H·W, C) GEMM, a depthwise conv one einsum whose inner loop
+runs along a whole OW·C output row, and the MHSA token view a plain
+reshape.
 
 The math mirrors the reference kernels pass for pass — fused
 scale-shift-ReLU is the folded BN→ReLU pair, the softmax/LayerNorm
@@ -96,15 +97,17 @@ def euler_site(z, f, h, lo, hi, acc):
     return z
 
 
-def depthwise(patches, weight, out):
-    """Depthwise conv as one einsum over the zero-copy patch view.
+def depthwise(rows, weight, out):
+    """Stride-1 depthwise conv as one einsum over output rows.
 
-    *patches* is the (N, OH, OW, KH, KW, C) strided view of the padded
-    canvas, *weight* is (KH, KW, C) and *out* is (N, OH, OW, C): the
-    channel axis is innermost and contiguous in all three, so the
-    einsum's inner loop is a unit-stride multiply-accumulate.
+    *rows* is the (N, OH, KH, KW, OW·C) row view of the padded canvas
+    (:func:`~repro.kernels.shapes.as_strided_rows_nhwc`), *weight* the
+    (KH, KW, C) kernel tiled OW times along its last axis and *out* the
+    (N, OH, OW·C) view of the (N, OH, OW, C) destination.  The einsum's
+    inner loop is a unit-stride multiply-accumulate over a whole output
+    row; each output still sums its KH·KW taps in (i, j) order.
     """
-    np.einsum("nhwijc,ijc->nhwc", patches, weight, out=out)
+    np.einsum("nhijk,ijk->nhk", rows, weight, out=out)
     return out
 
 
@@ -197,10 +200,14 @@ def mhsa_merge(p, b, out):
     np.copyto(b.cat4, b.ph_t)
     if p.ln is not None:
         ln_w, ln_b, ln_eps = p.ln
-        np.mean(b.cat, axis=-1, keepdims=True, out=b.mu)
+        d = b.cat.shape[-1]
+        # np.mean's own sum-then-divide, minus its Python wrapper
+        np.add.reduce(b.cat, axis=-1, keepdims=True, out=b.mu)
+        np.true_divide(b.mu, d, out=b.mu)
         np.subtract(b.cat, b.mu, out=b.cat)
         np.multiply(b.cat, b.cat, out=b.sq)
-        np.mean(b.sq, axis=-1, keepdims=True, out=b.mu)
+        np.add.reduce(b.sq, axis=-1, keepdims=True, out=b.mu)
+        np.true_divide(b.mu, d, out=b.mu)
         np.add(b.mu, ln_eps, out=b.mu)
         np.power(b.mu, -0.5, out=b.mu)
         np.multiply(b.cat, b.mu, out=b.cat)

@@ -123,8 +123,9 @@ def as_strided_patches_nhwc(x: np.ndarray, kh: int, kw: int, sh: int,
 
     *x* is (N, H, W, C); returns the (N, OH, OW, kh, kw, C) view that
     aliases it, channels innermost — the layout of the compiled plan's
-    depthwise einsum and im2col GEMMs.  The caller must not write
-    through the view.
+    im2col GEMMs (strided downsamples, the fixed-point stem, the dense
+    ``conv="full"`` time conv).  The caller must not write through the
+    view.
     """
     n, h, w, c = x.shape
     oh, ow = conv_out_size(h, w, kh, kw, sh, sw, 0, 0)
@@ -133,6 +134,30 @@ def as_strided_patches_nhwc(x: np.ndarray, kh: int, kw: int, sh: int,
         x,
         shape=(n, oh, ow, kh, kw, c),
         strides=(sn, sh_ * sh, sw_ * sw, sh_, sw_, sc),
+        writeable=False,
+    )
+
+
+def as_strided_rows_nhwc(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """Stride-1 windows of a channels-last *x* as contiguous output rows.
+
+    *x* is (N, H, W, C) with its (W, C) axes contiguous.  Kernel tap
+    (i, j) meets the inputs ``x[n, oh + i, j : j + OW, :]`` along
+    output row ``oh``: one run of OW·C consecutive elements.  Returns
+    the (N, OH, kh, kw, OW·C) view of those runs, aliasing *x*, so a
+    depthwise conv is one einsum against a (kh, kw, OW·C) weight whose
+    inner loop spans a whole output row.  The caller must not write
+    through the view.
+    """
+    n, h, w, c = x.shape
+    oh, ow = conv_out_size(h, w, kh, kw, 1, 1, 0, 0)
+    sn, sh_, sw_, sc = x.strides
+    if sw_ != c * sc:
+        raise ValueError("the W and C axes of x must be contiguous")
+    return np.lib.stride_tricks.as_strided(
+        x,
+        shape=(n, oh, kh, kw, ow * c),
+        strides=(sn, sh_, sh_, sw_, sc),
         writeable=False,
     )
 

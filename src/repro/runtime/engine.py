@@ -40,6 +40,9 @@ class ModulePlan:
     skips every piece of autograd bookkeeping; numerics are exactly the
     eval-mode training forward.  Works for any architecture the registry
     can build, including adaptive (Dopri5/Bosh3) solver configurations.
+    It reads the module's live parameters by design: a weight load moves
+    the oracle at once, while a compiled plan holds its own copies and
+    moves only when it is rebuilt (``refresh()``).
     """
 
     def __init__(self, module):

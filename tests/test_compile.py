@@ -2,7 +2,7 @@
 domains (the fixed-point plan's bit-identity lives in
 ``tests/test_quantized_plan.py``).
 
-Four contracts:
+Six contracts:
 
 * **parity** — the compiled plan agrees with the ``reference`` oracle
   to ≤1e-6 on every compilable registry model, at the ``tiny`` test
@@ -16,7 +16,11 @@ Four contracts:
   iterations, with the Euler state exempt as loop-carried; every bound
   plan, float or fixed point, validates;
 * **zero per-step allocation** — once bound, the Euler block bodies run
-  with numpy's Python-level array constructors forbidden outright.
+  with numpy's Python-level array constructors forbidden outright;
+* **the row depthwise** — the depthwise einsum over contiguous OW·C
+  output rows is bit-identical to the 6-D patch einsum it replaced;
+* **own arrays** — no lowered array aliases a model parameter, so a
+  weight load reaches a compiled session only through ``refresh()``.
 """
 
 import numpy as np
@@ -28,9 +32,13 @@ from repro.compile import (
     PlanValidationError,
     compile_model,
     ir,
+    steps,
 )
-from repro.fixedpoint import parse_format_pair
+from repro.compile.plan import _depthwise_row_weight
+from repro.fixedpoint import QuantizedODENetExecutor, parse_format_pair
+from repro.kernels import shapes
 from repro.models import MODELS, PROFILES, build_model
+from repro.nn import Module
 from repro.runtime import InferenceSession, SessionConfig
 
 RNG = np.random.default_rng(0)
@@ -313,3 +321,171 @@ class TestZeroStepAllocation:
                 h = fn(h)
         assert ran == len(blocks)
         np.testing.assert_array_equal(h, ref)
+
+
+# ----------------------------------------------------------------------
+# the row depthwise
+# ----------------------------------------------------------------------
+def _canvas_and_kernel(dtype, k, width, channels, batch):
+    """A padded (N, W+k-1, W+k-1, C) canvas and a (C, 1, k, k) kernel."""
+    rng = np.random.default_rng([k, width, channels, batch])
+    side = width + k - 1
+    canvas = rng.standard_normal((batch, side, side, channels)).astype(dtype)
+    return canvas, rng.standard_normal((channels, 1, k, k)).astype(dtype)
+
+
+def _row_depthwise(canvas, dw):
+    """:func:`steps.depthwise` over the row view, bound as the plan
+    binds it."""
+    n, side, _, c = canvas.shape
+    k = dw.shape[-1]
+    ow = side - k + 1
+    out = np.empty((n, ow, ow, c), dtype=canvas.dtype)
+    steps.depthwise(shapes.as_strided_rows_nhwc(canvas, k, k),
+                    _depthwise_row_weight(dw, ow),
+                    out.reshape(n, ow, ow * c))
+    return out
+
+
+_ROW_GRID = (
+    pytest.mark.parametrize("dtype", (np.float32, np.float64),
+                            ids=("f32", "f64")),
+    pytest.mark.parametrize("k", (3, 5)),
+    pytest.mark.parametrize("width", (1, 2, 7)),
+    pytest.mark.parametrize("channels", (1, 3, 8)),
+    pytest.mark.parametrize("batch", (1, 3)),
+)
+
+
+def _row_grid(fn):
+    for mark in _ROW_GRID:
+        fn = mark(fn)
+    return fn
+
+
+class TestRowDepthwise:
+    @_row_grid
+    def test_matches_the_patch_einsum(self, dtype, k, width, channels,
+                                      batch):
+        """Bit-identical to the 6-D einsum over the patch view, which
+        sums each output's taps in the same (i, j) order.  With one
+        channel numpy's einsum iterator reorders both reductions (the
+        6-D form's channel axis has length 1; in the row form a kernel
+        column's stride is one element's), so there the two agree to
+        rounding only; no model has a one-channel depthwise conv."""
+        canvas, dw = _canvas_and_kernel(dtype, k, width, channels, batch)
+        got = _row_depthwise(canvas, dw)
+        want = np.einsum(
+            "nhwijc,ijc->nhwc",
+            shapes.as_strided_patches_nhwc(canvas, k, k, 1, 1),
+            np.ascontiguousarray(dw[:, 0].transpose(1, 2, 0)),
+        )
+        assert got.dtype == want.dtype
+        if channels > 1:
+            np.testing.assert_array_equal(got, want)
+        else:
+            tol = 1e-6 if dtype == np.float32 else 1e-12
+            np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
+
+    @_row_grid
+    def test_matches_a_per_tap_loop(self, dtype, k, width, channels, batch):
+        canvas, dw = _canvas_and_kernel(dtype, k, width, channels, batch)
+        got = _row_depthwise(canvas, dw)
+        want = np.zeros_like(got)
+        for i in range(k):
+            for j in range(k):
+                want += canvas[:, i : i + width, j : j + width] * dw[:, 0, i, j]
+        tol = 1e-6 if dtype == np.float32 else 1e-12
+        np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
+
+    def test_row_view_aliases_the_canvas_read_only(self):
+        canvas = np.zeros((2, 6, 6, 3))
+        rows = shapes.as_strided_rows_nhwc(canvas, 3, 3)
+        assert rows.shape == (2, 4, 3, 3, 4 * 3)
+        assert np.shares_memory(rows, canvas)
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[...] = 1.0
+        # tap (1, 2) of output row 0 starts at canvas[:, 1, 2, :]
+        canvas[1, 1, 2, 1] = 5.0
+        assert rows[1, 0, 1, 2, 1] == 5.0
+
+    def test_row_view_needs_contiguous_columns(self):
+        canvas = np.zeros((1, 6, 6, 4))
+        with pytest.raises(ValueError, match="contiguous"):
+            shapes.as_strided_rows_nhwc(canvas[:, :, ::2], 3, 3)
+
+
+# ----------------------------------------------------------------------
+# own arrays
+# ----------------------------------------------------------------------
+def _lowered_arrays(obj, seen=None):
+    """Every ndarray a lowered stage holds, walking its IR objects.  A
+    live module is not walked: the fixed-point MHSA keeps its float
+    module for hyper-parameters only."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen or isinstance(obj, Module):
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _lowered_arrays(item, seen)
+    else:
+        fields = list(getattr(obj, "__dict__", {}).values())
+        fields += [getattr(obj, name, None)
+                   for name in getattr(type(obj), "__slots__", ())]
+        for value in fields:
+            yield from _lowered_arrays(value, seen)
+
+
+class TestOwnArrays:
+    @pytest.mark.parametrize("formats", (None, "8(4)-8(4)"),
+                             ids=("float", "fixed"))
+    @pytest.mark.parametrize("name", PACKABLE)
+    def test_lowered_arrays_never_alias_parameters(self, name, formats):
+        model = build_model(name, profile="tiny", inference=True)
+        stages = ir.lower(model) if formats is None else ir.lower_fixed(
+            model, *parse_format_pair(formats)
+        )
+        params = list(model.named_parameters())
+        arrays = [(stage.name, a) for stage in stages
+                  for a in _lowered_arrays(stage.ir)]
+        assert len(arrays) > 20
+        aliased = sorted({
+            (stage, pname) for stage, a in arrays for pname, p in params
+            if np.shares_memory(a, p.data)
+        })
+        assert aliased == []
+
+    @pytest.mark.parametrize("formats", (None, "8(4)-8(4)"),
+                             ids=("float", "fixed"))
+    @pytest.mark.parametrize("name", PACKABLE)
+    def test_weight_load_reaches_a_session_only_through_refresh(
+            self, name, formats):
+        """A weight load writes the model's parameters in place; a
+        batch between the load and ``refresh()`` must still run the old
+        generation whole, never the new head over the old blocks."""
+        def session_for(model):
+            net = model if formats is None else QuantizedODENetExecutor(
+                model, *parse_format_pair(formats)
+            )
+            return InferenceSession(net,
+                                    config=SessionConfig(backend="fused"))
+
+        model = build_model(name, profile="tiny", inference=True)
+        session = session_for(model)
+        assert session.plan_kind == ("compiled" if formats is None
+                                     else "quantized")
+        x = _batch("tiny", 3)
+        old = session.predict_batch(x)
+        new_model = build_model(name, profile="tiny", seed=1, inference=True)
+        model.load_state_dict(new_model.state_dict())
+        np.testing.assert_array_equal(session.predict_batch(x), old)
+        session.refresh()
+        new = session.predict_batch(x)
+        assert not np.array_equal(new, old)
+        np.testing.assert_array_equal(
+            new, session_for(new_model).predict_batch(x)
+        )

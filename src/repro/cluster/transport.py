@@ -18,7 +18,7 @@ discards it by sequence id instead of mistaking it for its own answer
 and handing the previous batch's outputs to the wrong callers.  Every
 round trip is bounded: the default is :data:`DEFAULT_TIMEOUT_S`, and a
 ``None`` bound is rejected, so a wedged worker can hold the channel
-(and the scheduler dispatch slot waiting on it) for at most that long.
+(and the replica lease waiting on it) for at most that long.
 
 Message shapes (all pickled frames, see :mod:`repro.cluster.wire`):
 
@@ -69,7 +69,7 @@ def round_trip_timeout(timeout_s) -> float:
     """Validate a round-trip bound: a positive, finite number of seconds.
 
     ``None`` ("wait forever") is rejected — it would let one wedged
-    worker hold its channel lock, and the dispatch slot behind it,
+    worker hold its channel lock, and the replica lease behind it,
     indefinitely.
     """
     if timeout_s is None or not 0.0 < float(timeout_s) < math.inf:

@@ -19,7 +19,10 @@ The :class:`ReplicaPool` routes by **least outstanding work**: every
 dispatch leases the healthy replica with the fewest in-flight batches,
 so a replica stuck on a slow batch (or a slower backend — replicas may
 mix ``reference`` and ``fused`` kernels) naturally receives less
-traffic.
+traffic.  The leases are also the only bound on in-flight work: no
+healthy replica holds more than :data:`INFLIGHT_PER_REPLICA`, and the
+scheduler waits for room (:meth:`ReplicaPool.wait_for_room`) before it
+pops a batch, so any backlog beyond that stays in the admission queue.
 
 Two execution modes:
 
@@ -50,6 +53,11 @@ from ..nn import Module
 from ..runtime import InferenceSession, SessionConfig, SessionStats
 from .errors import ReplicaUnavailable
 from .tiers import resolve_ladder
+
+#: the most batches one healthy replica may have in flight: one running
+#: and one waiting in its executor, so the replica never idles while its
+#: next batch forms
+INFLIGHT_PER_REPLICA = 2
 
 
 class Replica:
@@ -91,14 +99,18 @@ class Replica:
         """The replica's serving statistics."""
         return self.session.stats
 
+    def executed_tier(self, tier):
+        """The tier this replica runs a batch admitted at *tier* on:
+        *tier* itself when the replica has its session, else ``None``
+        (full quality; a less-degraded answer is always acceptable)."""
+        return tier if tier in self.tier_sessions else None
+
     def run(self, samples, tier=None) -> np.ndarray:
         """Execute one batch on *tier*, with health and tier accounting.
 
-        A tier this replica has no session for runs at full quality (a
-        less-degraded answer is always an acceptable substitute) and
-        counts as a full-quality dispatch.
+        The batch runs, and is counted, on :meth:`executed_tier`.
         """
-        used = tier if tier in self.tier_sessions else None
+        used = self.executed_tier(tier)
         try:
             out = self._execute(samples, used)
         except Exception:
@@ -332,6 +344,10 @@ class ReplicaPool:
     registry, or pass pre-built :class:`Replica` objects (mixed kernel
     backends are fine — routing automatically biases toward the faster
     ones because they finish, and therefore release, leases sooner).
+
+    The leases also bound the work in flight (:meth:`wait_for_room`).
+    One condition guards leases, health and membership; every change
+    that can make room wakes its waiters.
     """
 
     def __init__(self, replicas):
@@ -350,7 +366,7 @@ class ReplicaPool:
         #: shadow model; ``None`` for hand-assembled pools
         self.build_args = None
         self.reference_state = None
-        self._lock = threading.Lock()
+        self._lock = threading.Condition()
 
     # ------------------------------------------------------------------
     @classmethod
@@ -453,6 +469,7 @@ class ReplicaPool:
                     f"replica name {replica.name!r} already in the pool"
                 )
             self.replicas.append(replica)
+            self._lock.notify_all()
 
     def remove(self, name, drain=True, timeout_s=10.0):
         """Take a replica out of routing; returns it (caller closes).
@@ -471,21 +488,37 @@ class ReplicaPool:
                     break
             else:
                 raise KeyError(name)
-        if drain:
-            deadline = time.monotonic() + float(timeout_s)
-            while time.monotonic() < deadline:
-                with self._lock:
-                    if replica.outstanding <= 0:
-                        break
-                time.sleep(0.01)
+            # leaving only unhealthy replicas ends wait_for_room
+            self._lock.notify_all()
+            if drain:
+                self._lock.wait_for(lambda: replica.outstanding <= 0,
+                                    timeout=float(timeout_s))
         return replica
 
     # ------------------------------------------------------------------
+    def wait_for_room(self) -> None:
+        """Block until a healthy replica holds fewer than
+        :data:`INFLIGHT_PER_REPLICA` leases.
+
+        Returns at once when no replica is healthy, so the caller's
+        next :meth:`acquire` raises
+        :class:`~repro.serve.ReplicaUnavailable` instead of waiting.
+        """
+        with self._lock:
+            self._lock.wait_for(self._has_room_locked)
+
+    def _has_room_locked(self):
+        healthy = [r for r in self.replicas if r.healthy]
+        return not healthy or any(
+            r.outstanding < INFLIGHT_PER_REPLICA for r in healthy
+        )
+
     def acquire(self):
         """Lease the healthy replica with the least outstanding work.
 
-        Raises :class:`~repro.serve.ReplicaUnavailable` when every
-        replica is unhealthy.  Pair with :meth:`release`.
+        Never blocks (:meth:`wait_for_room` is the wait).  Raises
+        :class:`~repro.serve.ReplicaUnavailable` when every replica is
+        unhealthy.  Pair with :meth:`release`.
         """
         with self._lock:
             healthy = [r for r in self.replicas if r.healthy]
@@ -501,6 +534,7 @@ class ReplicaPool:
         """Return a lease taken with :meth:`acquire`."""
         with self._lock:
             replica.outstanding = max(0, replica.outstanding - 1)
+            self._lock.notify_all()
 
     def revive(self, name) -> None:
         """Put an unhealthy replica back into routing (manual probe)."""
@@ -509,6 +543,7 @@ class ReplicaPool:
                 if replica.name == name:
                     replica.healthy = True
                     replica.consecutive_failures = 0
+                    self._lock.notify_all()
                     return
         raise KeyError(name)
 
@@ -557,4 +592,5 @@ class ReplicaPool:
             return iter(list(self.replicas))
 
 
-__all__ = ["Replica", "ChannelReplica", "ProcessReplica", "ReplicaPool"]
+__all__ = ["INFLIGHT_PER_REPLICA", "Replica", "ChannelReplica",
+           "ProcessReplica", "ReplicaPool"]

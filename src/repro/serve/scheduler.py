@@ -10,12 +10,14 @@ dedicated single-thread executor runs it.  Priority classes drain high-first
 *tier* into their own sub-batches (full quality first, then ladder
 order) so a batch always runs on exactly one session.
 
-Backpressure is explicit: the collector holds one of
-``len(pool) * inflight_per_replica`` dispatch slots for every batch in
-flight and will not pop the next batch until a slot frees.  Under
-overload the backlog therefore piles up *in the admission queue* —
-the one place with a capacity bound and shedding policies — never in
-the replicas' executor queues.
+Backpressure is explicit: every batch in flight holds a lease on its
+replica, and the collector will not pop the next batch until a healthy
+replica holds fewer than
+:data:`~repro.serve.pool.INFLIGHT_PER_REPLICA` leases (see
+:meth:`~repro.serve.ReplicaPool.wait_for_room`).  Under overload, and
+while some replicas are unhealthy, the backlog therefore piles up *in
+the admission queue* — the one place with a capacity bound and
+shedding policies — never in the replicas' executor queues.
 
 Deadline contract: a request whose deadline expires while queued (or
 while waiting in a replica's executor) fails fast with
@@ -43,59 +45,9 @@ import numpy as np
 from .errors import DeadlineExceeded, ReplicaUnavailable, ServerStopped
 
 
-class _DispatchSlots:
-    """A resizable counting semaphore for dispatch backpressure.
-
-    ``BoundedSemaphore`` fixes its limit at construction, which welds
-    the in-flight bound to the pool size the scheduler started with.
-    An elastic pool (the cluster autoscaler adds and drains replicas
-    mid-flight) needs :meth:`resize`: growing wakes blocked acquirers,
-    shrinking lets in-flight batches finish and simply admits fewer new
-    ones.  Built on a :class:`threading.Condition` waiting on its own
-    lock, so the wait is the bounded hand-off pattern the concurrency
-    lint recognises.
-    """
-
-    def __init__(self, limit):
-        limit = int(limit)
-        if limit < 1:
-            raise ValueError(f"slot limit must be >= 1, got {limit}")
-        self._cond = threading.Condition()
-        self._limit = limit  # protected by _cond
-        self._used = 0       # protected by _cond
-
-    def acquire(self) -> None:
-        with self._cond:
-            while self._used >= self._limit:
-                self._cond.wait()
-            self._used += 1
-
-    def release(self) -> None:
-        with self._cond:
-            if self._used <= 0:
-                raise ValueError("release() without a matching acquire()")
-            self._used -= 1
-            self._cond.notify()
-
-    def resize(self, limit) -> None:
-        """Change the limit; growth wakes every blocked acquirer."""
-        limit = int(limit)
-        if limit < 1:
-            raise ValueError(f"slot limit must be >= 1, got {limit}")
-        with self._cond:
-            grew = limit > self._limit
-            self._limit = limit
-            if grew:
-                self._cond.notify_all()
-
-    @property
-    def limit(self) -> int:
-        with self._cond:
-            return self._limit
-
-
 class Scheduler:
-    """Batches the admission queue onto a :class:`ReplicaPool`.
+    """Batches the admission queue onto a :class:`ReplicaPool`, whose
+    per-replica leases bound the batches in flight.
 
     Parameters
     ----------
@@ -117,15 +69,10 @@ class Scheduler:
     """
 
     def __init__(self, pool, queue, *, max_batch_size=8, max_wait_ms=2.0,
-                 inflight_per_replica=2, tracer=None):
+                 tracer=None):
         if max_batch_size < 1:
             raise ValueError(
                 f"max_batch_size must be >= 1, got {max_batch_size}"
-            )
-        if inflight_per_replica < 1:
-            raise ValueError(
-                f"inflight_per_replica must be >= 1, got "
-                f"{inflight_per_replica}"
             )
         if not 0.0 <= float(max_wait_ms) < math.inf:
             raise ValueError(
@@ -135,18 +82,6 @@ class Scheduler:
         self.queue = queue
         self.max_batch_size = int(max_batch_size)
         self.max_wait_s = float(max_wait_ms) / 1e3
-        # Backpressure: without a bound on dispatched-but-unfinished
-        # batches, the collector would drain the admission queue into
-        # the replicas' unbounded executor queues and the admission
-        # bound (and its shedding policies) would never engage.  Each
-        # dispatch holds a slot until its batch finishes; 2 per replica
-        # keeps a replica busy while its next batch forms.  The slots
-        # are resizable so an elastic pool keeps the bound proportional
-        # (see sync_slots).
-        self.inflight_per_replica = int(inflight_per_replica)
-        self._slots = _DispatchSlots(
-            len(pool) * self.inflight_per_replica
-        )
         self.tracer = tracer
         self._lock = threading.Lock()
         self._collector = None
@@ -204,13 +139,6 @@ class Scheduler:
         with self._lock:
             return self._make_executor_locked(replica.name)
 
-    def sync_slots(self) -> None:
-        """Re-proportion the dispatch-slot bound to the current pool
-        size; call after every pool add/remove."""
-        self._slots.resize(
-            max(1, len(self.pool)) * self.inflight_per_replica
-        )
-
     def retire_executor(self, name, wait=True) -> None:
         """Shut down a removed replica's executor (drains its queued
         batch first when *wait* is true)."""
@@ -222,22 +150,20 @@ class Scheduler:
     # ------------------------------------------------------------------
     def _collect_loop(self):
         while True:
-            # wait for a dispatch slot BEFORE popping, so under overload
-            # the backlog accumulates in the admission queue (bounded,
-            # shed-policed) rather than downstream of it
-            self._slots.acquire()
+            # wait for room on a replica BEFORE popping, so under
+            # overload the backlog accumulates in the admission queue
+            # (bounded, shed-policed) rather than downstream of it
+            self.pool.wait_for_room()
             batch = self.queue.next_batch(self.max_batch_size, self.max_wait_s)
             if not batch:
-                self._slots.release()
                 return  # queue closed and empty
             self._route(batch)
 
     def _route(self, batch):
         """Fail expired requests, group the rest, dispatch each group.
 
-        The caller holds one dispatch slot; the first dispatched group
-        consumes it, any further group acquires its own, and the slot
-        is returned here if every request in the batch expired.
+        The caller waited for room for the first group; every further
+        group waits for its own.
         """
         now = time.perf_counter()
         live = []
@@ -254,15 +180,11 @@ class Scheduler:
         rank = {None: 0}
         for i, name in enumerate(getattr(self.queue, "tiers", ()) or ()):
             rank.setdefault(name, i + 1)
-        have_slot = True
-        for tier in sorted(groups, key=lambda t: (rank.get(t, len(rank)),
-                                                  str(t))):
-            if not have_slot:
-                self._slots.acquire()
-            have_slot = False
+        order = sorted(groups, key=lambda t: (rank.get(t, len(rank)), str(t)))
+        for i, tier in enumerate(order):
+            if i:
+                self.pool.wait_for_room()
             self._dispatch(groups[tier], tier)
-        if have_slot:
-            self._slots.release()
 
     def _fail_deadline(self, req, now):
         if not req.fail(DeadlineExceeded(req.waited_ms(now), req.deadline_ms)):
@@ -272,15 +194,16 @@ class Scheduler:
             self.failed += 1
 
     def _dispatch(self, group, tier):
-        """Run *group* on a replica; consumes the caller's dispatch slot."""
+        """Lease a replica and run *group* on it, on the tier the
+        replica executes (:meth:`~repro.serve.Replica.executed_tier`)."""
         try:
             replica = self.pool.acquire()
         except ReplicaUnavailable as exc:
             failed = sum(1 for req in group if req.fail(exc))
             with self._lock:
                 self.failed += failed
-            self._slots.release()
             return
+        tier = replica.executed_tier(tier)
 
         def run():
             # Everything here runs on a ThreadPoolExecutor worker, where
@@ -331,7 +254,6 @@ class Scheduler:
                     self.failed += failed
             finally:
                 self.pool.release(replica)
-                self._slots.release()
 
         self._executor_for(replica).submit(run)
 

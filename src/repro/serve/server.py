@@ -131,7 +131,7 @@ class Server:
         if config is not None and config.workers:
             # shard across cluster workers: one RemoteReplica per
             # advertised replica slot joins the local pool before the
-            # scheduler sizes its dispatch slots
+            # scheduler starts
             from ..cluster import connect_worker
 
             for address in config.workers:
@@ -231,20 +231,20 @@ class Server:
     # elasticity
     # ------------------------------------------------------------------
     def add_replica(self, replica) -> None:
-        """Put *replica* into routing and grow the dispatch bound.
+        """Put *replica* into routing; its leases add room for
+        :data:`~repro.serve.pool.INFLIGHT_PER_REPLICA` more batches in
+        flight.
 
         The scheduler creates the replica's executor lazily on its
         first dispatch, so adding is safe while serving.
         """
         self.pool.add(replica)
-        self.scheduler.sync_slots()
 
     def remove_replica(self, name, drain=True):
         """Take a replica out of routing (draining its in-flight work
-        by default), shrink the dispatch bound, retire its executor —
+        by default; its room leaves with it), retire its executor —
         and return it, still open, for the caller to close."""
         replica = self.pool.remove(name, drain=drain)
-        self.scheduler.sync_slots()
         self.scheduler.retire_executor(name, wait=drain)
         return replica
 

@@ -61,21 +61,17 @@ class TierSpec:
         ``None`` for a float tier, otherwise a paper-notation format
         pair string (``"8(4)-8(4)"``) the tier's
         :class:`~repro.fixedpoint.QuantizedODENetExecutor` runs in.
-    reduced:
-        execute on the reduced-ODE-step profile (every builtin tier
-        does — the ladder is monotone, so the quantized rungs stack on
-        top of the step reduction rather than replacing it).
-    description:
-        one line for reports.
+
+    Every tier executes on the reduced-ODE-step profile: the ladder is
+    monotone, so the quantized rungs stack on top of the step reduction
+    rather than replacing it.
     """
 
-    __slots__ = ("name", "qformat", "reduced", "description")
+    __slots__ = ("name", "qformat")
 
-    def __init__(self, name, qformat=None, reduced=True, description=""):
+    def __init__(self, name, qformat=None):
         self.name = str(name)
         self.qformat = None if qformat is None else str(qformat)
-        self.reduced = bool(reduced)
-        self.description = str(description)
 
     @property
     def is_quantized(self) -> bool:
@@ -95,8 +91,7 @@ class TierSpec:
         """Instantiate the (eval-mode) float model this tier executes."""
         from ..models import build_model, reduced_profile
 
-        use_profile = reduced_profile(profile) if self.reduced else profile
-        return build_model(model, profile=use_profile, seed=seed,
+        return build_model(model, profile=reduced_profile(profile), seed=seed,
                            pretrained_state=state, inference=True)
 
     def build_session(self, model, profile, *, seed=0, state=None,
@@ -136,18 +131,9 @@ class TierSpec:
 
 #: the tiers the serving layer knows how to build from the registry
 BUILTIN_TIERS = {
-    "reduced": TierSpec(
-        "reduced",
-        description="reduced-ODE-step profile, float weights",
-    ),
-    "int8": TierSpec(
-        "int8", qformat="8(4)-8(4)",
-        description="reduced profile in 8(4)-8(4) fixed point",
-    ),
-    "int4": TierSpec(
-        "int4", qformat="4(2)-4(2)",
-        description="reduced profile in 4(2)-4(2) fixed point",
-    ),
+    "reduced": TierSpec("reduced"),
+    "int8": TierSpec("int8", qformat="8(4)-8(4)"),
+    "int4": TierSpec("int4", qformat="4(2)-4(2)"),
 }
 
 #: the default three-rung ladder, shallowest degradation first

@@ -77,6 +77,7 @@ from repro.serve import (
     calibrate_rate,
     run_load,
 )
+from repro.serve.pool import INFLIGHT_PER_REPLICA
 
 SIZE = PROFILES["tiny"]["input_size"]
 
@@ -796,20 +797,75 @@ class TestElasticity:
         with pytest.raises(ValueError, match="last replica"):
             pool.remove("a")
 
-    def test_server_resizes_dispatch_slots(self):
-        pool = ReplicaPool([Replica("a", _echo_session())])
-        with Server(pool, max_batch_size=2, max_wait_ms=1.0) as server:
-            per = server.scheduler.inflight_per_replica
-            assert server.scheduler._slots.limit == per
-            server.add_replica(Replica("b", _echo_session()))
-            assert server.scheduler._slots.limit == 2 * per
-            fut = server.submit(np.ones(4, np.float32))
-            assert fut.result(timeout=30) is not None
+    def test_pool_remove_drains_on_release_and_times_out(self):
+        pool = ReplicaPool([Replica("a", _echo_session()),
+                            Replica("b", _echo_session())])
+        leases = {r.name: r for r in (pool.acquire(), pool.acquire())}
+        b = leases["b"]
+        removed = []
+        remover = threading.Thread(
+            target=lambda: removed.append(pool.remove("b", timeout_s=30)))
+        remover.start()
+        # the pool lock is free again only once remove() waits to drain
+        deadline = time.monotonic() + 10
+        while [r.name for r in pool] != ["a"]:
+            assert time.monotonic() < deadline, "remove() never started"
+            time.sleep(0.001)
+        assert remover.is_alive()  # b's lease is still out
+        t0 = time.monotonic()
+        pool.release(b)
+        remover.join(timeout=5)
+        assert not remover.is_alive()
+        assert time.monotonic() - t0 < 1.0
+        assert removed == [b] and b.outstanding == 0
+        # a lease that never comes back: give up after timeout_s
+        pool.add(b)
+        assert pool.acquire() is b  # a still holds its lease
+        t0 = time.monotonic()
+        assert pool.remove("b", timeout_s=0.2) is b
+        assert 0.2 <= time.monotonic() - t0 < 5.0
+        assert b.outstanding == 1
+
+    def test_server_add_and_remove_replica_move_the_in_flight_room(
+            self, wait_parked):
+        # leases are the in-flight bound: a joining replica takes up to
+        # INFLIGHT_PER_REPLICA batches of the backlog at once, and the
+        # server keeps serving after it leaves
+        gate = threading.Event()
+
+        def gated(batch):
+            gate.wait(timeout=30)
+            return np.asarray(batch)[:, :1]
+
+        a = Replica("a", InferenceSession(gated))
+        server = Server(ReplicaPool([a]), max_batch_size=1,
+                        max_wait_ms=1.0)
+        collector = server.scheduler._collector
+        try:
+            futures = [server.submit(np.ones(4, np.float32))
+                       for _ in range(6)]
+            wait_parked(collector,
+                        lambda: a.outstanding >= INFLIGHT_PER_REPLICA)
+            assert server.queue.depth == 6 - INFLIGHT_PER_REPLICA
+            b = Replica("b", InferenceSession(gated))
+            server.add_replica(b)
+            wait_parked(collector,
+                        lambda: b.outstanding >= INFLIGHT_PER_REPLICA)
+            assert a.outstanding == INFLIGHT_PER_REPLICA
+            assert server.queue.depth == 6 - 2 * INFLIGHT_PER_REPLICA
+            gate.set()
+            for fut in futures:
+                assert fut.result(timeout=30).shape == (1,)
             removed = server.remove_replica("b")
             removed.close()
-            assert server.scheduler._slots.limit == per
+            assert removed is b and b.outstanding == 0
+            assert [r.name for r in server.pool] == ["a"]
             # the shrunk server still serves
-            assert server.submit(np.ones(4, np.float32)).result(timeout=30)
+            fut = server.submit(np.ones(4, np.float32))
+            assert fut.result(timeout=30).shape == (1,)
+        finally:
+            gate.set()
+            server.close()
 
     def test_server_build_pulls_worker_slots_from_config(self, worker):
         config = SessionConfig(

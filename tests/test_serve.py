@@ -41,6 +41,7 @@ from repro.serve import (
     run_load,
 )
 from repro.serve.admission import FILL_WINDOW
+from repro.serve.pool import INFLIGHT_PER_REPLICA
 
 
 def _echo_session(scale=1.0, delay_s=0.0):
@@ -51,6 +52,17 @@ def _echo_session(scale=1.0, delay_s=0.0):
             time.sleep(delay_s)
         batch = np.asarray(batch)
         return scale * batch.reshape(batch.shape[0], -1).sum(axis=1)[:, None]
+
+    return InferenceSession(fn)
+
+
+def _gated_session(gate):
+    """A stub InferenceSession whose every batch blocks until *gate*
+    is set."""
+
+    def fn(batch):
+        gate.wait(timeout=30)
+        return np.asarray(batch)[:, :1]
 
     return InferenceSession(fn)
 
@@ -238,6 +250,24 @@ class TestReplicaPool:
         pool = ReplicaPool([replica])
         with pytest.raises(RuntimeError):
             replica.run(_samples(1))
+        with pytest.raises(ReplicaUnavailable):
+            pool.acquire()
+
+    def test_wait_for_room_waits_on_leases_not_on_sick_replicas(
+            self, wait_parked):
+        a = Replica("a", _echo_session())
+        pool = ReplicaPool([a])
+        for _ in range(INFLIGHT_PER_REPLICA):
+            pool.acquire()
+        waiter = threading.Thread(target=pool.wait_for_room)
+        waiter.start()
+        wait_parked(waiter, lambda: True)  # full: it waits
+        pool.release(a)
+        waiter.join(timeout=5)
+        assert not waiter.is_alive()
+        pool.acquire()  # full again
+        a.healthy = False
+        pool.wait_for_room()  # nothing healthy to wait for: returns
         with pytest.raises(ReplicaUnavailable):
             pool.acquire()
 
@@ -473,6 +503,35 @@ class TestServer:
             low.result(timeout=30)
             high.result(timeout=30)
         assert order[0] == "high"
+
+    def test_unhealthy_replica_leaves_the_backlog_in_the_queue(
+            self, wait_parked):
+        # one of two replicas is sick: the healthy one carries at most
+        # INFLIGHT_PER_REPLICA batches and the rest of the backlog
+        # stays in the bounded, shed-policed admission queue
+        gate = threading.Event()
+        a = Replica("a", _gated_session(gate))
+        b = Replica("b", _failing_session(), unhealthy_after=1)
+        with pytest.raises(RuntimeError):
+            b.run(_samples(1))
+        assert not b.healthy
+        server = Server(ReplicaPool([a, b]), max_batch_size=2,
+                        max_wait_ms=50.0)
+        try:
+            futures = [server.submit(np.zeros(2, np.float32))
+                       for _ in range(20)]
+            wait_parked(server.scheduler._collector,
+                        lambda: a.outstanding >= INFLIGHT_PER_REPLICA)
+            assert a.outstanding == INFLIGHT_PER_REPLICA
+            assert b.outstanding == 0
+            assert server.queue.depth >= 20 - 2 * INFLIGHT_PER_REPLICA
+            gate.set()
+            for fut in futures:
+                assert fut.result(timeout=30).shape == (1,)
+        finally:
+            gate.set()
+            server.close()
+        assert b.dispatches == 0
 
     def test_replica_failure_propagates_then_health_reports(self):
         pool = ReplicaPool(
@@ -857,6 +916,37 @@ class TestTierLadder:
         assert snap["degraded_dispatched"] == 7 - by_tier["full"]
         report = render_report(server.metrics())
         assert "dispatched by tier" in report
+
+    def test_tier_counters_count_the_executed_tier(self):
+        # a replica without tier sessions runs every band at full
+        # quality, so neither it nor the scheduler counts a degraded
+        # dispatch however deep the queue admitted the requests
+        gate = threading.Event()
+        replica = Replica("r0", _gated_session(gate))
+        server = Server(ReplicaPool([replica]), max_batch_size=1,
+                        max_wait_ms=0.1, queue_capacity=2,
+                        shed_policy="degrade", degrade_headroom=6)
+        try:
+            # the closed gate holds every lease, so the queue fills
+            # through the degrade bands while these land
+            futures = [server.submit(np.ones(2, np.float32))
+                       for _ in range(12)]
+            gate.set()
+            served = 0
+            for fut in futures:
+                try:
+                    fut.result(timeout=30)
+                    served += 1
+                except QueueFull:
+                    pass
+        finally:
+            gate.set()
+            server.close()
+        assert server.queue.snapshot()["degraded_admissions"] > 0
+        snap = server.scheduler.snapshot()
+        assert snap["dispatched_by_tier"] == {"full": served}
+        assert snap["degraded_dispatched"] == 0
+        assert replica.degraded_dispatches == 0
 
 
 class TestTierCertification:

@@ -12,8 +12,8 @@ Three claims, in decreasing strictness:
 1. **Correctness is unconditional** — every leg completes with zero
    hung futures and zero unexpected errors, and each worker's hello
    frame proves its replicas map **one** shared weight set (the
-   ``RPROWTS1`` versioned header from ``--shared-weights``).  Asserted
-   on every machine.
+   ``RPROWTS1`` versioned header every worker's pool lays out).
+   Asserted on every machine.
 2. **Numbers are always produced** — throughput for 1 and 2 workers is
    printed and persisted to ``BENCH_cluster_scaling.json`` whether or
    not the gate below is active.
@@ -77,7 +77,7 @@ def _launch_worker():
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.cluster.worker",
          "--listen", "127.0.0.1:0", "--replicas", "1",
-         "--mode", "process", "--shared-weights",
+         "--mode", "process",
          "--model", MODEL, "--profile", PROFILE, "--seed", str(SEED)],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         env=env,

@@ -3,43 +3,35 @@
 :class:`WeightPublisher` owns the *publish* half of the adaptation
 loop: given a ``state_dict`` snapshot from the shadow trainer it moves
 every replica of a :class:`~repro.serve.ReplicaPool` to the new weight
-generation **without pausing serving**:
+generation **without pausing serving**.  The move itself is
+:meth:`ReplicaPool.publish <repro.serve.ReplicaPool.publish>`, the one
+way a generation enters a pool, and it takes two paths:
 
-* with a :class:`~repro.cluster.SharedWeightStore` the arrays are
-  written in place and the single header bump
-  (:meth:`SharedWeightStore.refresh`) moves every co-located replica —
-  thread or forked — at once;
-* plain thread replicas get an in-place
-  :meth:`~repro.serve.Replica.load_weights` — the primary *and* every
-  degrade-tier float model, which hold private copies without a store
-  — plus a :meth:`~repro.serve.Replica.refresh`, which rebinds every
-  session's plan from the written weights (a compiled plan holds its
-  own lowered arrays) and ticks ``weights_version``;
+* every replica on this host reads the pool's
+  :class:`~repro.cluster.SharedWeightStore` — thread replicas, forked
+  process replicas and every degrade-tier float model alike — so the
+  arrays are written into the store once, its version header is bumped
+  once, and each replica's ``refresh()`` rebinds its plans (a compiled
+  plan holds its own lowered arrays, and quantized tiers re-derive
+  their integer weights) and takes the store's ``weights_version``;
 * :class:`~repro.cluster.RemoteReplica` slots ship the state over the
   wire via the worker's ``publish`` op — once per worker *address*
   (sibling slots observe the same host-side swap and only sync their
-  parent-side version counters);
-* local :class:`~repro.serve.ProcessReplica` children hold private
-  forked weight copies and have no ``publish`` op — publishing to such
-  a pool is a configuration error unless it was built with
-  ``shared_weights=True``.
+  parent-side version counters).
 
-Requests in flight during a swap complete on whichever generation their
-arrays read — never torn *versions* (the header moves only after all
-arrays are written), and never a dropped or hung future.  The publisher
-holds its own lock only around its counters, never while touching the
-pool, the store or the wire — the whole-program lock graph stays
-edge-free (CON002).
+The publisher adds the timing, the ``weights.swap`` trace span and the
+swap counters.  Requests in flight during a swap complete on whichever
+generation their arrays read — never torn *versions* (the header moves
+only after all arrays are written), and never a dropped or hung future.
+The publisher holds its own lock only around its counters, never while
+touching the pool, the store or the wire — the whole-program lock
+graph stays edge-free (CON002).
 """
 
 from __future__ import annotations
 
 import threading
 import time
-
-
-class PublishError(RuntimeError):
-    """The pool cannot accept a hot weight swap (see module docstring)."""
 
 
 class WeightPublisher:
@@ -71,53 +63,9 @@ class WeightPublisher:
         the bound on the window in which replicas may mix adjacent
         generations) and ``replicas`` (how many were moved).
         """
-        from ..serve.pool import ProcessReplica
-
         t0 = time.perf_counter()
-        local, remote = [], []
-        for replica in self.pool:  # pool iteration snapshots under its lock
-            if callable(getattr(replica, "publish", None)):
-                remote.append(replica)
-            else:
-                local.append(replica)
-
-        store = self.pool.weight_store
-        if store is None:
-            bad = [r.name for r in local if isinstance(r, ProcessReplica)]
-            if bad:
-                raise PublishError(
-                    f"pool has forked process replicas {bad} but no shared "
-                    "weight store; build it with shared_weights=True to "
-                    "hot-swap process-mode replicas"
-                )
-            for replica in local:
-                # load_weights moves the primary *and* every tier's
-                # float model (tiers hold private copies without a
-                # store); refresh re-derives compiled/quantized plans
-                replica.load_weights(state)
-                replica.refresh()
-        else:
-            version = store.refresh(state)
-            for replica in local:
-                replica.refresh()
-                replica.weights_version = version
-
-        published = {}  # worker address -> version
-        for replica in remote:
-            address = getattr(replica, "address", None)
-            if address is not None and address in published:
-                # sibling slot of an already-published worker: the host
-                # swap covered it, just sync the parent-side counter
-                replica.weights_version = published[address]
-            else:
-                version = replica.publish(state)
-                if address is not None:
-                    # address-less publishables never dedupe — each one
-                    # must receive the state itself
-                    published[address] = version
-
-        versions = [r.weights_version for r in (*local, *remote)]
-        version = max(versions) if versions else None
+        versions = self.pool.publish(state)
+        version = max(versions)
         t1 = time.perf_counter()
         pause_ms = (t1 - t0) * 1e3
         if self.tracer is not None:
@@ -147,4 +95,4 @@ class WeightPublisher:
             }
 
 
-__all__ = ["WeightPublisher", "PublishError"]
+__all__ = ["WeightPublisher"]

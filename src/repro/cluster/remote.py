@@ -113,12 +113,11 @@ class RemoteReplica(ChannelReplica):
         """Push a new weight generation to the worker hosting this slot.
 
         Ships the full ``state_dict`` over the wire; the worker writes
-        it into its host-local weight set (shared store, or per-replica
-        load for a thread-mode worker) and reports the new version
-        back.  One publish per *worker* suffices — sibling slots of the
-        same worker observe the same host-side swap, so a publisher
-        should dedupe by :attr:`address` (see
-        :class:`repro.adapt.WeightPublisher`).
+        it into its pool's shared weight store and reports the new
+        version back.  One publish per *worker* suffices — sibling
+        slots of the same worker observe the same host-side swap —
+        and :meth:`ReplicaPool.publish <repro.serve.ReplicaPool.publish>`
+        sends it once per :attr:`address`.
         """
         self.weights_version = int(
             self._client.request(

@@ -1,13 +1,16 @@
 """mmap-backed shared packed weights: one weight set per host.
 
-Every forked :class:`~repro.serve.ProcessReplica` on a host used to
-carry its own private copy of the model weights — N replicas, N copies
-of the same arrays.  :class:`SharedWeightStore` lays the full
-``state_dict`` into **one anonymous shared mmap** instead; replicas
-built after :meth:`adopt` serve straight out of that mapping, and a
-fork inherits the mapping rather than duplicating the pages
-(``mmap.mmap(-1, ...)`` is ``MAP_SHARED | MAP_ANONYMOUS`` on Linux, so
-parent and children address the same physical memory).
+Every pool that :meth:`ReplicaPool.build
+<repro.serve.ReplicaPool.build>` makes lays the full ``state_dict``
+into **one anonymous shared mmap** — N replicas and their degrade
+tiers, one copy of the arrays.  Models built after :meth:`adopt` serve
+straight out of that mapping, and a forked
+:class:`~repro.serve.ProcessReplica` inherits the mapping rather than
+duplicating the pages (``mmap.mmap(-1, ...)`` is ``MAP_SHARED |
+MAP_ANONYMOUS`` on Linux, so parent and children address the same
+physical memory).  The store is the one thing a hot weight swap
+writes (:meth:`ReplicaPool.publish
+<repro.serve.ReplicaPool.publish>`).
 
 Layout — a versioned header, a JSON array index, then 64-byte-aligned
 array data::
@@ -242,6 +245,11 @@ class SharedWeightStore:
                 raise ValueError(
                     f"shape mismatch for {name}: store {view.shape} vs "
                     f"model {param.data.shape}"
+                )
+            if view.dtype != param.data.dtype:
+                raise ValueError(
+                    f"dtype mismatch for {name}: store {view.dtype} vs "
+                    f"model {param.data.dtype}"
                 )
             param.data = view
         for name, _ in list(model.named_buffers()):

@@ -2,7 +2,7 @@
 
 ``python -m repro.cluster.worker --listen host:port ...`` builds a
 normal :class:`~repro.serve.ReplicaPool` (thread or process replicas,
-optionally with :class:`~repro.cluster.SharedWeightStore` weights so
+all reading the pool's :class:`~repro.cluster.SharedWeightStore`, so
 the host maps one weight set) and serves it over the
 :mod:`repro.cluster.wire` protocol.  Each accepted connection gets a
 handler thread running :meth:`ClusterWorker.serve_connection`, which
@@ -23,7 +23,8 @@ Ops: ``run`` (one batch, optional worker-side trace capture shipped
 back with the reply), ``health`` (the worker pool's own report),
 ``stats`` (merged :class:`~repro.runtime.SessionStats`), ``refresh``
 (re-freeze all sessions / bump the shared weights version),
-``publish`` (apply a pushed weight generation — the cluster half of
+``publish`` (apply a pushed weight generation through
+:meth:`~repro.serve.ReplicaPool.publish` — the cluster half of
 :class:`repro.adapt.WeightPublisher`'s hot swap), ``ping``.
 An unknown op or an op-level exception travels back typed on the same
 connection; only transport-level failures close it.
@@ -66,13 +67,12 @@ class ClusterWorker:
     """
 
     def __init__(self, pool, *, model="?", profile="?", mode="thread",
-                 backend=None, weight_store=None, listener=None):
+                 backend=None, listener=None):
         self.pool = pool
         self.model = str(model)
         self.profile = str(profile)
         self.mode = str(mode)
         self.backend = backend
-        self.weight_store = weight_store
         self._lock = threading.Lock()
         self._stopping = False   # protected by _lock
         self._conns = set()      # protected by _lock
@@ -86,15 +86,16 @@ class ClusterWorker:
     # ------------------------------------------------------------------
     @classmethod
     def build(cls, model="ode_botnet", profile="tiny", replicas=2, *,
-              backend=None, mode="thread", tiers=None, shared_weights=False,
+              backend=None, mode="thread", tiers=None,
               timeout_s=DEFAULT_TIMEOUT_S, seed=0, unhealthy_after=3,
               config=None, host="127.0.0.1", port=0):
         """Build the local pool from the registry, then bind and wrap it.
 
-        The pool — including any fork for process-mode replicas — is
-        constructed *before* the listening socket and threads exist, so
-        children never inherit live connections.  ``timeout_s`` bounds
-        each round trip to a process-mode replica's child.
+        The pool — its shared weight store, and any fork for
+        process-mode replicas — is constructed *before* the listening
+        socket and threads exist, so children never inherit live
+        connections.  ``timeout_s`` bounds each round trip to a
+        process-mode replica's child.
         """
         from ..runtime import SessionConfig
         from ..serve.pool import ReplicaPool
@@ -107,7 +108,6 @@ class ClusterWorker:
         pool = ReplicaPool.build(
             model, profile=profile, n_replicas=replicas, config=config,
             tiers=tiers, mode=mode, unhealthy_after=unhealthy_after,
-            shared_weights=shared_weights,
         )
         if mode == "process":
             for replica in pool:
@@ -115,7 +115,6 @@ class ClusterWorker:
         return cls(
             pool, model=model, profile=profile, mode=mode,
             backend=config.backend,
-            weight_store=getattr(pool, "weight_store", None),
             listener=socket.create_server((str(host), int(port)),
                                           backlog=64),
         )
@@ -124,6 +123,7 @@ class ClusterWorker:
     def hello(self) -> dict:
         """The self-description sent first on every connection."""
         first = self.pool.replicas[0]
+        store = self.pool.weight_store
         return {
             "wire_version": WIRE_VERSION,
             "model": self.model,
@@ -133,10 +133,7 @@ class ClusterWorker:
             "tiers": list(first.tier_sessions),
             "replicas": len(self.pool),
             "weights_version": first.weights_version,
-            "shared_weights": (
-                self.weight_store.describe()
-                if self.weight_store is not None else None
-            ),
+            "shared_weights": None if store is None else store.describe(),
             "pid": os.getpid(),
         }
 
@@ -178,29 +175,13 @@ class ClusterWorker:
     def _op_publish(self, payload):
         """Apply a pushed weight generation to this host's replicas.
 
-        The cluster half of :class:`repro.adapt.WeightPublisher`: with a
-        shared store the arrays are written in place and the single
-        header bump (inside :meth:`ReplicaPool.refresh`) moves every
-        co-located process to the new generation; a thread-mode worker
-        without a store loads the state into each replica's models —
-        primary *and* degrade-tier floats, which are private copies
-        without a store.  A process-mode worker without ``--shared-weights``
-        has no channel to its children's private weight copies and
-        rejects the op.
+        The cluster half of :class:`repro.adapt.WeightPublisher`:
+        :meth:`ReplicaPool.publish <repro.serve.ReplicaPool.publish>`
+        writes the arrays into the pool's shared store once, and its
+        one header bump moves every co-located replica, forked or not,
+        primary and tiers; returns the new version.
         """
-        state = payload["state"]
-        if self.weight_store is not None:
-            self.weight_store.write_arrays(state)
-        elif self.mode == "process":
-            raise ValueError(
-                "cannot publish weights to a process-mode worker without "
-                "--shared-weights; restart the worker with a shared store"
-            )
-        else:
-            for replica in self.pool:
-                replica.load_weights(state)
-        self.pool.refresh()
-        return self.pool.replicas[0].weights_version
+        return max(self.pool.publish(payload["state"]))
 
     def _op_ping(self, payload):
         return "pong"
@@ -317,8 +298,6 @@ class ClusterWorker:
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5)
         self.pool.close()
-        if self.weight_store is not None:
-            self.weight_store.close()
 
     def __enter__(self):
         return self
@@ -366,9 +345,6 @@ def build_parser():
     parser.add_argument("--tiers", default=None, metavar="T1,T2",
                         help="comma-separated degrade ladder, e.g. "
                              "reduced,int8,int4")
-    parser.add_argument("--shared-weights", action="store_true",
-                        help="map one shared weight set for all local "
-                             "replicas (mmap, versioned header)")
     parser.add_argument("--timeout-s", type=float,
                         default=DEFAULT_TIMEOUT_S,
                         help="per-batch deadline for process replicas "
@@ -388,8 +364,7 @@ def main(argv=None) -> int:
     worker = ClusterWorker.build(
         args.model, profile=args.profile, replicas=args.replicas,
         backend=args.backend, mode=args.mode, tiers=tiers,
-        shared_weights=args.shared_weights, timeout_s=args.timeout_s,
-        seed=args.seed, host=host, port=port,
+        timeout_s=args.timeout_s, seed=args.seed, host=host, port=port,
     )
     print(
         f"CLUSTER_WORKER_READY {format_address(worker.address)} "

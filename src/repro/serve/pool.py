@@ -8,12 +8,15 @@ same weight set.  It tracks its own health: consecutive failures past
 a threshold mark it unhealthy and routing skips it until
 :meth:`ReplicaPool.revive`.
 
-Every tier shares the primary session's weights.  The quantized tiers
+A pool built with :meth:`ReplicaPool.build` lays its weights into one
+:class:`repro.cluster.SharedWeightStore`, and every replica's primary
+and tier float models read that one mapped set.  The quantized tiers
 derive their integer weights when the tier session compiles its
 fixed-point plan, and again on :meth:`Replica.refresh`, which rebinds
 every session; the replica's ``weights_version`` counter ticks there —
 so metrics can confirm all tiers of a replica serve the same weight
-generation.
+generation.  :meth:`ReplicaPool.publish` is the one way a new
+generation enters a pool.
 
 The :class:`ReplicaPool` routes by **least outstanding work**: every
 dispatch leases the healthy replica with the fewest in-flight batches,
@@ -49,7 +52,6 @@ import time
 import numpy as np
 
 from ..models import build_model
-from ..nn import Module
 from ..runtime import InferenceSession, SessionConfig, SessionStats
 from .errors import ReplicaUnavailable
 from .tiers import resolve_ladder
@@ -129,24 +131,6 @@ class Replica:
         """Run one batch on *tier*'s session (``None``: full quality)."""
         session = self.session if tier is None else self.tier_sessions[tier]
         return session.predict_batch(samples)
-
-    def load_weights(self, state) -> None:
-        """Load *state* into the primary model **and** every tier's
-        float model.
-
-        Tier sessions built without a shared weight store hold private
-        weight copies (:meth:`TierSpec.build_session` loads the state
-        dict into a fresh model), so a hot swap that only touched the
-        primary would leave degraded dispatches serving the old
-        generation.  Call :meth:`refresh` afterwards so compiled and
-        quantized plans re-derive from the new arrays.
-        """
-        self.session.model.load_state_dict(state)
-        for session in self.tier_sessions.values():
-            net = session.model
-            if not isinstance(net, Module):
-                net = net.model  # a quantized tier's executor
-            net.load_state_dict(state)
 
     def refresh(self) -> None:
         """Re-freeze every session (primary and all tiers) after a
@@ -270,11 +254,11 @@ class ProcessReplica(ChannelReplica):
     a timeout: the child's late reply is discarded by the next round
     trip, never handed to its callers.
 
-    The child's weights are private copies, except for arrays mapped
-    from a shared :class:`repro.cluster.SharedWeightStore`; there is no
-    ``publish`` channel, so a hot swap reaches a forked child only
-    through such a store (then :meth:`refresh` re-derives the child's
-    quantized tier plans from the shared floats).
+    The child's float weights are the pool's
+    :class:`repro.cluster.SharedWeightStore`, mapped before the fork, so
+    a store write reaches them with no message; :meth:`refresh` then has
+    the child rebind its plans, quantized tiers included.  There is no
+    ``publish`` op to a child.
     """
 
     def __init__(self, name, session, tier_sessions=None,
@@ -318,16 +302,6 @@ class ProcessReplica(ChannelReplica):
                           unhealthy_after=sys.maxsize)
         ClusterWorker(ReplicaPool([replica])).serve_connection(conn)
 
-    def load_weights(self, state) -> None:
-        """Forked replicas have no weight channel to the child's
-        private copies — only a shared store can move them (and then a
-        swap is an in-place store write, not a state load)."""
-        raise RuntimeError(
-            f"replica {self.name} runs in a forked worker with private "
-            "weight copies; build the pool with shared_weights=True to "
-            "hot-swap process-mode replicas"
-        )
-
     def close(self) -> None:
         """Close the channel and join the child."""
         super().close()
@@ -358,8 +332,9 @@ class ReplicaPool:
         if len(set(names)) != len(names):
             raise ValueError(f"replica names must be unique, got {names}")
         self.replicas = replicas
-        #: optional :class:`repro.cluster.SharedWeightStore` when the
-        #: pool was built with ``shared_weights=True``
+        #: the :class:`repro.cluster.SharedWeightStore` every local
+        #: replica of a :meth:`build` pool reads; ``None`` for
+        #: hand-assembled pools
         self.weight_store = None
         #: registry build arguments and reference state for pools made
         #: with :meth:`build` — how :class:`repro.adapt` constructs its
@@ -372,9 +347,21 @@ class ReplicaPool:
     @classmethod
     def build(cls, model="ode_botnet", profile="tiny", n_replicas=2, *,
               config=None, seed=0, pretrained_state=None,
-              tiers=None, mode="thread", unhealthy_after=3,
-              shared_weights=False):
+              tiers=None, mode="thread", unhealthy_after=3):
         """Build *n_replicas* identical-weight replicas from the registry.
+
+        The weights are laid into one
+        :class:`repro.cluster.SharedWeightStore` (anonymous shared mmap,
+        versioned header), exposed as :attr:`weight_store`.  Every
+        replica's primary **and tier** float-model parameters are
+        rebound onto it *before* its sessions bind their plans, so
+        every plan derives from the one mapping, process-mode forks
+        inherit the pages instead of duplicating them, and
+        :meth:`publish` moves every local replica with one store write
+        and one ``weights_version`` bump.  (Compiled plans still lower
+        their own copies, and quantized tiers derive their integer
+        weights per replica; both re-derive from the store on
+        refresh.)
 
         Parameters
         ----------
@@ -394,19 +381,6 @@ class ReplicaPool:
             weight generation the primary serves.
         mode:
             ``"thread"`` or ``"process"`` (see the module docstring).
-        shared_weights:
-            map one :class:`repro.cluster.SharedWeightStore` weight set
-            (anonymous shared mmap, versioned header) and rebind every
-            replica's primary **and tier** float-model parameters onto
-            it *before* session construction — so every plan derives
-            from the single mapping, process-mode forks
-            inherit the pages instead of duplicating them, and
-            :meth:`refresh` bumps one shared ``weights_version`` every
-            co-located replica observes.  (Quantized tier sessions
-            still derive their integer weights per replica — those are
-            a different dtype, not a duplicate of the float set — and
-            re-derive them from the shared floats on refresh.)  The
-            store is exposed as :attr:`weight_store`.
         """
         if n_replicas < 1:
             raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
@@ -419,23 +393,20 @@ class ReplicaPool:
                                 pretrained_state=pretrained_state,
                                 inference=True)
         state = reference.state_dict()
-        store = None
-        if shared_weights:
-            # lazy import: repro.cluster sits on top of repro.serve
-            from ..cluster.shmem import SharedWeightStore
+        # lazy import: repro.cluster sits on top of repro.serve
+        from ..cluster.shmem import SharedWeightStore
 
-            store = SharedWeightStore.create(state)
+        store = SharedWeightStore.create(state)
         replicas = []
         for i in range(int(n_replicas)):
             stats = SessionStats()
             replica_model = build_model(model, profile=profile, seed=seed,
                                         pretrained_state=state,
                                         inference=True)
-            if store is not None:
-                # rebind parameters onto the shared mapping before the
-                # session binds its plan, so the plan references the
-                # mapped arrays (fork then shares the pages)
-                store.adopt(replica_model)
+            # rebind parameters onto the shared mapping before the
+            # session binds its plan, so the plan derives from the
+            # mapped arrays (fork then shares the pages)
+            store.adopt(replica_model)
             session = InferenceSession(
                 replica_model, stats=stats, config=config,
             )
@@ -548,6 +519,50 @@ class ReplicaPool:
         raise KeyError(name)
 
     # ------------------------------------------------------------------
+    def publish(self, state) -> list:
+        """Move every replica to the weight generation *state*; returns
+        the ``weights_version`` each replica now reports, in pool order.
+
+        The one way a generation enters a pool.  A replica with a
+        ``publish`` op (:class:`repro.cluster.RemoteReplica`) lives on
+        another host and gets *state* over the wire, once per worker
+        ``address``: its sibling slots only copy the version back, and
+        an address-less one always gets its own copy.  Every other
+        replica reads :attr:`weight_store`, so *state* is written into
+        the store once, its version is bumped once, and each local
+        replica refreshes and takes that version (as in
+        :meth:`refresh`).
+
+        Raises ``ValueError`` before anything is written when a local
+        replica has no store to read (a hand-assembled pool).  No pool
+        lock is held while a replica refreshes or a round trip runs.
+        """
+        replicas = list(self)  # a snapshot taken under the condition
+        remote = [r for r in replicas
+                  if callable(getattr(r, "publish", None))]
+        local = [r for r in replicas if r not in remote]
+        store = self.weight_store
+        if store is None and local:
+            raise ValueError(
+                f"replicas {[r.name for r in local]} read no weight "
+                "store, so a publish cannot reach them; build the pool "
+                "with ReplicaPool.build"
+            )
+        if store is not None:
+            store.write_arrays(state)
+            self._refresh(local)
+        published = {}  # worker address -> the version it reported
+        for replica in remote:
+            address = getattr(replica, "address", None)
+            if address in published:
+                # a sibling slot: the worker's swap already moved it
+                replica.weights_version = published[address]
+            else:
+                version = replica.publish(state)
+                if address is not None:
+                    published[address] = version
+        return [r.weights_version for r in replicas]
+
     def refresh(self) -> None:
         """Re-freeze every replica's sessions (all tiers) after a
         weight mutation; each replica's ``weights_version`` ticks.
@@ -555,10 +570,13 @@ class ReplicaPool:
         With a shared weight store the store's header version is
         bumped exactly once and every replica adopts it, so all
         co-located replicas report the same generation."""
+        self._refresh(list(self))
+
+    def _refresh(self, replicas):
         store_version = None
         if self.weight_store is not None:
             store_version = self.weight_store.bump_version()
-        for replica in self:
+        for replica in replicas:
             replica.refresh()
             if store_version is not None:
                 replica.weights_version = store_version

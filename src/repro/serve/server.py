@@ -94,8 +94,7 @@ class Server:
     @classmethod
     def build(cls, model="ode_botnet", profile="tiny", n_replicas=2, *,
               config=None, seed=0, pretrained_state=None,
-              mode="thread", tiers=None, certify=True,
-              shared_weights=False, **server_kw):
+              mode="thread", tiers=None, certify=True, **server_kw):
         """Build pool and server from the model registry in one call.
 
         ``config`` is a shared :class:`~repro.runtime.SessionConfig`
@@ -118,15 +117,10 @@ class Server:
             ladder = resolve_ladder(tiers)
             if certify:
                 certify_ladder(ladder, model, profile, seed=seed)
-        if config is not None and config.adapt is not None and \
-                mode == "process":
-            # forked children hold private weight copies; a shared
-            # store is the only hot-swap channel into them
-            shared_weights = True
         pool = ReplicaPool.build(
             model, profile, n_replicas, config=config,
             seed=seed, pretrained_state=pretrained_state, mode=mode,
-            tiers=ladder, shared_weights=shared_weights,
+            tiers=ladder,
         )
         if config is not None and config.workers:
             # shard across cluster workers: one RemoteReplica per

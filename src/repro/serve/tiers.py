@@ -24,11 +24,10 @@ cliff:
 Every tier shares the primary session's weight set: tier sessions are
 built from the same ``state_dict`` and the quantized tiers derive their
 integer weights from it once per plan binding, again on every
-:meth:`~repro.serve.Replica.refresh`.  Pools built on a
-:class:`~repro.cluster.SharedWeightStore` adopt each tier's float model
-onto the shared mapping, so a hot weight swap reaches every rung; pools
-without a store move tiers via :meth:`~repro.serve.Replica.load_weights`
-before the refresh.
+:meth:`~repro.serve.Replica.refresh`.  :meth:`ReplicaPool.build
+<repro.serve.ReplicaPool.build>` adopts each tier's float model onto
+the pool's :class:`~repro.cluster.SharedWeightStore`, so a hot weight
+swap (:meth:`~repro.serve.ReplicaPool.publish`) reaches every rung.
 
 :data:`DEFAULT_LADDER` is the three-rung order above.  A ladder is
 always *ordered*: earlier tiers absorb overload first, deeper tiers
@@ -104,14 +103,16 @@ class TierSpec:
         the ``fused`` backend whatever the config's, so they bind the
         compiled fixed-point plan.
 
-        With a *store* (a :class:`repro.cluster.SharedWeightStore`) the
-        tier's float model is rebound onto the shared mapping before
-        the session compiles its plan — the reduced profile keeps every
-        parameter shape, so the tier literally shares the primary's
-        arrays and a hot weight swap (in-place store write + refresh)
-        moves this tier too; quantized tiers re-derive their integer
-        weights from the updated floats on
-        :meth:`~repro.serve.Replica.refresh`.
+        With a *store* (a :class:`repro.cluster.SharedWeightStore`, as
+        :meth:`ReplicaPool.build <repro.serve.ReplicaPool.build>`
+        passes) the tier's float model is rebound onto the shared
+        mapping before the session compiles its plan — the reduced
+        profile keeps every parameter shape, so the tier literally
+        shares the primary's arrays and a hot weight swap (one store
+        write + refresh) moves this tier too; quantized tiers re-derive
+        their integer weights from the updated floats on
+        :meth:`~repro.serve.Replica.refresh`.  Without one the tier
+        holds a private copy of *state*.
         """
         from ..fixedpoint import QuantizedODENetExecutor
         from ..runtime import InferenceSession, SessionConfig

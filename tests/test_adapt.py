@@ -22,7 +22,6 @@ from repro.adapt import (
     AdaptationController,
     DEFAULT_ADAPT_PREFIXES,
     OnlineTrainer,
-    PublishError,
     SampleTap,
     WeightPublisher,
     adapt_parameters,
@@ -277,8 +276,7 @@ class TestWeightPublisher:
             pool.close()
 
     def test_shared_store_swap_bumps_once(self):
-        pool = ReplicaPool.build("ode_botnet", "tiny", 2, seed=0,
-                                 shared_weights=True)
+        pool = ReplicaPool.build("ode_botnet", "tiny", 2, seed=0)
         try:
             state = build_model("ode_botnet", profile="tiny",
                                 seed=99).state_dict()
@@ -292,9 +290,9 @@ class TestWeightPublisher:
             pool.close()
 
     def test_publish_moves_tier_sessions_without_store(self):
-        """Degrade-tier sessions hold private weight copies; a publish
-        must move them too, not just the primary (review: stale-tier
-        swap bug)."""
+        """A pool built with no weight-store option still serves its
+        degrade tiers from the store: a publish must move those
+        sessions too, not just the primary (stale-tier swap bug)."""
         from repro.serve.tiers import BUILTIN_TIERS
 
         tiers = ("reduced", "int8")
@@ -320,13 +318,14 @@ class TestWeightPublisher:
             pool.close()
 
     def test_shared_store_publish_moves_tier_sessions(self):
-        """With a store the tier floats are adopted onto the mapping,
-        so the in-place store write + refresh moves every rung."""
+        """The tier floats are adopted onto the store, so the one store
+        write + refresh moves every rung of every replica, not just
+        the primary."""
         from repro.serve.tiers import BUILTIN_TIERS
 
         tiers = ("reduced", "int8")
         pool = ReplicaPool.build("ode_botnet", "tiny", 2, seed=0,
-                                 shared_weights=True, tiers=tiers)
+                                 tiers=tiers)
         try:
             x = _stream(n=2)[0]
             before = {t: pool.replicas[0].run(x, tier=t) for t in tiers}
@@ -352,8 +351,7 @@ class TestWeightPublisher:
         from repro.serve.tiers import BUILTIN_TIERS
 
         pool = ReplicaPool.build("ode_botnet", "tiny", 1, seed=0,
-                                 mode="process", shared_weights=True,
-                                 tiers=("int8",))
+                                 mode="process", tiers=("int8",))
         try:
             x = _stream(n=2)[0]
             replica = pool.replicas[0]
@@ -397,15 +395,110 @@ class TestWeightPublisher:
         assert len(a.published) == 1 and len(b.published) == 1
         assert info["replicas"] == 2
 
-    def test_fork_pool_without_store_is_a_publish_error(self):
-        pool = ReplicaPool.build("ode_botnet", "tiny", 1, mode="process")
+    def test_process_pool_hot_swaps_with_no_flag(self):
+        """A process pool built with no option reads the pool's store,
+        so one publish moves every forked replica, primary and tier."""
+        from repro.serve.tiers import BUILTIN_TIERS
+
+        pool = ReplicaPool.build("ode_botnet", "tiny", 2, mode="process",
+                                 tiers=("int8",))
         try:
+            x = _stream(n=2)[0]
+            before = [r.run(x) for r in pool.replicas]
             state = build_model("ode_botnet", profile="tiny",
-                                seed=1).state_dict()
-            with pytest.raises(PublishError, match="shared_weights=True"):
-                WeightPublisher(pool).publish(state)
+                                seed=99).state_dict()
+            info = WeightPublisher(pool).publish(state)
+            assert info["version"] == 2 and info["replicas"] == 2
+            assert [r.weights_version for r in pool] == [2, 2]
+            fresh = InferenceSession(build_model(
+                "ode_botnet", profile="tiny", pretrained_state=state,
+                inference=True,
+            ))
+            fresh_int8 = BUILTIN_TIERS["int8"].build_session(
+                "ode_botnet", "tiny", state=state,
+            )
+            for replica, old in zip(pool.replicas, before):
+                after = replica.run(x)
+                assert not np.array_equal(old, after), replica.name
+                np.testing.assert_array_equal(after,
+                                              fresh.predict_batch(x))
+                np.testing.assert_array_equal(
+                    replica.run(x, tier="int8"),
+                    fresh_int8.predict_batch(x),
+                )
         finally:
             pool.close()
+
+    def test_mixed_pool_moves_every_replica_exactly_once(self,
+                                                         monkeypatch):
+        """One built local replica plus both slots of a worker: the
+        local store takes one write and one bump, the worker one
+        ``publish`` op, and every replica answers on the new state."""
+        from repro.cluster import ClusterWorker, connect_worker
+
+        ops = []
+        original = ClusterWorker._OPS["publish"]
+
+        def counted(worker, payload):
+            ops.append(payload)
+            return original(worker, payload)
+
+        monkeypatch.setitem(ClusterWorker._OPS, "publish", counted)
+        local = SessionConfig(backend="compiled")
+        with ClusterWorker.build("ode_botnet", "tiny", 2,
+                                 mode="thread") as worker:
+            worker.start()
+            pool = ReplicaPool.build("ode_botnet", "tiny", 1, seed=0,
+                                     config=local)
+            try:
+                for replica in connect_worker(worker.address,
+                                              timeout_s=60):
+                    pool.add(replica)
+                assert len(pool) == 3
+                state = build_model("ode_botnet", profile="tiny",
+                                    seed=99).state_dict()
+                info = WeightPublisher(pool).publish(state)
+                assert len(ops) == 1
+                assert pool.weight_store.version == 2
+                assert worker.pool.weight_store.version == 2
+                assert [r.weights_version for r in pool] == [2, 2, 2]
+                assert info["version"] == 2 and info["replicas"] == 3
+                x = _stream(n=2)[0]
+
+                def fresh(backend):
+                    return InferenceSession(build_model(
+                        "ode_botnet", profile="tiny",
+                        pretrained_state=state, inference=True,
+                    ), config=SessionConfig(backend=backend)).predict_batch(x)
+
+                mine, *slots = pool.replicas
+                np.testing.assert_array_equal(mine.run(x),
+                                              fresh(local.backend))
+                served = fresh(worker.backend)  # the ambient backend
+                for slot in slots:
+                    np.testing.assert_array_equal(slot.run(x), served,
+                                                  err_msg=slot.name)
+            finally:
+                pool.close()
+
+    def test_publish_to_a_storeless_pool_names_the_replica(self):
+        """A hand-assembled pool has no store for its local replica to
+        read: publish refuses before it writes anything."""
+        from repro.serve import Replica
+
+        net = build_model("ode_botnet", profile="tiny", seed=0,
+                          inference=True)
+        replica = Replica("lone", InferenceSession(net))
+        pool = ReplicaPool([replica])
+        weights = {n: p.data.copy() for n, p in net.named_parameters()}
+        state = build_model("ode_botnet", profile="tiny",
+                            seed=99).state_dict()
+        with pytest.raises(ValueError, match="lone"):
+            pool.publish(state)
+        assert replica.weights_version == 1
+        for name, param in net.named_parameters():
+            np.testing.assert_array_equal(param.data, weights[name],
+                                          err_msg=name)
 
     def test_swap_records_trace_span(self):
         from repro.trace import Tracer

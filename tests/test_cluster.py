@@ -14,9 +14,9 @@ The cluster layer's contract, pinned:
 * :class:`~repro.cluster.RemoteReplica` responses are bit-exact with a
   direct :class:`~repro.runtime.InferenceSession` for every registry
   model — distribution reschedules computation, never changes it;
-* ``shared_weights=True`` maps **one** weight set per host: every
-  replica's parameters view the same mmap, and the versioned header
-  propagates one refresh bump to all of them;
+* every pool ``ReplicaPool.build`` makes maps **one** weight set per
+  host: every replica's parameters view the same mmap, and the
+  versioned header propagates one refresh bump to all of them;
 * the elastic pool surface (``add`` / ``remove`` / resized dispatch
   slots) and the autoscaler's pure ``evaluate`` decisions behave;
 * a 3x overload soak across two workers completes with zero hung
@@ -398,8 +398,7 @@ class TestWorkerClientSocketpair(TestWorkerClient):
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def worker():
-    with ClusterWorker.build("ode_botnet", "tiny", 2, mode="thread",
-                             shared_weights=True) as w:
+    with ClusterWorker.build("ode_botnet", "tiny", 2, mode="thread") as w:
         w.start()
         yield w
 
@@ -489,7 +488,7 @@ class TestClusterWorker:
 
     def test_remote_publish_moves_tier_sessions(self):
         """A worker-side publish must move the degrade-tier sessions
-        too — thread-mode tiers hold private weight copies."""
+        too, not just the primary."""
         from repro.serve.tiers import BUILTIN_TIERS
 
         tiers = ("reduced", "int8")
@@ -520,7 +519,8 @@ class TestClusterWorker:
             before = replica.weights_version
             replica.refresh()
             assert replica.weights_version == before + 1
-            assert worker.weight_store.version == replica.weights_version
+            assert (worker.pool.weight_store.version
+                    == replica.weights_version)
         finally:
             replica.close()
 
@@ -600,8 +600,7 @@ class TestSharedWeightStore:
             store.close()
 
     def test_pool_maps_one_copy_per_host(self):
-        pool = ReplicaPool.build("ode_botnet", "tiny", 2,
-                                 shared_weights=True)
+        pool = ReplicaPool.build("ode_botnet", "tiny", 2)
         try:
             store = pool.weight_store
             assert store is not None
@@ -618,8 +617,7 @@ class TestSharedWeightStore:
             pool.close()
 
     def test_refresh_bumps_the_store_version_once_for_all(self):
-        pool = ReplicaPool.build("ode_botnet", "tiny", 2,
-                                 shared_weights=True)
+        pool = ReplicaPool.build("ode_botnet", "tiny", 2)
         try:
             pool.refresh()
             versions = {r.weights_version for r in pool}
@@ -636,6 +634,21 @@ class TestSharedWeightStore:
             other = build_model("ode_botnet", profile="small", seed=0,
                                 inference=True)
             with pytest.raises((ValueError, KeyError)):
+                store.adopt(other)
+        finally:
+            store.close()
+
+    def test_adopt_rejects_dtype_mismatch(self):
+        state = build_model("ode_botnet", profile="tiny", seed=0,
+                            inference=True).state_dict()
+        store = SharedWeightStore.create(state)
+        try:
+            other = build_model("ode_botnet", profile="tiny", seed=0,
+                                inference=True)
+            param = dict(other.named_parameters())["stem.0.weight"]
+            param.data = param.data.astype(np.float64)
+            with pytest.raises(ValueError,
+                               match="dtype mismatch for stem.0.weight"):
                 store.adopt(other)
         finally:
             store.close()
@@ -724,8 +737,7 @@ class TestSharedWeightStore:
         """Hot swaps land while replicas serve: zero failed requests,
         monotone non-torn versions, and post-swap outputs bit-exact
         with the final published generation."""
-        pool = ReplicaPool.build("ode_botnet", "tiny", 2,
-                                 shared_weights=True)
+        pool = ReplicaPool.build("ode_botnet", "tiny", 2)
         try:
             x = _samples(2)
             states = [
@@ -1070,7 +1082,7 @@ class TestCLI:
 
         text = build_parser().format_help()
         for flag in ("--listen", "--model", "--replicas", "--mode",
-                     "--shared-weights", "--tiers", "--timeout-s"):
+                     "--tiers", "--timeout-s"):
             assert flag in text, flag
         assert "CLUSTER_WORKER_READY" in text
 

@@ -64,16 +64,22 @@ class SampleTap:
         (SRV001) so the draw sequence is replayable.
         """
         with self._lock:
-            if self._size == 0:
-                return None
-            n = min(int(batch_size), self._size)
-            idx = rng.choice(self._size, size=n, replace=False)
-            if self._size == self.capacity:
-                # ring is full: every slot is live
-                slots = (self._head + idx) % self.capacity
-            else:
-                # ring still filling: slots [0, size) are live
-                slots = idx
+            size, head = self._size, self._head
+        if size == 0:
+            return None
+        # the draw runs outside the lock: the generator takes its own
+        # lock, and the tap holds no other lock while it holds its own
+        idx = rng.choice(size, size=min(int(batch_size), size),
+                         replace=False)
+        if size == self.capacity:
+            # ring is full: every slot is live
+            slots = (head + idx) % self.capacity
+        else:
+            # ring still filling: slots [0, size) are live
+            slots = idx
+        # an offer between the two sections overwrites a drawn slot
+        # with a newer sample, which the tap prefers anyway
+        with self._lock:
             images = np.stack([self._samples[int(s)] for s in slots])
             labels = self._labels[slots].copy()
         return images, labels

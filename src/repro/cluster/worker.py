@@ -107,7 +107,8 @@ class ClusterWorker:
             config = config.with_backend(backend)
         pool = ReplicaPool.build(
             model, profile=profile, n_replicas=replicas, config=config,
-            tiers=tiers, mode=mode, unhealthy_after=unhealthy_after,
+            seed=seed, tiers=tiers, mode=mode,
+            unhealthy_after=unhealthy_after,
         )
         if mode == "process":
             for replica in pool:

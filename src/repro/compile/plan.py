@@ -28,12 +28,11 @@ The fixed-point plan binds the same ops (its stem is an im2col GEMM
 too, after the input cast) and closes every rounding site with a
 :mod:`~repro.compile.steps` epilogue.
 
-When kernel instrumentation is active (``kernels.collect`` /
-``SessionConfig(instrument=True)``), every step op routes through
-``kernels.record_dispatch`` under its nearest kernel name (``conv2d``,
-``matmul``, ``batchnorm2d``, ...), so ``SessionStats`` kernel
-breakdowns and ``kernel.*`` trace spans keep working on the compiled
-plan.
+When kernel instrumentation is active (inside ``kernels.collect``,
+which a traced session dispatch also enters for its ``kernel.*``
+spans), every step op routes through ``kernels.record_dispatch`` under
+its nearest kernel name (``conv2d``, ``matmul``, ``batchnorm2d``, ...),
+so per-kernel counters and spans keep working on the compiled plan.
 """
 
 from __future__ import annotations

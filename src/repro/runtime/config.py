@@ -1,17 +1,19 @@
 """SessionConfig — one bundled value for session execution options.
 
-Backend selection, instrumentation and tracing used to travel as three
-loose keyword arguments through every layer that builds sessions
+The kernel backend and the serving options built on top of sessions
+(cluster workers, autoscaling, online adaptation) travel as one frozen
+dataclass through every layer that builds sessions
 (:class:`~repro.runtime.InferenceSession`,
 :class:`~repro.serve.ReplicaPool`, :class:`~repro.serve.Server`), so
-adding an option meant touching every signature on the path.
-:class:`SessionConfig` carries them as a single frozen dataclass:
+adding an option never touches every signature on the path:
 
 >>> from repro.runtime import InferenceSession, SessionConfig
->>> cfg = SessionConfig(backend="fused", instrument=True)
+>>> cfg = SessionConfig(backend="fused")
 >>> session = InferenceSession(model, config=cfg)          # doctest: +SKIP
 
-New options land here only.
+New options land here only.  Observation is not an option: a session
+traces under the ambient tracer (:func:`repro.trace.current_tracer`)
+and counts kernels inside :func:`repro.kernels.collect`.
 """
 
 from __future__ import annotations
@@ -36,17 +38,6 @@ class SessionConfig:
         session is built (see :func:`repro.kernels.resolve_backend`).
         The backend also picks the session's plan: the oracle under
         ``reference``, the fast executor otherwise.
-    instrument:
-        collect per-kernel call counts / wall time / bytes into the
-        session's :class:`~repro.runtime.SessionStats`.
-    trace:
-        a :class:`repro.trace.Tracer` to record spans into, or ``True``
-        to have the config build a fresh default tracer (exposed as
-        ``config.tracer``), or ``None`` for no tracing.
-    kernel_spans:
-        whether the config-built tracer records per-dispatch
-        ``kernel.*`` spans.  Only meaningful with ``trace=True`` — pass
-        a preconfigured tracer instead when you own the tracer.
     workers:
         cluster worker addresses (``"host:port"`` strings) whose
         replica slots :meth:`repro.serve.Server.build` connects into
@@ -66,9 +57,6 @@ class SessionConfig:
     """
 
     backend: Optional[str] = None
-    instrument: bool = False
-    trace: Any = None
-    kernel_spans: Optional[bool] = None
     workers: tuple = ()
     autoscale: Optional[tuple] = None
     adapt: Any = None
@@ -104,11 +92,6 @@ class SessionConfig:
             from .. import kernels
 
             kernels.get_backend(self.backend)  # validate eagerly
-        if self.kernel_spans is not None and self.trace is not True:
-            raise ValueError(
-                "kernel_spans only applies when SessionConfig builds the "
-                "tracer (trace=True); configure your own Tracer otherwise"
-            )
         if self.adapt is not None:
             from ..adapt import AdaptConfig
 
@@ -119,24 +102,8 @@ class SessionConfig:
                     f"adapt must be an AdaptConfig, True or None, got "
                     f"{self.adapt!r}"
                 )
-        if self.trace is True:
-            from ..trace import Tracer
-
-            tracer = Tracer(
-                kernel_spans=True if self.kernel_spans is None
-                else self.kernel_spans
-            )
-            object.__setattr__(self, "trace", tracer)
-
-    @property
-    def tracer(self):
-        """The resolved tracer, or ``None`` (alias for ``trace`` once
-        ``trace=True`` has been materialised)."""
-        return self.trace
 
     def with_backend(self, backend) -> "SessionConfig":
         """A copy with *backend* swapped in — how a cluster worker
-        applies its ``--backend`` flag to a shared config.  The
-        resolved tracer is carried over as-is (``kernel_spans`` has
-        already been folded into it)."""
-        return dataclasses.replace(self, backend=backend, kernel_spans=None)
+        applies its ``--backend`` flag to a shared config."""
+        return dataclasses.replace(self, backend=backend)

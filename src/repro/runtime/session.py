@@ -26,7 +26,6 @@ parameter mutations are not observed until
 from __future__ import annotations
 
 import time
-from contextlib import ExitStack
 
 import numpy as np
 
@@ -52,15 +51,18 @@ class InferenceSession:
         optionally share a :class:`SessionStats` instance; by default
         each session owns a fresh one.
     config:
-        a :class:`~repro.runtime.SessionConfig`: the kernel backend
-        (which also picks the plan), per-kernel instrumentation
-        (aggregated into ``stats.snapshot()["kernels"]``) and the
-        tracer.  ``None`` means ``SessionConfig()``.  With a tracer
-        every ``predict_batch`` records a ``session`` span with nested
-        ``solver.step`` and (if the tracer's ``kernel_spans`` is on)
-        ``kernel.<name>`` spans; without one the session still joins an
-        *ambient* trace — a tracer made current by an enclosing span,
-        e.g. the serving layer's dispatch span.
+        a :class:`~repro.runtime.SessionConfig`; the session reads its
+        kernel backend, which also picks the plan.  ``None`` means
+        ``SessionConfig()``.
+
+    Every ``predict_batch`` made while a tracer is ambient on the
+    calling thread — the serving layer's ``dispatch`` span, a worker's
+    ``tracer.activate()``, or a caller's own ``with
+    tracer.activate():`` — records a ``session`` span with nested
+    ``solver.step`` and (if the tracer's ``kernel_spans`` is on)
+    ``kernel.<name>`` spans.  With no ambient tracer it runs the plan
+    and nothing else; wrap calls in :func:`repro.kernels.collect` to
+    count their kernels.
 
     Attributes
     ----------
@@ -83,8 +85,6 @@ class InferenceSession:
     def __init__(self, model, *, stats=None, config=None):
         self.config = config if config is not None else SessionConfig()
         self._stats = stats if stats is not None else SessionStats()
-        self.instrument = bool(self.config.instrument)
-        self.trace = self.config.tracer
         self.kernel_backend = (
             self.config.backend if self.config.backend is not None
             else kernels.backend_name()
@@ -116,40 +116,30 @@ class InferenceSession:
     def predict_batch(self, x) -> np.ndarray:
         """Run a batch (leading axis = samples) and return raw outputs."""
         x = np.asarray(x)
-        tracer = self.trace if self.trace is not None else current_tracer()
-        traced = tracer is not None and tracer.enabled
+        tracer = current_tracer()
         start = time.perf_counter()
-        if traced or self.instrument:
-            out = self._dispatch_observed(x, tracer if traced else None)
-        else:
+        if tracer is None:
             with kernels.use_backend(self.kernel_backend):
                 out = self._plan(x)
+        else:
+            out = self._dispatch_traced(x, tracer)
         self._stats.record(x.shape[0], time.perf_counter() - start)
         return np.asarray(out)
 
-    def _dispatch_observed(self, x, tracer):
-        """Plan call under a ``session`` span (which also makes *tracer*
-        ambient, so the solver loop and the kernel dispatcher nest their
-        spans beneath it) and/or the session's kernel counters.  Runs on
-        whichever thread dispatches (serve executor threads included) —
-        every mechanism here is thread-local."""
-        counters = kernels.KernelCounters() if self.instrument else None
-        with ExitStack() as stack:
-            if tracer is not None:
-                stack.enter_context(tracer.span(
-                    "session", batch=int(x.shape[0]), plan=self.plan_kind,
-                ))
-            stack.enter_context(kernels.use_backend(self.kernel_backend))
-            if tracer is not None and tracer.kernel_spans:
-                stack.enter_context(
-                    kernels.collect(KernelSpanCollector(tracer))
-                )
-            if counters is not None:
-                stack.enter_context(kernels.collect(counters))
-            out = self._plan(x)
-        if counters is not None:
-            self._stats.record_kernels(counters)
-        return out
+    def _dispatch_traced(self, x, tracer):
+        """Plan call under a ``session`` span, which keeps *tracer*
+        ambient so the solver loop and (when the tracer's
+        ``kernel_spans`` is on) the kernel dispatcher nest their spans
+        beneath it.  Runs on whichever thread dispatches (serve
+        executor threads included) — every mechanism here is
+        thread-local."""
+        span = tracer.span("session", batch=int(x.shape[0]),
+                           plan=self.plan_kind)
+        with span, kernels.use_backend(self.kernel_backend):
+            if not tracer.kernel_spans:
+                return self._plan(x)
+            with kernels.collect(KernelSpanCollector(tracer)):
+                return self._plan(x)
 
     def predict(self, x) -> np.ndarray:
         """Run one sample (no batch axis); returns its output row."""

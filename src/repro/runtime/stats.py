@@ -1,8 +1,8 @@
 """Per-session serving statistics: requests, batch sizes, latency.
 
 ``SessionStats`` is deliberately tiny and lock-protected so the
-serving layer's executor threads can record into one shared instance; the
-observability layer planned in the ROADMAP hooks in via
+serving layer's executor threads can record into one shared instance;
+:func:`repro.serve.metrics.snapshot` reads it through
 :meth:`SessionStats.snapshot`.
 """
 
@@ -22,6 +22,9 @@ class SessionStats:
     individual samples, so ``requests / batches`` is the mean achieved
     batching factor.  Latencies are kept in a bounded window (newest
     ``latency_window`` dispatches) so long-lived sessions stay O(1).
+    There is no per-kernel breakdown here: wrap the calls of interest
+    in :func:`repro.kernels.collect`, or read the ``kernel.*`` spans of
+    a traced dispatch.
     """
 
     def __init__(self, latency_window=2048):
@@ -31,9 +34,6 @@ class SessionStats:
         self.requests = 0
         self.batches = 0
         self.batch_histogram = Counter()
-        self._kernel_calls = Counter()
-        self._kernel_seconds = Counter()
-        self._kernel_bytes = Counter()
 
     def __getstate__(self):
         # picklable snapshot (the cluster "stats" op ships one merged
@@ -54,16 +54,6 @@ class SessionStats:
             self.batches += 1
             self.batch_histogram[int(batch_size)] += 1
             self._latencies_ms.append(float(latency_s) * 1e3)
-
-    def record_kernels(self, counters) -> None:
-        """Merge a :class:`repro.kernels.KernelCounters` into the running
-        per-kernel totals (used by instrumented sessions)."""
-        with self._lock:
-            self._kernel_calls.update(counters.calls)
-            for name, s in counters.seconds.items():
-                self._kernel_seconds[name] += s
-            for name, b in counters.bytes.items():
-                self._kernel_bytes[name] += b
 
     def latency_ms(self, percentile) -> float:
         """Latency percentile (ms) over the retained window; NaN if empty.
@@ -93,21 +83,15 @@ class SessionStats:
             batches = other.batches
             histogram = Counter(other.batch_histogram)
             latencies = list(other._latencies_ms)
-            kcalls = Counter(other._kernel_calls)
-            kseconds = Counter(other._kernel_seconds)
-            kbytes = Counter(other._kernel_bytes)
         with self._lock:
             self.requests += requests
             self.batches += batches
             self.batch_histogram.update(histogram)
             self._latencies_ms.extend(latencies)
-            self._kernel_calls.update(kcalls)
-            self._kernel_seconds.update(kseconds)
-            self._kernel_bytes.update(kbytes)
 
     def snapshot(self) -> dict:
-        """A plain-dict view: requests, batches, histogram, p50/p95/p99
-        latency (ms) and — when instrumented — per-kernel totals."""
+        """A plain-dict view: requests, batches, histogram and p50/p95/p99
+        latency (ms)."""
         with self._lock:
             lats = np.asarray(self._latencies_ms, dtype=float)
             out = {
@@ -115,18 +99,6 @@ class SessionStats:
                 "batches": self.batches,
                 "batch_histogram": dict(sorted(self.batch_histogram.items())),
             }
-            if self._kernel_calls:
-                out["kernels"] = {
-                    name: {
-                        "calls": self._kernel_calls[name],
-                        "seconds": self._kernel_seconds[name],
-                        "bytes": self._kernel_bytes[name],
-                    }
-                    for name in sorted(
-                        self._kernel_calls,
-                        key=lambda n: -self._kernel_seconds[n],
-                    )
-                }
         for pct in (50, 95, 99):
             out[f"p{pct}_ms"] = (
                 float(np.percentile(lats, pct)) if lats.size else float("nan")
@@ -140,6 +112,3 @@ class SessionStats:
             self.batches = 0
             self.batch_histogram.clear()
             self._latencies_ms.clear()
-            self._kernel_calls.clear()
-            self._kernel_seconds.clear()
-            self._kernel_bytes.clear()

@@ -28,8 +28,7 @@ servable system:
   (:class:`DeadlineExceeded`), priority classes drained high-first;
 * :class:`Server` — the facade: ``submit() / predict() / health() /
   metrics()``, with :mod:`~repro.serve.metrics` aggregating every
-  replica's :class:`~repro.runtime.SessionStats` (per-kernel counters
-  included) into one snapshot;
+  replica's :class:`~repro.runtime.SessionStats` into one snapshot;
 * :mod:`~repro.serve.loadgen` — a seeded open-loop Poisson load
   harness (``python -m repro.serve``) so soak runs and benchmarks
   are reproducible; ``--trace out.json`` records per-request

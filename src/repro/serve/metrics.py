@@ -1,12 +1,12 @@
 """Metrics aggregation: one snapshot, one text report, whole server.
 
 ``snapshot(...)`` folds the per-replica
-:class:`~repro.runtime.SessionStats` (including the per-kernel
-counters recorded by instrumented sessions), the admission queue's
-shedding counters and the scheduler's dispatch counters into a single
-plain dict — the thing a scraper would export.  ``render_report``
-turns that dict into the aligned text block the demo and the load
-harness print.
+:class:`~repro.runtime.SessionStats`, the admission queue's shedding
+counters and the scheduler's dispatch counters into a single plain
+dict — the thing a scraper would export.  Per-kernel time appears only
+as the ``kernel.*`` stage of a traced server's ``"trace"`` section.
+``render_report`` turns that dict into the aligned text block the demo
+and the load harness print.
 """
 
 from __future__ import annotations
@@ -173,11 +173,6 @@ def render_report(snap) -> str:
             lines.append(
                 f"      tiers (weights v{rep.get('weights_version', 1)}):"
                 f" {rungs}"
-            )
-        for kernel, k in list(stats.get("kernels", {}).items())[:4]:
-            lines.append(
-                f"      {kernel:<24s} {k['calls']:8d} calls"
-                f"  {k['seconds'] * 1e3:9.1f} ms"
             )
     return "\n".join(lines)
 

@@ -537,10 +537,7 @@ class ReplicaPool:
         replica has no store to read (a hand-assembled pool).  No pool
         lock is held while a replica refreshes or a round trip runs.
         """
-        replicas = list(self)  # a snapshot taken under the condition
-        remote = [r for r in replicas
-                  if callable(getattr(r, "publish", None))]
-        local = [r for r in replicas if r not in remote]
+        replicas, local, remote = self._split()
         store = self.weight_store
         if store is None and local:
             raise ValueError(
@@ -564,13 +561,29 @@ class ReplicaPool:
         return [r.weights_version for r in replicas]
 
     def refresh(self) -> None:
-        """Re-freeze every replica's sessions (all tiers) after a
-        weight mutation; each replica's ``weights_version`` ticks.
+        """Re-freeze the sessions (all tiers) of every replica that
+        reads this pool's weights, after a weight mutation; each one's
+        ``weights_version`` ticks.
 
         With a shared weight store the store's header version is
-        bumped exactly once and every replica adopts it, so all
-        co-located replicas report the same generation."""
-        self._refresh(list(self))
+        bumped exactly once and every such replica adopts it, so all
+        co-located replicas report the same generation.  Replicas on
+        another host (the ones :meth:`publish` reaches over the wire)
+        read their worker's store, not this one, and are left alone."""
+        self._refresh(self._split()[1])
+
+    def _split(self):
+        """``(replicas, local, remote)`` from one membership snapshot.
+
+        A replica with a ``publish`` op
+        (:class:`repro.cluster.RemoteReplica`) lives on another host
+        and is *remote*; every other replica reads :attr:`weight_store`
+        and is *local*."""
+        replicas = list(self)  # a snapshot taken under the condition
+        remote = [r for r in replicas
+                  if callable(getattr(r, "publish", None))]
+        local = [r for r in replicas if r not in remote]
+        return replicas, local, remote
 
     def _refresh(self, replicas):
         store_version = None

@@ -98,10 +98,10 @@ class Server:
         """Build pool and server from the model registry in one call.
 
         ``config`` is a shared :class:`~repro.runtime.SessionConfig`
-        for the replica sessions (its resolved tracer, if any, also
-        becomes the server tracer unless ``tracer=`` is passed
-        explicitly).  Remaining keywords go to the :class:`Server`
-        constructor.
+        for the replica sessions.  Remaining keywords go to the
+        :class:`Server` constructor; ``tracer=`` is the one way to
+        trace the server, and its replica sessions trace only the
+        batches it samples.
 
         When ``shed_policy="degrade"`` the degrade ladder (``tiers``,
         default :data:`~repro.serve.tiers.DEFAULT_LADDER`) is built per
@@ -133,8 +133,6 @@ class Server:
                     pool.add(replica)
         if ladder is not None:
             server_kw.setdefault("tiers", tuple(t.name for t in ladder))
-        if config is not None and config.tracer is not None:
-            server_kw.setdefault("tracer", config.tracer)
         server = cls(pool, **server_kw)
         if config is not None and config.autoscale is not None:
             from ..cluster import Autoscaler

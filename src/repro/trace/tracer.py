@@ -238,7 +238,6 @@ class Tracer:
         self.capacity = int(capacity)
         self.sample_every = int(sample_every)
         self.kernel_spans = bool(kernel_spans)
-        self.enabled = True
         self.dropped = 0
         self.completed = 0
         self._lock = threading.Lock()
@@ -258,8 +257,6 @@ class Tracer:
         id; callers must propagate ``None`` as "tracing off for this
         request" and skip all span work for it.
         """
-        if not self.enabled:
-            return None
         if next(self._submits) % self.sample_every:
             return None
         return next(self._trace_ids)

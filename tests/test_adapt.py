@@ -145,6 +145,31 @@ class TestSampleTap:
         with pytest.raises(ValueError, match="capacity"):
             SampleTap(capacity=0)
 
+    def test_draw_runs_outside_the_tap_lock(self):
+        """The caller's generator takes its own lock, so the tap must
+        not hold its lock while it draws."""
+        tap = SampleTap(capacity=4)
+        for label in range(6):  # wrap the ring
+            tap.offer(np.full((2,), label, np.float32), label)
+
+        held = []
+
+        class Checked:
+            def __init__(self, seed):
+                self._rng = np.random.default_rng(seed)
+
+            def choice(self, *args, **kwargs):
+                held.append(tap._lock.locked())
+                return self._rng.choice(*args, **kwargs)
+
+        images, labels = tap.sample(3, Checked(3))
+        assert held == [False]
+        # the same draw as before: index i is the i-th oldest sample,
+        # and labels 2..5 survive the wrap
+        idx = np.random.default_rng(3).choice(4, size=3, replace=False)
+        np.testing.assert_array_equal(labels, 2 + idx)
+        np.testing.assert_array_equal(images[:, 0], 2 + idx)
+
 
 # ----------------------------------------------------------------------
 class TestOnlineTrainer:
@@ -478,6 +503,40 @@ class TestWeightPublisher:
                 for slot in slots:
                     np.testing.assert_array_equal(slot.run(x), served,
                                                   err_msg=slot.name)
+            finally:
+                pool.close()
+
+    def test_mixed_pool_refresh_leaves_remote_slots_alone(self,
+                                                         monkeypatch):
+        """``refresh()`` moves only the replicas that read the pool's
+        store: a worker's slots read the worker's store, so they get no
+        ``refresh`` op and keep the worker's version."""
+        from repro.cluster import ClusterWorker, connect_worker
+
+        ops = []
+        original = ClusterWorker._OPS["refresh"]
+
+        def counted(worker, payload):
+            ops.append(payload)
+            return original(worker, payload)
+
+        monkeypatch.setitem(ClusterWorker._OPS, "refresh", counted)
+        with ClusterWorker.build("ode_botnet", "tiny", 2,
+                                 mode="thread") as worker:
+            worker.start()
+            pool = ReplicaPool.build("ode_botnet", "tiny", 1, seed=0)
+            try:
+                for replica in connect_worker(worker.address,
+                                              timeout_s=60):
+                    pool.add(replica)
+                pool.refresh()
+                pool.refresh()
+                assert ops == []
+                assert worker.pool.weight_store.version == 1
+                assert pool.weight_store.version == 3
+                mine, *slots = pool.replicas
+                assert mine.weights_version == 3
+                assert [slot.weights_version for slot in slots] == [1, 1]
             finally:
                 pool.close()
 

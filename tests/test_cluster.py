@@ -418,6 +418,18 @@ class TestClusterWorker:
         finally:
             client.close()
 
+    def test_build_serves_the_weights_of_its_seed(self):
+        def stem(seed):
+            return build_model("ode_botnet", profile="tiny",
+                               seed=seed).state_dict()["stem.0.weight"]
+
+        with ClusterWorker.build("ode_botnet", "tiny", 1, mode="thread",
+                                 seed=5) as w:
+            model = w.pool.replicas[0].session.model
+            served = model.state_dict()["stem.0.weight"]
+            assert np.array_equal(served, stem(5))
+            assert not np.array_equal(served, stem(0))
+
     @pytest.mark.parametrize("model_name", sorted(MODELS))
     def test_remote_replica_bit_exact_for_every_registry_model(
             self, model_name):

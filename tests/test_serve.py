@@ -694,8 +694,7 @@ class TestServer:
             assert victim.cancelled()
 
     def test_metrics_snapshot_and_report(self):
-        with Server.build("ode_botnet", "tiny", 2, seed=0,
-                          config=SessionConfig(instrument=True)) as server:
+        with Server.build("ode_botnet", "tiny", 2, seed=0) as server:
             x = _samples(4, shape=(3, 32, 32))
             for xi in x:
                 server.predict(xi, timeout=60)
@@ -703,7 +702,6 @@ class TestServer:
             report = server.metrics_report()
         assert snap["aggregate"]["requests"] >= 4
         assert set(snap["replicas"]) == {"replica-0", "replica-1"}
-        assert "kernels" in next(iter(snap["replicas"].values()))["stats"]
         assert snap["queue"]["admitted"] >= 4
         assert snap["scheduler"]["completed"] >= 4
         assert "=== serve metrics ===" in report

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.models import build_model
-from repro.runtime import InferenceSession, SessionConfig
+from repro.runtime import InferenceSession
 from repro.serve import Server
 from repro.trace import (
     STAGES,
@@ -117,11 +117,6 @@ class TestTracerCore:
         tracer = Tracer(sample_every=3)
         ids = [tracer.new_trace() for _ in range(7)]
         assert ids == [1, None, None, 2, None, None, 3]
-
-    def test_disabled_tracer_hands_out_no_ids(self):
-        tracer = Tracer()
-        tracer.enabled = False
-        assert tracer.new_trace() is None
 
     def test_ring_buffer_keeps_newest_and_counts_drops(self):
         tracer = Tracer(capacity=4)
@@ -321,9 +316,16 @@ class TestServePropagation:
 
     def test_sampling_traces_one_in_n_requests(self):
         tracer, metrics, _ = _traced_server(sample_every=2, n=4)
-        requests = [s for s in tracer.spans() if s.name == "request"]
+        spans = tracer.spans()
+        requests = [s for s in spans if s.name == "request"]
         assert len(requests) == 2  # the 1st and 3rd submits
         assert metrics["trace"]["requests"] == 2
+        # sequential requests ride one batch each: only the two sampled
+        # batches trace their sessions, each under its dispatch span
+        by_id = {s.span_id: s for s in spans}
+        sessions = [s for s in spans if s.name == "session"]
+        assert len(sessions) == 2
+        assert all(by_id[s.parent_id].name == "dispatch" for s in sessions)
 
     def test_served_results_bit_exact_with_direct_session(self):
         tracer, _, served = _traced_server()
@@ -359,9 +361,9 @@ class TestSessionTracing:
         untraced = InferenceSession(model).predict_batch(x)
 
         tracer = Tracer()
-        traced = InferenceSession(
-            model, config=SessionConfig(trace=tracer)
-        ).predict_batch(x)
+        session = InferenceSession(model)
+        with tracer.activate():
+            traced = session.predict_batch(x)
         assert np.array_equal(untraced, traced)
 
         spans = tracer.spans()
@@ -376,9 +378,9 @@ class TestSessionTracing:
         x = np.random.default_rng(1).standard_normal(
             (1, 3, 32, 32)).astype(np.float32)
         tracer = Tracer(kernel_spans=False)
-        InferenceSession(
-            model, config=SessionConfig(trace=tracer)
-        ).predict_batch(x)
+        session = InferenceSession(model)
+        with tracer.activate():
+            session.predict_batch(x)
         spans = tracer.spans()
         assert not any(s.name.startswith("kernel.") for s in spans)
         assert any(s.name == "solver.step" for s in spans)

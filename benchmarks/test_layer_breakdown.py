@@ -1,11 +1,12 @@
 """Layer-by-layer time of the compiled plans at the serve geometry.
 
 The compiled-plan slice of the ROADMAP perf ledger: for ``ode_botnet``
-at ``paper`` and ``paper-reduced`` (the ``full`` and ``reduced`` serve
-tiers' 96×96 geometry), batch 1 and 8, on the plan every compiled
-session binds — plus the ``int8`` and ``int4`` rungs' fixed-point plans
-at ``paper-reduced`` batch 8 — it records the median milliseconds and
-share of the forward of
+at ``tiny`` (the 32×32 geometry the ``steady``, ``saturate`` and
+``hot_swap`` workloads serve) and at ``paper`` and ``paper-reduced``
+(the ``full`` and ``reduced`` serve tiers' 96×96 geometry), batch 1
+and 8, on the plan every compiled session binds — plus the ``int8``
+and ``int4`` rungs' fixed-point plans at ``paper-reduced`` batch 8 — it
+records the median milliseconds and share of the forward of
 
 * every bound IR stage (``stem.conv`` … ``head.fc``), each stage timed
   on its own from the previous stage's real output;
@@ -37,7 +38,8 @@ RNG = np.random.default_rng(0)
 
 MODEL = "ode_botnet"
 #: (profile, batch, fixed-point tier or None for the float plan)
-POINTS = (("paper", 1, None), ("paper", 8, None), ("paper-reduced", 1, None),
+POINTS = (("tiny", 1, None), ("tiny", 8, None), ("paper", 1, None),
+          ("paper", 8, None), ("paper-reduced", 1, None),
           ("paper-reduced", 8, None), ("paper-reduced", 8, "int8"),
           ("paper-reduced", 8, "int4"))
 REPS = {1: 21, 8: 7}

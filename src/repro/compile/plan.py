@@ -15,17 +15,19 @@ thread and per input shape, so steady-state calls run the Euler loop
 entirely out of preallocated buffers (zero per-step numpy allocation;
 see :mod:`repro.compile.steps`).
 
-Activations run channels-last.  The stem conv takes the NCHW batch on
-the ``fused`` kernel and hands on a transposed view of its output; from
-the stem's scale-shift-ReLU to the head every stage reads and writes
-(N, H, W, C) arena buffers, so each pointwise conv is one flat
+Activations run channels-last.  The float stem conv reads the NCHW
+batch into zero-bordered stride-phase planes and is one batched GEMM
+over their contiguous wide rows, contracted in the reference's
+(C, KH, KW) order; it hands on a channels-last view of its output.
+From the stem's scale-shift-ReLU to the head every stage reads and
+writes (N, H, W, C) arena buffers, so each pointwise conv is one flat
 (N·H·W, C) GEMM, each strided downsample one im2col GEMM, each
 depthwise conv one einsum over contiguous OW·C output rows, and the
 MHSA token view a plain reshape.
 A (scale-shift-)ReLU feeding a padded conv inside the Euler loop
 writes straight into the interior of that conv's zero-bordered canvas.
-The fixed-point plan binds the same ops (its stem is an im2col GEMM
-too, after the input cast) and closes every rounding site with a
+The fixed-point plan binds the same ops (its stem is a channels-last
+im2col GEMM after the input cast) and closes every rounding site with a
 :mod:`~repro.compile.steps` epilogue.
 
 When kernel instrumentation is active (inside ``kernels.collect``,
@@ -108,6 +110,74 @@ def _bind_fconv(name, n, c, h, w, spec, arena, dtype):
         else:
             steps.round_site(out, site.lo, site.hi)
         return out
+
+    return fn, (oh, ow, f)
+
+
+def _bind_stem_conv(name, n, c, h, w, spec, arena, dtype):
+    """Bind the float stem conv as one batched arena GEMM over polyphase
+    wide rows, contracting K in the (C, KH, KW) order of the reference.
+
+    The zero-padded NCHW input is split into its stride×stride phase
+    planes, (N, C, SH, SW, ⌈Hp/SH⌉ + 1, QW) with QW = ⌈Wp/SW⌉; the
+    spare row lets the last run of the last tap read past the plane's
+    end.  Every tap of a phase then reads one run of OH·QW consecutive
+    elements of its plane (:func:`shapes.as_strided_phase_rows`), so a
+    call is one strided copy of the input into each plane's interior,
+    one copy of each phase's runs into the (N, C·KH·KW, OH·QW) column
+    buffer, and one matmul of the (F, C·KH·KW) weight over the N
+    per-sample column matrices, with zero allocation.  The QW − OW wide
+    columns past each output row are computed and dropped: the stage
+    hands on the (N, OH, OW, F) channels-last view of the
+    (N, F, OH, QW) output.  ``dtype`` is the promoted input×weight
+    dtype the reference path computes this conv in.
+    """
+    if spec.groups != 1:
+        raise CompileError(f"{name}: a grouped stem conv does not bind")
+    f, _, kh, kw = spec.weight.shape
+    (sh, sw), (ph, pw) = spec.stride, spec.padding
+    oh, ow = shapes.conv_out_size(h, w, kh, kw, sh, sw, ph, pw)
+    qw = -(-(w + 2 * pw) // sw)
+    planes = arena.buffer(
+        f"{name}.phases", (n, c, sh, sw, -(-(h + 2 * ph) // sh) + 1, qw),
+        dtype=dtype, zero=True,
+    )
+    # plane (a, b) row r holds padded row a + SH·r: its interior starts
+    # at the first r that lands on input row a + SH·r − PH >= 0
+    fills = []
+    for a in range(sh):
+        r0 = -(-max(ph - a, 0) // sh)
+        y0 = a + sh * r0 - ph
+        rows = len(range(y0, h, sh))
+        for b in range(sw):
+            q0 = -(-max(pw - b, 0) // sw)
+            x0 = b + sw * q0 - pw
+            cols = len(range(x0, w, sw))
+            fills.append((planes[:, :, a, b, r0 : r0 + rows, q0 : q0 + cols],
+                          y0, x0))
+    colbuf = arena.buffer(f"{name}.cols", (n, c, kh, kw, oh * qw),
+                          dtype=dtype)
+    gathers = [
+        (colbuf[:, :, a::sh, b::sw],
+         shapes.as_strided_phase_rows(planes, a, b, kh, kw, oh))
+        for a in range(sh) for b in range(sw)
+    ]
+    col3 = colbuf.reshape(n, c * kh * kw, oh * qw)
+    out = arena.buffer(f"{name}.out", (n, f, oh, qw), dtype=dtype)
+    out3 = out.reshape(n, f, oh * qw)
+    wmat = spec.weight.reshape(f, -1).astype(dtype)
+    bias = spec.bias
+    handed_on = out[:, :, :, :ow].transpose(0, 2, 3, 1)
+
+    def fn(x):
+        for interior, y0, x0 in fills:
+            np.copyto(interior, x[:, :, y0::sh, x0::sw])
+        for dst, runs in gathers:
+            np.copyto(dst, runs)
+        np.matmul(wmat, col3, out=out3)
+        if bias is not None:
+            np.add(out, bias, out=out)
+        return handed_on
 
     return fn, (oh, ow, f)
 
@@ -570,8 +640,9 @@ class _BoundPlan:
     """A compiled plan bound to one input geometry on one thread.
 
     ``stages`` holds one ``(kernel_name, fn, is_block)`` per lowered
-    stage, in order; after the stem conv every ``fn`` maps one
-    channels-last buffer to the next.
+    stage, in order: the stem conv (or the fixed-point input cast) maps
+    the NCHW batch into a channels-last arena buffer, and every later
+    ``fn`` maps one channels-last buffer to the next.
     """
 
     def __init__(self, plan, shape, dtype):
@@ -587,21 +658,10 @@ class _BoundPlan:
         for stage in plan.stages:
             name, op, ir = stage.name, stage.op, stage.ir
             if op == "conv":
-                # the stem: the fused kernel on the NCHW batch, handed
-                # on as a channels-last view (the ssr reads through it)
-                def fn(x, *, _s=ir):
-                    out = impl.conv2d(x, _s.weight, stride=_s.stride,
-                                      padding=_s.padding, groups=_s.groups)
-                    if _s.bias is not None:
-                        out += _s.bias
-                    return out.transpose(0, 2, 3, 1)
-
-                stages.append(("conv2d", fn, False))
-                h, w = shapes.conv_out_size(
-                    h, w, *ir.weight.shape[2:], *ir.stride, *ir.padding
-                )
-                c = ir.weight.shape[0]
                 cur_dtype = np.result_type(cur_dtype, ir.weight.dtype)
+                fn, (h, w, c) = _bind_stem_conv(name, n, c, h, w, ir, arena,
+                                                cur_dtype)
+                stages.append(("conv2d", fn, False))
             elif op == "quantize":
                 # the fixed-point input cast, in float64 as the executor
                 outbuf = arena.buffer(f"{name}.out", (n, h, w, c))

@@ -162,6 +162,42 @@ def as_strided_rows_nhwc(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     )
 
 
+def as_strided_phase_rows(planes: np.ndarray, a: int, b: int, kh: int,
+                          kw: int, oh: int) -> np.ndarray:
+    """The taps of one stride phase over polyphase planes as contiguous
+    wide rows.
+
+    *planes* is (N, C, SH, SW, R, QW) with its (R, QW) axes contiguous:
+    plane (a, b) holds ``padded[:, :, a::SH, b::SW]`` of a zero-padded
+    NCHW input.  A kernel tap (i, j) of phase (a, b) — ``i % SH == a``
+    and ``j % SW == b`` — meets at output (oy, ox) the plane element
+    ``(oy + i // SH, ox + j // SW)``.  Over output rows ``oy < oh`` and
+    wide columns ``ox < QW`` those reads are one run of oh·QW
+    consecutive elements, starting at ``(i // SH)·QW + j // SW``.
+    Returns the (N, C, len(range(a, kh, SH)), len(range(b, kw, SW)),
+    oh·QW) view of those runs, aliasing *planes*, so a strided dense
+    conv is one GEMM over them, contracted in (C, KH, KW) order.  Its
+    wide columns past the true output width read into the next row and
+    are the caller's to drop.  The caller must not write through the
+    view.
+    """
+    n, c, sh, sw, r, qw = planes.shape
+    ni, nj = len(range(a, kh, sh)), len(range(b, kw, sw))
+    sn, sc, _, _, sr, sq = planes.strides
+    if sr != qw * sq:
+        raise ValueError("the R and QW axes of planes must be contiguous")
+    if (ni - 1 + oh) * qw + nj - 1 > r * qw:
+        raise ValueError(
+            f"{oh} wide rows of a {kh}x{kw} kernel overrun a {r}x{qw} plane"
+        )
+    return np.lib.stride_tricks.as_strided(
+        planes[:, :, a, b],
+        shape=(n, c, ni, nj, oh * qw),
+        strides=(sn, sc, sr, sq, sq),
+        writeable=False,
+    )
+
+
 def scatter_patches(dpatches, out_shape, kh, kw, sh, sw, oh, ow, dtype=None):
     """Scatter per-patch gradients back onto a padded input canvas.
 

@@ -2,7 +2,7 @@
 domains (the fixed-point plan's bit-identity lives in
 ``tests/test_quantized_plan.py``).
 
-Six contracts:
+Seven contracts:
 
 * **parity** — the compiled plan agrees with the ``reference`` oracle
   to ≤1e-6 on every compilable registry model, at the ``tiny`` test
@@ -15,10 +15,14 @@ Six contracts:
   catches reordered and aliased buffers, including across solver
   iterations, with the Euler state exempt as loop-carried; every bound
   plan, float or fixed point, validates;
-* **zero per-step allocation** — once bound, the Euler block bodies run
-  with numpy's Python-level array constructors forbidden outright;
+* **zero per-step allocation** — once bound, the Euler block bodies and
+  the float stem conv run with numpy's Python-level array constructors
+  forbidden outright;
 * **the row depthwise** — the depthwise einsum over contiguous OW·C
   output rows is bit-identical to the 6-D patch einsum it replaced;
+* **the stem conv** — the float stem's GEMM over polyphase wide rows
+  agrees with the reference conv on any geometry, and equals the
+  ``fused`` conv bit for bit at the served stems;
 * **own arrays** — no lowered array aliases a model parameter, so a
   weight load reaches a compiled session only through ``refresh()``.
 """
@@ -26,7 +30,9 @@ Six contracts:
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.compile import (
+    Arena,
     CompiledPlan,
     OpList,
     PlanValidationError,
@@ -34,7 +40,7 @@ from repro.compile import (
     ir,
     steps,
 )
-from repro.compile.plan import _depthwise_row_weight
+from repro.compile.plan import _bind_stem_conv, _depthwise_row_weight
 from repro.fixedpoint import QuantizedODENetExecutor, parse_format_pair
 from repro.kernels import shapes
 from repro.models import MODELS, PROFILES, build_model
@@ -251,7 +257,7 @@ class _forbid_numpy_allocation:
         def _make(name):
             def _raise(*args, **kwargs):
                 raise _AllocationForbidden(
-                    f"np.{name} called inside a compiled Euler step"
+                    f"np.{name} called inside a guarded compiled stage"
                 )
             return _raise
 
@@ -297,9 +303,22 @@ class TestZeroStepAllocation:
             name, "tiny", 2, formats=parse_format_pair(fmt), blocks=blocks,
         )
 
+    @pytest.mark.parametrize("profile,batch", (("tiny", 8),
+                                               ("paper-reduced", 1)))
+    @pytest.mark.parametrize("name", PACKABLE)
+    def test_float_stem_conv_runs_allocation_free(self, name, profile,
+                                                  batch):
+        """The float stem conv is bound into the arena like every other
+        stage: its phase-plane fill, column gather and batched GEMM run
+        under the same tripwire."""
+        self._check_blocks_allocation_free(name, profile, batch,
+                                           blocks=("stem.conv",))
+
     @staticmethod
     def _check_blocks_allocation_free(name, profile, batch, formats=None,
                                       blocks=None):
+        """Run a bound plan stage by stage, the stages named in *blocks*
+        (every ODE block by default) under the tripwire."""
         model = build_model(name, profile=profile, inference=True)
         plan = compile_model(model, formats)
         x = _batch(profile, batch)
@@ -414,6 +433,94 @@ class TestRowDepthwise:
         canvas = np.zeros((1, 6, 6, 4))
         with pytest.raises(ValueError, match="contiguous"):
             shapes.as_strided_rows_nhwc(canvas[:, :, ::2], 3, 3)
+
+
+# ----------------------------------------------------------------------
+# the stem conv
+# ----------------------------------------------------------------------
+def _bound_stem(x_shape, weight, bias, stride, padding, dtype):
+    """The float stem conv bound as the plan binds it: its stage fn."""
+    spec = ir.ConvSpec(weight, bias, (stride, stride), (padding, padding))
+    fn, _ = _bind_stem_conv("stem.conv", *x_shape, spec, Arena(), dtype)
+    return fn
+
+
+class TestStemConv:
+    @pytest.mark.parametrize("bias", (False, True), ids=("nobias", "bias"))
+    @pytest.mark.parametrize("padding", (0, 1, 3))
+    @pytest.mark.parametrize("stride", (1, 2, 3))
+    @pytest.mark.parametrize("k", (3, 7))
+    @pytest.mark.parametrize("dtype", (np.float32, np.float64),
+                             ids=("f32", "f64"))
+    def test_matches_the_reference_conv(self, dtype, k, stride, padding,
+                                        bias):
+        """Agrees with the reference einsum to float rounding at every
+        batch and input side, odd and even: a slip in a phase plane or
+        a tap offset would show as an O(1) error.  Each binding runs
+        twice, on two inputs, so a stale plane interior shows too."""
+        ref = kernels.get_backend("reference")
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        for batch in (1, 3, 8):
+            for side in (31, 32, 33):
+                rng = np.random.default_rng([k, stride, padding, batch, side])
+                weight = rng.standard_normal((5, 3, k, k)).astype(np.float32)
+                b = (rng.standard_normal(5).astype(np.float32) if bias
+                     else None)
+                xs = rng.standard_normal((2, batch, 3, side, side)).astype(
+                    dtype)
+                fn = _bound_stem(xs[0].shape, weight, b, stride, padding,
+                                 np.result_type(dtype, weight.dtype))
+                for x in xs:
+                    got = fn(x)
+                    want = ref.conv2d(x, weight, (stride, stride),
+                                      (padding, padding))
+                    if b is not None:
+                        want = want + b.reshape(1, -1, 1, 1)
+                    want = want.transpose(0, 2, 3, 1)
+                    assert got.dtype == want.dtype
+                    assert got.shape == want.shape
+                    np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
+
+    @pytest.mark.parametrize("batch", (1, 8))
+    @pytest.mark.parametrize("profile", ("tiny", "small", "paper"))
+    def test_served_stems_equal_the_fused_conv(self, profile, batch):
+        """At the served stems (7×7, stride 2, padding 3, C = 3, the
+        real weights) the bound stem equals the ``fused`` backend's
+        tensordot conv bit for bit.  This is a property of the test
+        host's BLAS, not of the math: both contract K in the same
+        (C, KH, KW) order, but a BLAS may order each sum by the shape
+        of the call."""
+        model = build_model("ode_botnet", profile=profile, inference=True)
+        spec = ir.lower(model)[0].ir
+        x = _batch(profile, batch)
+        fn, _ = _bind_stem_conv("stem.conv", *x.shape, spec, Arena(),
+                                np.float32)
+        want = kernels.get_backend("fused").conv2d(
+            x, spec.weight, spec.stride, spec.padding
+        ).transpose(0, 2, 3, 1)
+        got = fn(x)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    def test_phase_row_view_aliases_the_planes_read_only(self):
+        planes = np.zeros((2, 3, 2, 2, 5, 4))
+        runs = shapes.as_strided_phase_rows(planes, 1, 0, 3, 3, 3)
+        # phase (1, 0) of a 3x3 kernel at stride 2: taps i = 1, j = 0, 2
+        assert runs.shape == (2, 3, 1, 2, 3 * 4)
+        assert np.shares_memory(runs, planes)
+        assert not runs.flags.writeable
+        with pytest.raises(ValueError):
+            runs[...] = 1.0
+        # tap (1, 2) of output (1, 2) reads plane (1, 0) at (1, 2 + 1)
+        planes[1, 2, 1, 0, 1, 3] = 5.0
+        assert runs[1, 2, 0, 1, 1 * 4 + 2] == 5.0
+
+    def test_phase_row_view_checks_its_planes(self):
+        planes = np.zeros((1, 1, 2, 2, 5, 4))
+        with pytest.raises(ValueError, match="contiguous"):
+            shapes.as_strided_phase_rows(planes[..., :3], 0, 0, 3, 3, 3)
+        with pytest.raises(ValueError, match="overrun"):
+            shapes.as_strided_phase_rows(planes, 0, 0, 3, 3, 5)
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,7 @@ checkout.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import os
 import platform
@@ -22,6 +23,28 @@ import numpy as np
 BENCH_SCHEMA_VERSION = 1
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def blas_threads():
+    """The thread count the loaded OpenBLAS runs with, asked of the
+    library itself; ``None`` where it cannot be found (no
+    ``/proc/self/maps``, or another BLAS)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line})
+    except OSError:
+        return None
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for symbol in ("openblas_get_num_threads",
+                       "scipy_openblas_get_num_threads64_",
+                       "openblas_get_num_threads64_"):
+            get = getattr(lib, symbol, None)
+            if get is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                return int(get())
+    return None
 
 
 def bench_path(name: str) -> str:
@@ -58,6 +81,8 @@ def record_bench(name: str, payload: dict, *,
             "machine": platform.machine(),
             "processor": platform.processor(),
             "cpus": os.cpu_count(),
+            "usable_cores": len(os.sched_getaffinity(0)),
+            "blas_threads": blas_threads(),
             "python": platform.python_version(),
             "numpy": np.__version__,
         },

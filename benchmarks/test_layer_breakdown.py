@@ -17,10 +17,16 @@ records the median milliseconds and share of the forward of
 
 The one gate: within each rep, the stage times sum to within 15% of a
 timed whole forward (the median of the per-rep ratios), so the table
-accounts for the time it claims to break down.  Reps alternate which
-pass runs first, so neither side always meets the colder caches.
-Persists ``BENCH_layer_breakdown.json``.  MACs and simulated cycles per
-row are out of scope here.
+accounts for the time it claims to break down.  The stages run one
+after another on the calling thread's binding of the whole batch, so
+the forward they are set against is that binding's own ``run`` — one
+thread, unsplit.  Reps alternate which pass runs first, so neither side
+always meets the colder caches.  Each point also records
+``forward_split_ms``, the plan's own call, which splits a
+``paper``/``paper-reduced`` batch of 2 or more across the cores
+(``parts``), timed in the same reps.  Persists
+``BENCH_layer_breakdown.json``.  MACs and simulated cycles per row are
+out of scope here.
 """
 
 import time
@@ -30,7 +36,7 @@ import pytest
 
 from _artifacts import record_bench
 from conftest import show
-from repro.compile import CompiledPlan, lower, lower_fixed
+from repro.compile import compile_model
 from repro.models import PROFILES, build_model
 from repro.serve import BUILTIN_TIERS
 
@@ -54,14 +60,15 @@ def _breakdown(profile, batch, tier):
     """One (profile, batch, tier) point: forward, stage and step-op
     rows."""
     model = build_model(MODEL, profile=profile, inference=True)
-    stages = lower(model) if tier is None else lower_fixed(
-        model, *BUILTIN_TIERS[tier].formats()
+    plan = compile_model(
+        model, None if tier is None else BUILTIN_TIERS[tier].formats()
     )
-    plan = CompiledPlan(stages)
+    stages = plan.stages
     size = PROFILES[profile]["input_size"]
     x = RNG.standard_normal((batch, 3, size, size)).astype(np.float32)
-    plan(x)  # bind geometry, allocate the arena
+    plan(x)  # bind every part's geometry, allocate their arenas
     bound = plan._bound(x.shape, x.dtype)
+    bound.run(x)  # and the whole batch's on this thread
     names = [stage.name for stage in stages]
     assert len(names) == len(bound.stages)
     reps = REPS[batch]
@@ -69,15 +76,16 @@ def _breakdown(profile, batch, tier):
     # each rep times one whole forward and one stage-by-stage pass back
     # to back, alternating which goes first, so a burst of host load
     # lands on both sides of the gate alike; the gate compares the two
-    # within a rep
+    # within a rep.  The split forward is timed last in each rep.
     forward = []
+    split = []
     ratios = []
     stage_s = {name: [] for name in names}
     block_in = {}
 
     def forward_pass():
         t0 = time.perf_counter()
-        plan(x)
+        bound.run(x)
         return time.perf_counter() - t0
 
     def stage_pass():
@@ -101,6 +109,9 @@ def _breakdown(profile, batch, tier):
             forward.append(forward_pass())
             stage_sum = stage_pass()
         ratios.append(stage_sum / forward[-1])
+        t0 = time.perf_counter()
+        plan(x)
+        split.append(time.perf_counter() - t0)
 
     op_s = {}
     by_name = {stage.name: stage for stage in stages}
@@ -137,6 +148,8 @@ def _breakdown(profile, batch, tier):
         "tier": tier,
         "reps": reps,
         "forward_ms": forward_ms,
+        "parts": plan._parts(batch),
+        "forward_split_ms": _median_ms(split),
         "stage_sum_ms": sum(r["ms"] for r in stage_rows),
         "stage_ratio": float(np.median(ratios)),
         "stages": stage_rows,
@@ -150,7 +163,8 @@ def _render(point):
         f"{' ' + point['tier'] if point['tier'] else ''}: forward "
         f"{point['forward_ms']:.2f} ms, stage sum "
         f"{point['stage_sum_ms']:.2f} ms, per-rep ratio "
-        f"{point['stage_ratio']:.3f}"
+        f"{point['stage_ratio']:.3f}; split forward "
+        f"{point['forward_split_ms']:.2f} ms in {point['parts']} parts"
     ]
     lines += [f"  {r['stage']:<12s} {r['ms']:9.3f} ms  {r['share']:6.1%}"
               for r in point["stages"]]
@@ -180,7 +194,7 @@ def layer_breakdown():
 def test_stage_rows_account_for_the_forward(layer_breakdown, profile,
                                             batch, tier):
     """Within a rep, the stage times sum to within 15% of a timed whole
-    forward (median over reps)."""
+    forward of the same one-thread binding (median over reps)."""
     point = next(p for p in layer_breakdown
                  if (p["profile"], p["batch"], p["tier"])
                  == (profile, batch, tier))

@@ -11,7 +11,10 @@ interesting because the outputs are **bit-identical** — this bench
 asserts identity first, then times both paths at the paper deployment
 point (``ode_botnet`` at the paper profile, 16(8)-12(4), batch 8),
 asserts the headline ≥5×, prints the table and persists
-``BENCH_quantized_speedup.json`` for CI.
+``BENCH_quantized_speedup.json`` for CI.  The scalar path runs on one
+thread, so the gate times the plan's one-thread binding of the whole
+batch; the plan's own call, which splits the batch across the cores,
+is printed and recorded beside it (``split_ms``).
 """
 
 import time
@@ -60,15 +63,20 @@ def quantized_speedup_row():
 
     with kernels.use_backend("reference"):
         ref = executor.run(x)
-    fast = plan(x)  # binds the geometry
-    np.testing.assert_array_equal(ref, fast)  # the claim's precondition
+    split = plan(x)  # binds the parts' geometry
+    bound = plan._bound(x.shape, x.dtype)
+    fast = bound.run(x)  # binds the whole batch on this thread
+    # the claim's precondition, on both paths
+    np.testing.assert_array_equal(ref, fast)
+    np.testing.assert_array_equal(ref, split)
 
     def scalar():
         with kernels.use_backend("reference"):
             executor.run(x)
 
     scalar_s = _best_of(scalar)
-    plan_s = _best_of(lambda: plan(x), repeats=5, inner=3)
+    plan_s = _best_of(lambda: bound.run(x), repeats=5, inner=3)
+    split_s = _best_of(lambda: plan(x), repeats=5, inner=3)
     return {
         "model": MODEL,
         "profile": PROFILE,
@@ -77,12 +85,15 @@ def quantized_speedup_row():
         "scalar_ms": scalar_s * 1e3,
         "plan_ms": plan_s * 1e3,
         "speedup": scalar_s / plan_s,
+        "parts": plan._parts(BATCH),
+        "split_ms": split_s * 1e3,
         "bit_identical": True,
     }
 
 
 def test_quantized_plan_beats_scalar_reference(quantized_speedup_row):
-    """The fixed-point plan ≥ 5x the scalar fixed-point reference path."""
+    """The fixed-point plan's one-thread binding ≥ 5x the scalar
+    fixed-point reference path."""
     row = quantized_speedup_row
     show(
         "fixed-point plan vs scalar fixed point — full-model forward",
@@ -90,7 +101,9 @@ def test_quantized_plan_beats_scalar_reference(quantized_speedup_row):
         f"batch {row['batch']}\n"
         f"scalar {row['scalar_ms']:9.2f} ms   "
         f"plan {row['plan_ms']:7.2f} ms   "
-        f"speedup {row['speedup']:.2f}x  (need >={REQUIRED_SPEEDUP}x)",
+        f"speedup {row['speedup']:.2f}x  (need >={REQUIRED_SPEEDUP}x)\n"
+        f"split across {row['parts']} cores {row['split_ms']:7.2f} ms "
+        f"(not gated)",
     )
     record_bench(
         "quantized_speedup",

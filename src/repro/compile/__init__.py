@@ -16,9 +16,11 @@ arena-backed execution plan (see ``docs/COMPILE.md``):
   construction (lint rule CMP001 bans array constructors here).
 * :mod:`~repro.compile.plan` — :class:`CompiledPlan`: binds lowered IR
   to a concrete geometry, runs the Euler loop through
-  :func:`repro.ode.fixed_grid_loop` out of one arena;
-  :func:`compile_model` is ``CompiledPlan(lower(model))``, or with
-  ``formats`` ``CompiledPlan(lower_fixed(model, *formats))``.
+  :func:`repro.ode.fixed_grid_loop` out of one arena, and splits a
+  paper-geometry batch across the cores; :func:`compile_model` is
+  ``CompiledPlan(lower(model))``, or with ``formats``
+  ``CompiledPlan(lower_fixed(model, *formats))``, with the model's
+  per-sample MACs set on it.
 
 Most callers never import this package: an
 :class:`~repro.runtime.InferenceSession` on any kernel backend but

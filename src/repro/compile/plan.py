@@ -35,11 +35,22 @@ which a traced session dispatch also enters for its ``kernel.*``
 spans), every step op routes through ``kernels.record_dispatch`` under
 its nearest kernel name (``conv2d``, ``matmul``, ``batchnorm2d``, ...),
 so per-kernel counters and spans keep working on the compiled plan.
+
+A call splits a batch whose parts each carry at least
+:data:`SPLIT_MIN_MACS` — every ``paper``/``paper-reduced`` batch of 2
+or more, no ``tiny``/``small`` batch of up to 8 — into contiguous row
+ranges, one per usable core: the calling thread runs the first, a
+process-wide pool of helper threads (made on the first split, replaced
+in a forked child) the others, each on its own per-(thread, shape)
+binding, under the caller's tracer, parent span and kernel collectors.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -48,11 +59,57 @@ from .. import kernels
 from ..fixedpoint import div_round_half_even
 from ..kernels import shapes
 from ..ode.solvers import fixed_grid_loop
+from ..trace import current_span_id, current_tracer
 from . import steps
 from .arena import Arena, OpList
 from .ir import CompileError, lower, lower_fixed, unsupported_reason
 
 _F64 = np.float64
+
+#: the fewest MACs one part of a split batch carries: about 10 ms of
+#: work at the plans' ~3 GMAC/s, against ~16 µs to hand a part to an
+#: idle helper thread and take its result back (the median round trip
+#: of an empty part on a 2-vCPU x86 host), so the hand-off stays under
+#: 1%.  A ``tiny`` (0.42 MMAC a sample) or ``small`` (2.9) batch of up
+#: to 8 never splits; a ``paper`` (167) or ``paper-reduced`` (105)
+#: batch of 2 or more does.
+SPLIT_MIN_MACS = 32_000_000
+
+_helpers = None
+_helpers_lock = threading.Lock()
+
+
+def _usable_cores():
+    """The cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def _helper_pool():
+    """The process's pool of ``cores − 1`` helper threads that run the
+    handed-off parts of split batches, made on first use."""
+    global _helpers
+    with _helpers_lock:
+        if _helpers is None:
+            _helpers = ThreadPoolExecutor(
+                max_workers=max(1, _usable_cores() - 1),
+                thread_name_prefix="repro-plan-split",
+            )
+        return _helpers
+
+
+def _forget_helpers():
+    """In a forked child: the parent's helper threads do not exist
+    here, so the first split makes a pool of the child's own."""
+    global _helpers, _helpers_lock
+    _helpers = None
+    _helpers_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helpers)
 
 
 def _gemm_weight(weight, out_scale=None):
@@ -793,14 +850,51 @@ class _BoundPlan:
         return True
 
 
+class _Handoff:
+    """The calling thread's ambient tracer, innermost open span and
+    kernel collectors, carried to the helper thread that runs a part of
+    its batch, so a traced split forward nests both threads' spans under
+    one parent and ``kernels.collect()`` counts every part."""
+
+    __slots__ = ("tracer", "parent_id", "collectors")
+
+    def __init__(self):
+        self.tracer = current_tracer()
+        self.parent_id = None if self.tracer is None else current_span_id()
+        self.collectors = tuple(kernels.active_collectors())
+
+    def run(self, fn, x):
+        with contextlib.ExitStack() as stack:
+            if self.tracer is not None:
+                stack.enter_context(self.tracer.activate_under(
+                    self.parent_id))
+            for counters in self.collectors:
+                stack.enter_context(kernels.collect(counters))
+            return fn(x)
+
+
 class CompiledPlan:
     """A lowered ODE net compiled to a fused, arena-backed executable.
 
     Construction takes the lowered stages (:func:`~repro.compile.ir.lower`
-    or :func:`~repro.compile.ir.lower_fixed`) and is geometry-free; calling binds to the input shape on first use
-    and reuses the binding afterwards.  Bindings are per thread —
-    concurrent serve executor threads never share arena buffers.
+    or :func:`~repro.compile.ir.lower_fixed`) and is geometry-free;
+    calling binds to the input shape on first use and reuses the binding
+    afterwards.  Bindings are per thread — concurrent serve executor
+    threads never share arena buffers.
+
+    A call splits a batch of ``n`` across the usable cores into ``parts
+    = min(n, cores, ⌊n · sample_macs / SPLIT_MIN_MACS⌋)`` contiguous row
+    ranges when that is 2 or more: the calling thread runs the first,
+    the process's helper threads the others, each on its own
+    per-(thread, shape) binding, and the rows come back in order.  The
+    caller runs any part no helper has started yet, and waits for every
+    part before it returns or raises.  ``sample_macs`` is one sample's
+    forward MACs, which :func:`compile_model` sets; a plan built from
+    bare stages keeps 0 and never splits.
     """
+
+    #: MACs of one sample's forward (``profiling.flops.model_macs``)
+    sample_macs = 0
 
     def __init__(self, stages):
         self.stages = list(stages)
@@ -822,9 +916,38 @@ class CompiledPlan:
             bound = cache[key] = _BoundPlan(self, shape, dtype)
         return bound
 
+    def _run(self, x):
+        return self._bound(x.shape, x.dtype).run(x)
+
+    def _parts(self, n):
+        """How many row ranges a batch of *n* runs as (1: unsplit)."""
+        parts = n * self.sample_macs // SPLIT_MIN_MACS
+        return 1 if min(n, parts) < 2 else min(n, parts, _usable_cores())
+
     def __call__(self, x):
         x = np.asarray(x)
-        return self._bound(x.shape, x.dtype).run(x)
+        n = x.shape[0]
+        parts = self._parts(n)
+        if parts < 2:
+            return self._run(x)
+        chunks = [x[i * n // parts : (i + 1) * n // parts]
+                  for i in range(parts)]
+        handoff = _Handoff()
+        pool = _helper_pool()
+        handed = [pool.submit(handoff.run, self._run, chunk)
+                  for chunk in chunks[1:]]
+        outs, error = [], None
+        for chunk, future in zip(chunks, [None, *handed]):
+            try:
+                if future is not None and not future.cancel():
+                    outs.append(future.result())  # a helper started it
+                elif error is None:
+                    outs.append(self._run(chunk))
+            except BaseException as exc:  # settle every part, then raise
+                error = exc if error is None else error
+        if error is not None:
+            raise error
+        return np.concatenate(outs)
 
 
 def compile_model(model, formats=None):
@@ -834,7 +957,12 @@ def compile_model(model, formats=None):
     With *formats* — a ``(feature_fmt, param_fmt)`` pair — the plan is
     the fixed-point one (:func:`~repro.compile.ir.lower_fixed`), whose
     output equals ``QuantizedODENetExecutor(model, *formats).run`` bit
-    for bit.
+    for bit.  The plan's ``sample_macs``, which decides how it splits a
+    batch, is the model's forward at its input size.
     """
+    from ..profiling.flops import model_macs
+
     stages = lower(model) if formats is None else lower_fixed(model, *formats)
-    return CompiledPlan(stages)
+    plan = CompiledPlan(stages)
+    plan.sample_macs = model_macs(model)
+    return plan

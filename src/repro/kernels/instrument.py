@@ -25,34 +25,42 @@ class KernelCounters:
     """Accumulated per-kernel statistics: calls, seconds, bytes.
 
     ``bytes`` counts array traffic (inputs read + outputs written), the
-    quantity a bandwidth-bound accelerator design cares about.
+    quantity a bandwidth-bound accelerator design cares about.  A split
+    :class:`~repro.compile.CompiledPlan` batch records into one counter
+    from two threads at once, so every read-modify-write holds
+    ``_lock``, a leaf: nothing else is taken under it.
     """
 
-    __slots__ = ("calls", "seconds", "bytes")
+    __slots__ = ("calls", "seconds", "bytes", "_lock")
 
     def __init__(self):
         self.calls: dict = {}
         self.seconds: dict = {}
         self.bytes: dict = {}
+        self._lock = threading.Lock()
 
     def record(self, name: str, seconds: float, nbytes: int) -> None:
-        self.calls[name] = self.calls.get(name, 0) + 1
-        self.seconds[name] = self.seconds.get(name, 0.0) + seconds
-        self.bytes[name] = self.bytes.get(name, 0) + nbytes
+        with self._lock:
+            self.calls[name] = self.calls.get(name, 0) + 1
+            self.seconds[name] = self.seconds.get(name, 0.0) + seconds
+            self.bytes[name] = self.bytes.get(name, 0) + nbytes
 
     def total_seconds(self) -> float:
-        return sum(self.seconds.values())
+        with self._lock:
+            return sum(self.seconds.values())
 
     def snapshot(self) -> dict:
         """``{kernel: {"calls", "seconds", "bytes"}}``, sorted by time."""
-        return {
-            name: {
-                "calls": self.calls[name],
-                "seconds": self.seconds[name],
-                "bytes": self.bytes[name],
+        with self._lock:
+            return {
+                name: {
+                    "calls": self.calls[name],
+                    "seconds": self.seconds[name],
+                    "bytes": self.bytes[name],
+                }
+                for name in sorted(self.seconds, key=self.seconds.get,
+                                   reverse=True)
             }
-            for name in sorted(self.seconds, key=self.seconds.get, reverse=True)
-        }
 
 
 class _Stack(threading.local):

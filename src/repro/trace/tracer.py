@@ -186,20 +186,22 @@ class _ActivateCtx:
     ``run`` op, in a forked child or on a worker host): the worker
     activates its private tracer around the batch so the
     session/solver/kernel seams trace into it, then ships the collected
-    spans back with the reply.
+    spans back with the reply.  With *parent_id* — a span open on
+    another thread — the spans opened here nest under it.
     """
 
-    __slots__ = ("_tracer", "_prev_tracer", "_prev_stack")
+    __slots__ = ("_tracer", "_parent_id", "_prev_tracer", "_prev_stack")
 
-    def __init__(self, tracer):
+    def __init__(self, tracer, parent_id=None):
         self._tracer = tracer
+        self._parent_id = parent_id
 
     def __enter__(self):
         local = _LOCAL
         self._prev_tracer = local.tracer
         self._prev_stack = local.stack
         local.tracer = self._tracer
-        local.stack = []
+        local.stack = [] if self._parent_id is None else [self._parent_id]
         return self._tracer
 
     def __exit__(self, *exc):
@@ -292,6 +294,14 @@ class Tracer:
         """Context manager making this tracer ambient with no open span
         (fresh span stack) — the forked-worker entry point."""
         return _ActivateCtx(self)
+
+    def activate_under(self, parent_id):
+        """Context manager making this tracer ambient with *parent_id*,
+        a span open on another thread, as the parent of every span
+        opened here — how work that a traced thread hands to a helper
+        thread (a split :class:`~repro.compile.CompiledPlan` batch)
+        nests under the span that handed it off."""
+        return _ActivateCtx(self, parent_id)
 
     # ------------------------------------------------------------------
     def _append(self, span):

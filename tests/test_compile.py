@@ -2,7 +2,7 @@
 domains (the fixed-point plan's bit-identity lives in
 ``tests/test_quantized_plan.py``).
 
-Seven contracts:
+Eight contracts:
 
 * **parity** — the compiled plan agrees with the ``reference`` oracle
   to ≤1e-6 on every compilable registry model, at the ``tiny`` test
@@ -24,8 +24,16 @@ Seven contracts:
   agrees with the reference conv on any geometry, and equals the
   ``fused`` conv bit for bit at the served stems;
 * **own arrays** — no lowered array aliases a model parameter, so a
-  weight load reaches a compiled session only through ``refresh()``.
+  weight load reaches a compiled session only through ``refresh()``;
+* **the batch split** — a ``paper``/``paper-reduced`` batch of 2 or
+  more splits across the usable cores and a ``tiny``/``small`` one
+  never does; the fixed-point plans stay bit-identical to the
+  executor, each float row equals its range run alone, a helper's
+  error reaches the caller, a traced or collected split covers both
+  threads, and a forked replica starts helpers of its own.
 """
+
+import threading
 
 import numpy as np
 import pytest
@@ -40,12 +48,18 @@ from repro.compile import (
     ir,
     steps,
 )
+from repro.compile import plan as plan_module
 from repro.compile.plan import _bind_stem_conv, _depthwise_row_weight
 from repro.fixedpoint import QuantizedODENetExecutor, parse_format_pair
 from repro.kernels import shapes
 from repro.models import MODELS, PROFILES, build_model
 from repro.nn import Module
 from repro.runtime import InferenceSession, SessionConfig
+from repro.serve import BUILTIN_TIERS, ProcessReplica, Replica
+from repro.trace import Tracer
+
+#: the name every helper thread of a split batch starts with
+_HELPER_PREFIX = "repro-plan-split"
 
 RNG = np.random.default_rng(0)
 
@@ -596,3 +610,185 @@ class TestOwnArrays:
         np.testing.assert_array_equal(
             new, session_for(new_model).predict_batch(x)
         )
+
+
+# ----------------------------------------------------------------------
+# the batch split
+# ----------------------------------------------------------------------
+class _PartFailed(RuntimeError):
+    pass
+
+
+def _split_edges(n, parts):
+    return [i * n // parts for i in range(parts + 1)]
+
+
+def _hold_the_callers_part(monkeypatch, plan, helper_fails=False):
+    """Patch *plan* so the calling thread starts its own part only once
+    a helper thread has started another: the split then runs on two
+    threads however the scheduler orders them, and a pool whose helpers
+    never start fails the wait instead of being covered by the caller.
+    With *helper_fails* the helper's part raises :class:`_PartFailed`."""
+    helper_started = threading.Event()
+    run = plan._run
+
+    def run_part(part):
+        name = threading.current_thread().name
+        if name.startswith(_HELPER_PREFIX):
+            helper_started.set()
+            if helper_fails:
+                raise _PartFailed(name)
+        else:
+            assert helper_started.wait(20), "no helper thread took a part"
+        return run(part)
+
+    monkeypatch.setattr(plan, "_run", run_part)
+
+
+class TestBatchSplit:
+    """A paper-geometry batch runs as contiguous row ranges on the
+    caller and the helper threads; the answers stay those of the
+    unsplit plan."""
+
+    @pytest.mark.parametrize("cores", (2, 4))
+    @pytest.mark.parametrize("name", PACKABLE)
+    def test_which_batches_split(self, name, cores, monkeypatch):
+        monkeypatch.setattr(plan_module, "_usable_cores", lambda: cores)
+        for profile in ("tiny", "small"):
+            plan = compile_model(build_model(name, profile=profile,
+                                             inference=True))
+            assert [plan._parts(n) for n in range(1, 9)] == [1] * 8
+        for profile in ("paper", "paper-reduced"):
+            model = build_model(name, profile=profile, inference=True)
+            for formats in (None, BUILTIN_TIERS["int8"].formats(),
+                            BUILTIN_TIERS["int4"].formats()):
+                plan = compile_model(model, formats)
+                assert [plan._parts(n) for n in range(1, 9)] == [
+                    1 if n == 1 else min(n, cores) for n in range(1, 9)
+                ]
+
+    def test_one_core_never_splits(self, monkeypatch):
+        monkeypatch.setattr(plan_module, "_usable_cores", lambda: 1)
+
+        def no_helpers():
+            raise AssertionError("a helper pool was asked for")
+
+        monkeypatch.setattr(plan_module, "_helper_pool", no_helpers)
+        model = build_model("ode_botnet", profile="paper", inference=True)
+        plan = compile_model(model)
+        assert [plan._parts(n) for n in range(1, 9)] == [1] * 8
+        x = _batch("paper", 2)
+        out = plan(x)
+        assert list(plan._local.bound) == [(x.shape, x.dtype.str)]
+        np.testing.assert_array_equal(
+            out, plan._bound(x.shape, x.dtype).run(x))
+
+    @pytest.mark.parametrize("batch", (2, 3, 8))
+    @pytest.mark.parametrize("tier", ("int8", "int4"))
+    def test_fixed_point_split_equals_the_executor(self, tier, batch,
+                                                   monkeypatch):
+        monkeypatch.setattr(plan_module, "_usable_cores", lambda: 2)
+        model = build_model("ode_botnet", profile="paper-reduced",
+                            inference=True)
+        formats = BUILTIN_TIERS[tier].formats()
+        plan = compile_model(model, formats)
+        assert plan._parts(batch) == 2
+        x = _batch("paper-reduced", batch)
+        with kernels.use_backend("reference"):
+            expected = QuantizedODENetExecutor(model, *formats).run(x)
+        np.testing.assert_array_equal(plan(x), expected)
+
+    @pytest.mark.parametrize("name", PACKABLE)
+    def test_float_rows_equal_their_part_run_alone(self, name,
+                                                   monkeypatch):
+        monkeypatch.setattr(plan_module, "_usable_cores", lambda: 2)
+        model = build_model(name, profile="paper-reduced", inference=True)
+        plan = compile_model(model)
+        x = _batch("paper-reduced", 8)
+        ref = _reference(model, x)
+        for n in (2, 3, 8):
+            out = plan(x[:n])
+            edges = _split_edges(n, plan._parts(n))
+            assert len(edges) == 3
+            for a, b in zip(edges, edges[1:]):
+                part = x[a:b]
+                np.testing.assert_array_equal(
+                    out[a:b], plan._bound(part.shape, part.dtype).run(part))
+            np.testing.assert_allclose(out, ref[:n], rtol=0, atol=1e-6)
+
+    def test_a_helper_error_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(plan_module, "_usable_cores", lambda: 2)
+        model = build_model("ode_botnet", profile="paper-reduced",
+                            inference=True)
+        plan = compile_model(model)
+        x = _batch("paper-reduced", 3)
+        expected = plan(x)
+        _hold_the_callers_part(monkeypatch, plan, helper_fails=True)
+        with pytest.raises(_PartFailed, match=_HELPER_PREFIX):
+            plan(x)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(plan(x), expected)
+
+    def test_traced_split_nests_both_threads_under_one_session(
+            self, monkeypatch):
+        monkeypatch.setattr(plan_module, "_usable_cores", lambda: 2)
+        model = build_model("ode_botnet", profile="paper-reduced",
+                            inference=True)
+        session = InferenceSession(model,
+                                   config=SessionConfig(backend="fused"))
+        x = _batch("paper-reduced", 2)
+        expected = session.predict_batch(x)
+        _hold_the_callers_part(monkeypatch, session._plan)
+        tracer = Tracer()
+        with tracer.activate():
+            out = session.predict_batch(x)
+        np.testing.assert_array_equal(out, expected)
+        spans = tracer.spans()
+        (top,) = [s for s in spans if s.name == "session"]
+        steps_ = [s for s in spans if s.name == "solver.step"]
+        assert {s.parent_id for s in steps_} == {top.span_id}
+        assert len({s.thread for s in steps_}) == 2
+        assert tracer.dropped == 0
+
+    def test_kernel_collectors_count_both_parts(self, monkeypatch):
+        monkeypatch.setattr(plan_module, "_usable_cores", lambda: 2)
+        model = build_model("ode_botnet", profile="paper-reduced",
+                            inference=True)
+        plan = compile_model(model)
+        x = _batch("paper-reduced", 2)
+        plan(x)
+        with kernels.collect() as one_part:
+            plan._run(x[:1])
+        _hold_the_callers_part(monkeypatch, plan)
+        with kernels.collect() as both_parts:
+            plan(x)
+        assert one_part.calls
+        assert both_parts.calls == {
+            name: 2 * calls for name, calls in one_part.calls.items()
+        }
+
+    def test_a_forked_replica_starts_helpers_of_its_own(self,
+                                                        monkeypatch):
+        """A process replica forked after the parent split a batch: the
+        helper threads the child inherited the pool of do not exist
+        there, so a child reusing that pool would never hand its part
+        off."""
+        monkeypatch.setattr(plan_module, "_usable_cores", lambda: 2)
+        model = build_model("ode_botnet", profile="paper-reduced",
+                            inference=True)
+        session = InferenceSession(model,
+                                   config=SessionConfig(backend="fused"))
+        x = _batch("paper-reduced", 2)
+        expected = Replica("thread", session).run(x)
+        _hold_the_callers_part(monkeypatch, session._plan)
+        replica = ProcessReplica("process", session, timeout_s=120)
+        try:
+            tracer = Tracer()
+            with tracer.activate(), tracer.span("dispatch"):
+                out = replica.run(x)
+        finally:
+            replica.close()
+        np.testing.assert_array_equal(out, expected)
+        threads = {s.thread for s in tracer.spans()
+                   if s.name == "solver.step"}
+        assert len(threads) == 2

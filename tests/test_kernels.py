@@ -16,6 +16,9 @@ The kernel layer's contract has three parts, each pinned here:
   bit-identically.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -394,6 +397,37 @@ class TestInstrumentation:
         assert counters.bytes["relu"] >= x.nbytes
         top = counters.snapshot()
         assert set(top) == {"conv2d", "relu"}
+
+    def test_concurrent_recorders_keep_exact_totals(self):
+        """A split compiled batch records from its caller and a helper
+        thread into one counter; with more recording threads than
+        cores and the interpreter switching every microsecond, no call,
+        second or byte is lost."""
+        counters = kernels.KernelCounters()
+        n_threads, per_thread = 4, 10_000
+        go = threading.Barrier(n_threads)
+
+        def record():
+            go.wait(timeout=30)
+            for _ in range(per_thread):
+                counters.record("matmul", 0.5, 3)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=record)
+                       for _ in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        total = n_threads * per_thread
+        assert counters.calls == {"matmul": total}
+        assert counters.seconds == {"matmul": 0.5 * total}
+        assert counters.bytes == {"matmul": 3 * total}
 
     def test_collect_is_scoped(self, rng):
         x = rng.normal(size=(2, 2)).astype(np.float32)

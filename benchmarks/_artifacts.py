@@ -13,38 +13,17 @@ checkout.
 
 from __future__ import annotations
 
-import ctypes
 import json
 import os
 import platform
 
 import numpy as np
 
+from repro.kernels.blas import blas_threads
+
 BENCH_SCHEMA_VERSION = 1
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def blas_threads():
-    """The thread count the loaded OpenBLAS runs with, asked of the
-    library itself; ``None`` where it cannot be found (no
-    ``/proc/self/maps``, or another BLAS)."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = sorted({line.split()[-1] for line in fh
-                            if "openblas" in line})
-    except OSError:
-        return None
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        for symbol in ("openblas_get_num_threads",
-                       "scipy_openblas_get_num_threads64_",
-                       "openblas_get_num_threads64_"):
-            get = getattr(lib, symbol, None)
-            if get is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                return int(get())
-    return None
 
 
 def bench_path(name: str) -> str:

@@ -9,14 +9,14 @@ arena-backed execution plan (see ``docs/COMPILE.md``):
   decomposition of the ODE dynamics' time-concat convs; and
   :func:`lower_fixed`, the fixed-point lowering that keeps every
   rounding site of :class:`~repro.fixedpoint.QuantizedODENetExecutor`.
-* :mod:`~repro.compile.arena` — static buffer planning: named
-  preallocated workspace buffers plus build-time alias validation of
-  the step program.
+* :mod:`~repro.compile.arena` — static buffer planning: one storage
+  per thread, whose arrays every binding on that thread views as batch
+  prefixes, plus build-time alias validation of the step program.
 * :mod:`~repro.compile.steps` — the per-step bodies, allocation-free by
   construction (lint rule CMP001 bans array constructors here).
 * :mod:`~repro.compile.plan` — :class:`CompiledPlan`: binds lowered IR
   to a concrete geometry, runs the Euler loop through
-  :func:`repro.ode.fixed_grid_loop` out of one arena, and splits a
+  :func:`repro.ode.fixed_grid_loop` out of its arena, and splits a
   paper-geometry batch across the cores; :func:`compile_model` is
   ``CompiledPlan(lower(model))``, or with ``formats``
   ``CompiledPlan(lower_fixed(model, *formats))``, with the model's

@@ -1,12 +1,31 @@
-"""Static buffer planning: the workspace arena and alias-checked op lists.
+"""Static buffer planning: per-thread storage and alias-checked op lists.
 
-A compiled plan executes its Euler steps out of an :class:`Arena` — a
-set of named buffers allocated once when the plan binds to a concrete
-input geometry.  Step bodies (:mod:`repro.compile.steps`) only ever
-write *into* these buffers with ``out=`` / ``np.copyto``, so after the
-first call with a given batch shape the solver loop performs zero
-per-step numpy allocations (asserted by ``tests/test_compile.py`` and
-linted by rule CMP001).
+A compiled plan executes its Euler steps out of arena buffers.  Each
+thread has one :class:`ThreadStorage`: one array per buffer key, shared
+by every compiled plan and every batch size that binds on that thread.
+A thread runs one forward at a time, so one set of arrays, sized by the
+largest batch that thread has bound, serves all of them.  A binding's
+:class:`Arena` hands out batch-prefix views ``array[:n]`` of those
+arrays; every buffer is batch-leading and C-contiguous, so a prefix
+view has the array's strides and every reshape of it stays a view.
+Step bodies (:mod:`repro.compile.steps`) only ever write *into* these
+buffers with ``out=`` / ``np.copyto``, so after the first call with a
+given batch shape the solver loop performs zero per-step numpy
+allocations (asserted by ``tests/test_compile.py`` and linted by rule
+CMP001).
+
+A scratch buffer's key is its name, per-sample shape and dtype.  A
+buffer with bind-time contents — a conv canvas's zero border, the
+max-pool's −inf border, the stem's zero-padded phase planes — also
+keys on its fill and on the interior window its step writes, so two
+plans share it only when its bind-time contents are the same in both.
+An array grows, to the next power of two rows, only when a larger
+batch first asks for it; the growth bumps the thread's
+:attr:`ThreadStorage.generation`, which marks every older binding of
+that thread stale (see ``CompiledPlan._bound``).  The storage holds its
+arrays weakly and each arena strongly, so an array lives exactly as
+long as some binding uses it.  Only its own thread reads or writes a
+storage, so it takes no lock.
 
 Buffer reuse is what makes the arena small — and what makes aliasing
 the compiler's main hazard: a binder that reorders ops, or assigns one
@@ -19,6 +38,9 @@ built against.  Every bound plan validates itself once at bind time.
 
 from __future__ import annotations
 
+import threading
+import weakref
+
 import numpy as np
 
 
@@ -26,37 +48,84 @@ class PlanValidationError(RuntimeError):
     """An op would read a buffer another op already overwrote."""
 
 
-class Arena:
-    """Named preallocated float64 (by default) workspace buffers."""
+class ThreadStorage:
+    """One thread's arena arrays: one per buffer key, held weakly.
+
+    ``generation`` counts the times a live array was replaced by a
+    larger one.
+    """
+
+    __slots__ = ("arrays", "generation")
 
     def __init__(self):
-        self._bufs = {}
+        self.arrays = weakref.WeakValueDictionary()
+        self.generation = 0
 
-    def buffer(self, name, shape, dtype=np.float64, zero=False):
-        """Get-or-create buffer *name*; shape/dtype must be stable.
 
-        ``zero=True`` zero-fills at allocation — used for padded conv
-        canvases whose border must read as zero; step bodies then only
-        rewrite the interior.
+_threads = threading.local()
+
+
+def thread_storage():
+    """The calling thread's :class:`ThreadStorage`, made on first use.
+    A forked child inherits the forking thread's, copy-on-write."""
+    storage = getattr(_threads, "storage", None)
+    if storage is None:
+        storage = _threads.storage = ThreadStorage()
+    return storage
+
+
+class Arena:
+    """One binding's buffers: batch-prefix views of the arrays of the
+    thread that makes it (see the module docstring)."""
+
+    def __init__(self):
+        self.storage = thread_storage()
+        #: the storage arrays this arena's views are of, by key
+        self.arrays = {}
+        self._keys = {}
+        self.generation = self.storage.generation
+
+    @property
+    def stale(self):
+        """Whether an array has grown on this thread since this arena
+        was made: its views may be of arrays the storage replaced."""
+        return self.generation != self.storage.generation
+
+    def buffer(self, name, shape, dtype=np.float64, fill=None, window=None):
+        """The ``shape[0]``-row prefix of the thread's array for this
+        buffer, made or grown as needed.
+
+        A scratch buffer (``fill=None``) starts uninitialised.  A buffer
+        with a *fill* is filled with it when its array is made, and its
+        step bodies must write only its interior, whose geometry
+        *window* names; both are part of its key.  One arena asks for a
+        name with one geometry.
         """
-        shape = tuple(int(s) for s in shape)
-        buf = self._bufs.get(name)
-        if buf is not None:
-            if buf.shape != shape or buf.dtype != np.dtype(dtype):
-                raise ValueError(
-                    f"arena buffer {name!r} rebound with a different "
-                    f"geometry: {buf.shape}/{buf.dtype} vs {shape}/{dtype}"
-                )
-            return buf
-        buf = (
-            np.zeros(shape, dtype=dtype) if zero
-            else np.empty(shape, dtype=dtype)
-        )
-        self._bufs[name] = buf
-        return buf
-
-    def __contains__(self, name):
-        return name in self._bufs
+        n, *sample = (int(s) for s in shape)
+        dtype = np.dtype(dtype)
+        key = (name, tuple(sample), dtype.str)
+        if fill is not None:
+            key += (fill, tuple(window))
+        if self._keys.setdefault(name, key) != key:
+            raise ValueError(
+                f"arena buffer {name!r} rebound with a different "
+                f"geometry: {self._keys[name][1:]} vs {key[1:]}"
+            )
+        storage = self.storage
+        array = old = storage.arrays.get(key)
+        if old is None or len(old) < n:
+            shape = (1 << (n - 1).bit_length(), *sample)
+            array = (np.empty(shape, dtype) if fill is None
+                     else np.zeros(shape, dtype) if fill == 0
+                     else np.full(shape, fill, dtype))
+            storage.arrays[key] = array
+            if old is not None:  # a live array grew
+                fresh = not self.stale
+                storage.generation += 1
+                if fresh:
+                    self.generation = storage.generation
+        self.arrays[key] = array
+        return array[:n]
 
 
 class Op:

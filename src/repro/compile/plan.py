@@ -7,13 +7,19 @@ by :func:`~repro.compile.ir.lower_fixed`, for a
 :class:`~repro.fixedpoint.QuantizedODENetExecutor`.  Compile time
 (:func:`compile_model`) lowers the model once via
 :mod:`repro.compile.ir`, is geometry-free and touches no disk; the
-first call with a concrete input shape *binds* the plan — computes the
-time maps ``M``, precomputes every Euler step's additive plane,
-allocates the workspace :class:`~repro.compile.arena.Arena`, builds the
-alias-checked step program and validates it.  Bindings are cached per
-thread and per input shape, so steady-state calls run the Euler loop
-entirely out of preallocated buffers (zero per-step numpy allocation;
-see :mod:`repro.compile.steps`).
+first call with a concrete input shape *binds* the plan — takes its
+buffers as batch-prefix views of the calling thread's storage (an
+:class:`~repro.compile.arena.Arena`), builds the alias-checked step
+program and validates it.  The batch-independent arrays a binding
+reads — every Euler step's additive time plane, the GEMM weight
+layouts, the tiled depthwise kernels — the plan derives once per stage
+and input size and shares, read-only, across batch sizes and threads.
+Bindings are cached per thread and per input shape, so steady-state
+calls run the Euler loop entirely out of preallocated buffers (zero
+per-step numpy allocation; see :mod:`repro.compile.steps`).  A thread's
+storage is shared by every plan that binds on it and grows only when a
+larger batch first arrives; a binding made before a growth is made
+again on its next call.
 
 Activations run channels-last.  The float stem conv reads the NCHW
 batch into zero-bordered stride-phase planes and is one batched GEMM
@@ -39,10 +45,11 @@ so per-kernel counters and spans keep working on the compiled plan.
 A call splits a batch whose parts each carry at least
 :data:`SPLIT_MIN_MACS` — every ``paper``/``paper-reduced`` batch of 2
 or more, no ``tiny``/``small`` batch of up to 8 — into contiguous row
-ranges, one per usable core: the calling thread runs the first, a
-process-wide pool of helper threads (made on the first split, replaced
-in a forked child) the others, each on its own per-(thread, shape)
-binding, under the caller's tracer, parent span and kernel collectors.
+ranges, one per usable core that the loaded BLAS's threads leave free:
+the calling thread runs the first, a process-wide pool of helper
+threads (made on the first split, replaced in a forked child) the
+others, each on its own per-(thread, shape) binding, under the caller's
+tracer, parent span and kernel collectors.
 """
 
 from __future__ import annotations
@@ -58,6 +65,7 @@ import numpy as np
 from .. import kernels
 from ..fixedpoint import div_round_half_even
 from ..kernels import shapes
+from ..kernels.blas import blas_threads
 from ..ode.solvers import fixed_grid_loop
 from ..trace import current_span_id, current_tracer
 from . import steps
@@ -129,7 +137,7 @@ def _depthwise_row_weight(dw, ow):
     return np.tile(dw[:, 0].transpose(1, 2, 0), (1, 1, ow))
 
 
-def _bind_fconv(name, n, c, h, w, spec, arena, dtype):
+def _bind_fconv(name, n, c, h, w, spec, arena, const, dtype):
     """Bind a strided conv (+ folded BN bias, + ReLU) as one arena
     im2col GEMM over ``(N·OH·OW, KH·KW·C)``.
 
@@ -144,7 +152,7 @@ def _bind_fconv(name, n, c, h, w, spec, arena, dtype):
     f, _, kh, kw = spec.weight.shape
     (sh, sw), (ph, pw) = spec.stride, spec.padding
     canvas = arena.buffer(f"{name}.canvas", (n, h + 2 * ph, w + 2 * pw, c),
-                          dtype=dtype, zero=True)
+                          dtype=dtype, fill=0, window=(h, w, ph, pw))
     interior = canvas[:, ph : ph + h, pw : pw + w, :]
     patches = shapes.as_strided_patches_nhwc(canvas, kh, kw, sh, sw)
     oh, ow = patches.shape[1:3]
@@ -152,7 +160,8 @@ def _bind_fconv(name, n, c, h, w, spec, arena, dtype):
     col2d = colbuf.reshape(n * oh * ow, kh * kw * c)
     out = arena.buffer(f"{name}.out", (n, oh, ow, f), dtype=dtype)
     out2d = out.reshape(n * oh * ow, f)
-    wmat_t = _gemm_weight(spec.weight).astype(dtype, copy=False)
+    wmat_t = const((name, np.dtype(dtype).str), lambda: _gemm_weight(
+        spec.weight).astype(dtype, copy=False))
     bias = None if spec.bias is None else spec.bias.reshape(-1)
     site = spec.site
 
@@ -197,7 +206,7 @@ def _bind_stem_conv(name, n, c, h, w, spec, arena, dtype):
     qw = -(-(w + 2 * pw) // sw)
     planes = arena.buffer(
         f"{name}.phases", (n, c, sh, sw, -(-(h + 2 * ph) // sh) + 1, qw),
-        dtype=dtype, zero=True,
+        dtype=dtype, fill=0, window=(h, w, ph, pw, sh, sw),
     )
     # plane (a, b) row r holds padded row a + SH·r: its interior starts
     # at the first r that lands on input row a + SH·r − PH >= 0
@@ -239,7 +248,7 @@ def _bind_stem_conv(name, n, c, h, w, spec, arena, dtype):
     return fn, (oh, ow, f)
 
 
-def _time_planes(tc, h, w, impl):
+def _time_planes(tc, h, w):
     """Precompute the additive time map of a time-concat conv.
 
     Returns channels-last ``(m, bias)``: ``m`` is (1, H', W', F) — or
@@ -247,6 +256,7 @@ def _time_planes(tc, h, w, impl):
     (F,) or None, such that the conv's time contribution at time ``t``
     is ``t * m + bias``.
     """
+    impl = kernels.get_backend("fused")
     if tc.kind == "dsc":
         ones = np.ones((1, 1, h, w), dtype=_F64)
         mdw = impl.conv2d(ones, tc.dw_t, stride=tc.stride, padding=tc.padding)
@@ -272,18 +282,19 @@ def _step_planes(m, bias, ts, dtype=_F64):
     return planes
 
 
-def _fixed_step_planes(tc, h, w, impl, ts):
+def _fixed_step_planes(tc, h, w, ts):
     """Every Euler step's additive plane of a fixed-point time conv, *ts*
     the t channel's raws: ``t_i · M + bias`` as in the float plan, but
     ``site(t_i · M_dw) ⊗ pw_t + bias`` for a depthwise-separable conv,
     whose t channel passes its own depthwise site first.  A plane is an
     exact partial sum of the site's accumulator."""
     if tc.kind != "dsc":
-        m, bias = _time_planes(tc, h, w, impl)
+        m, bias = _time_planes(tc, h, w)
         return _step_planes(m, bias, ts, tc.dtype)
     ones = np.ones((1, 1, h, w), dtype=_F64)
-    mdw = impl.conv2d(ones, tc.dw_t.astype(_F64), stride=tc.stride,
-                      padding=tc.padding)[:, 0, :, :, None]
+    mdw = kernels.get_backend("fused").conv2d(
+        ones, tc.dw_t.astype(_F64), stride=tc.stride, padding=tc.padding,
+    )[:, 0, :, :, None]
     site = tc.site
     planes = []
     for t in ts:
@@ -292,6 +303,43 @@ def _fixed_step_planes(tc, h, w, impl, ts):
             p = p + tc.bias
         planes.append(np.ascontiguousarray(p, dtype=tc.dtype))
     return planes
+
+
+def _time_conv_constants(tc, h, w, ts, out_scale, out_shift):
+    """A time conv's batch-independent arrays at input size (H, W): its
+    Euler steps' additive planes, its GEMM weight and, for a
+    depthwise-separable conv, its tiled depthwise rows (else None), with
+    ``out_scale`` / ``out_shift`` folded in.  Read-only: every binding
+    of the plan shares them, on any thread."""
+    sc = None
+    if tc.site is not None:
+        planes = _fixed_step_planes(tc, h, w, ts)
+    else:
+        m, bias = _time_planes(tc, h, w)
+        if out_scale is not None:
+            sc = np.asarray(out_scale, dtype=_F64).reshape(-1)
+            m = np.ascontiguousarray(m * sc)
+            if bias is not None:
+                bias = np.ascontiguousarray(bias * sc)
+        if out_shift is not None:
+            shift = np.asarray(out_shift, dtype=_F64).reshape(-1)
+            bias = shift if bias is None else np.ascontiguousarray(
+                bias + shift
+            )
+        planes = _step_planes(m, bias, ts)
+    w_rows = None
+    if tc.kind == "dsc":
+        kh, kw = tc.dw_x.shape[2:]
+        (sh, sw), (ph, pw) = tc.stride, tc.padding
+        _, ow = shapes.conv_out_size(h, w, kh, kw, sh, sw, ph, pw)
+        w_rows = _depthwise_row_weight(tc.dw_x, ow)
+        wmat_t = _gemm_weight(tc.pw_x[:, :, None, None], sc)
+    else:
+        wmat_t = _gemm_weight(tc.w_x, sc)
+    for array in (*planes, wmat_t, w_rows):
+        if array is not None:
+            array.flags.writeable = False
+    return planes, wmat_t, w_rows
 
 
 class _BoundTimeConv:
@@ -306,9 +354,11 @@ class _BoundTimeConv:
     arena buffers) is precomputed, so the Euler loop does no per-step
     slicing or reshaping.  The depthwise half of a depthwise-separable
     conv reads the canvas as (N, OH, KH, KW, OW·C) output rows against
-    its (KH, KW, C) kernel tiled OW times, made once per binding.
-    Buffers take the conv's ``dtype``; a fixed-point conv closes each
-    of its sites with :func:`steps.round_site`.
+    its (KH, KW, C) kernel tiled OW times.  The planes, GEMM weight and
+    tiled kernel are the plan's (:func:`_time_conv_constants`), derived
+    once per input size.  Buffers take the conv's ``dtype``; a
+    fixed-point conv closes each of its sites with
+    :func:`steps.round_site`.
 
     ``out_scale`` / ``out_shift`` fold a per-output-channel affine —
     a following BN's scale/shift, or the Euler step size ``h`` — into
@@ -317,26 +367,13 @@ class _BoundTimeConv:
     only: folding would move a fixed-point rounding site).
     """
 
-    def __init__(self, tc, prefix, n, h, w, arena, impl, ts,
+    def __init__(self, tc, prefix, n, h, w, arena, const, ts,
                  out_scale=None, out_shift=None):
         c = tc.in_channels
         dt = tc.dtype
-        sc = None
-        if tc.site is not None:
-            self.planes = _fixed_step_planes(tc, h, w, impl, ts)
-        else:
-            m, bias = _time_planes(tc, h, w, impl)
-            if out_scale is not None:
-                sc = np.asarray(out_scale, dtype=_F64).reshape(-1)
-                m = np.ascontiguousarray(m * sc)
-                if bias is not None:
-                    bias = np.ascontiguousarray(bias * sc)
-            if out_shift is not None:
-                shift = np.asarray(out_shift, dtype=_F64).reshape(-1)
-                bias = shift if bias is None else np.ascontiguousarray(
-                    bias + shift
-                )
-            self.planes = _step_planes(m, bias, ts)
+        self.planes, self.wmat_t, self.w_rows = const(
+            (prefix, h, w), lambda: _time_conv_constants(
+                tc, h, w, ts, out_scale, out_shift))
         self.prefix = prefix
         self.site = tc.site
         self.kind = "pointwise" if tc.is_pointwise else tc.kind
@@ -344,7 +381,6 @@ class _BoundTimeConv:
             self.src_name = f"{prefix}.in"
             self.src = arena.buffer(self.src_name, (n, h, w, c), dtype=dt)
             self.rows = n * h * w
-            self.wmat_t = _gemm_weight(tc.w_x, sc)
         else:
             weight = tc.dw_x if self.kind == "dsc" else tc.w_x
             kh, kw = weight.shape[2:]
@@ -352,7 +388,7 @@ class _BoundTimeConv:
             self.src_name = f"{prefix}.canvas"
             canvas = arena.buffer(
                 self.src_name, (n, h + 2 * ph, w + 2 * pw, c), dtype=dt,
-                zero=True,
+                fill=0, window=(h, w, ph, pw),
             )
             self.src = canvas[:, ph : ph + h, pw : pw + w, :]
             oh, ow = shapes.conv_out_size(h, w, kh, kw, sh, sw, ph, pw)
@@ -361,14 +397,11 @@ class _BoundTimeConv:
             self.canvas_rows = shapes.as_strided_rows_nhwc(canvas, kh, kw)
             self.d_rows = arena.buffer(f"{prefix}.dw", (n, oh, ow, c),
                                        dtype=dt).reshape(n, oh, ow * c)
-            self.w_rows = _depthwise_row_weight(tc.dw_x, ow)
-            self.wmat_t = _gemm_weight(tc.pw_x[:, :, None, None], sc)
         elif self.kind == "dense":  # conv="full": arena im2col GEMM
             self.patches = shapes.as_strided_patches_nhwc(canvas, kh, kw,
                                                           sh, sw)
             self.colbuf = arena.buffer(f"{prefix}.cols", self.patches.shape,
                                        dtype=dt)
-            self.wmat_t = _gemm_weight(tc.w_x, sc)
 
     def _closed(self, fn):
         """*fn*, followed by its fixed-point site (if any)."""
@@ -415,7 +448,7 @@ class _BoundTimeConv:
         )
 
 
-def _bind_conv_func(ir, prefix, n, c, h, w, arena, impl, ts, h_step):
+def _bind_conv_func(ir, prefix, n, c, h, w, arena, const, ts, h_step):
     """Bind dsODENet dynamics: two (ssr → time-conv) passes + Euler.
 
     The second BN's scale/shift are folded into conv1's weights/plane
@@ -429,11 +462,11 @@ def _bind_conv_func(ir, prefix, n, c, h, w, arena, impl, ts, h_step):
     f = arena.buffer(f"{prefix}.f", (n, h, w, c))
 
     tc1 = _BoundTimeConv(
-        ir.conv1, f"{prefix}.conv1", n, h, w, arena, impl, ts,
+        ir.conv1, f"{prefix}.conv1", n, h, w, arena, const, ts,
         out_scale=ir.scale2, out_shift=ir.shift2,
     )
     tc2 = _BoundTimeConv(
-        ir.conv2, f"{prefix}.conv2", n, h, w, arena, impl, ts,
+        ir.conv2, f"{prefix}.conv2", n, h, w, arena, const, ts,
         out_scale=h_step,
     )
     s1, sh1 = ir.scale1.reshape(-1), ir.shift1.reshape(-1)
@@ -460,7 +493,7 @@ def _bind_conv_func(ir, prefix, n, c, h, w, arena, impl, ts, h_step):
     return z, ops
 
 
-def _bind_mhsa_func(ir, prefix, n, c, h, w, arena, impl, ts, h_step):
+def _bind_mhsa_func(ir, prefix, n, c, h, w, arena, const, ts, h_step):
     """Bind the bottleneck dynamics: ssr → 1x1 down → MHSA → ssr →
     1x1 up + Euler, fully arena-buffered."""
     if not (ir.conv1.is_pointwise and ir.conv2.is_pointwise):
@@ -477,10 +510,10 @@ def _bind_mhsa_func(ir, prefix, n, c, h, w, arena, impl, ts, h_step):
     m_out = arena.buffer(f"{prefix}.mhsa", (n, h, w, inner))
     f = arena.buffer(f"{prefix}.f", (n, h, w, c))
     down = _BoundTimeConv(
-        ir.conv1, f"{prefix}.down", n, h, w, arena, impl, ts
+        ir.conv1, f"{prefix}.down", n, h, w, arena, const, ts
     )
     up = _BoundTimeConv(
-        ir.conv2, f"{prefix}.up", n, h, w, arena, impl, ts,
+        ir.conv2, f"{prefix}.up", n, h, w, arena, const, ts,
         out_scale=h_step,
     )
     a, a2 = down.src, up.src
@@ -595,7 +628,7 @@ def _bind_mhsa_func(ir, prefix, n, c, h, w, arena, impl, ts, h_step):
     return z, ops
 
 
-def _bind_fixed_func(ir, prefix, n, c, h, w, arena, impl, ts, h_step):
+def _bind_fixed_func(ir, prefix, n, c, h, w, arena, const, ts, h_step):
     """Bind fixed-point dynamics: BN → time conv → [MHSA] → BN → time
     conv → Euler, every one a rounding site of the executor.
 
@@ -624,9 +657,9 @@ def _bind_fixed_func(ir, prefix, n, c, h, w, arena, impl, ts, h_step):
     acc2 = arena.buffer(f"{prefix}.acc2", (n, h, w, inner), dtype=s2.dtype)
     f = arena.buffer(f"{prefix}.f", (n, h, w, c), dtype=ir.conv2.dtype)
     conv_a = _BoundTimeConv(ir.conv1, f"{prefix}.{tag1}", n, h, w, arena,
-                            impl, ts)
+                            const, ts)
     conv_b = _BoundTimeConv(ir.conv2, f"{prefix}.{tag2}", n, h, w, arena,
-                            impl, ts)
+                            const, ts)
     a, b = conv_a.src, conv_b.src
 
     ops.add(
@@ -674,8 +707,8 @@ def _bind_maxpool(name, n, c, h, w, spec, arena, dtype):
     sh, sw = kstride if kstride is not None else (kh, kw)
     oh, ow = shapes.conv_out_size(h, w, kh, kw, sh, sw, ph, pw)
     canvas = arena.buffer(f"{name}.canvas", (n, h + 2 * ph, w + 2 * pw, c),
-                          dtype=dtype)
-    canvas.fill(shapes.pool_pad_value(dtype))
+                          dtype=dtype, fill=shapes.pool_pad_value(dtype),
+                          window=(h, w, ph, pw))
     interior = canvas[:, ph : ph + h, pw : pw + w, :]
     win0, *rest = [
         canvas[:, i : i + sh * oh : sh, j : j + sw * ow : sw, :]
@@ -704,7 +737,7 @@ class _BoundPlan:
 
     def __init__(self, plan, shape, dtype):
         n, c, h, w = shape
-        impl = kernels.get_backend("fused")
+        const = plan._constant
         arena = Arena()
         stages = []       # (kernel_name, fn, is_block)
         self.block_ops = {}
@@ -735,7 +768,7 @@ class _BoundPlan:
                     np.result_type(cur_dtype, ir.weight.dtype)
                 )
                 fn, (h, w, c) = _bind_fconv(name, n, c, h, w, ir, arena,
-                                            cur_dtype)
+                                            const, cur_dtype)
                 stages.append(("conv2d", fn, False))
             elif op == "bn":
                 scale, shift, site = ir
@@ -770,7 +803,7 @@ class _BoundPlan:
                     else _bind_mhsa_func
                 )
                 z, ops_list = binder(
-                    ir.func, name, n, c, h, w, arena, impl, ts, h_step,
+                    ir.func, name, n, c, h, w, arena, const, ts, h_step,
                 )
                 ops_list.validate(loop_carried=(f"{name}.z",))
                 self.block_ops[name] = ops_list
@@ -880,15 +913,19 @@ class CompiledPlan:
     or :func:`~repro.compile.ir.lower_fixed`) and is geometry-free;
     calling binds to the input shape on first use and reuses the binding
     afterwards.  Bindings are per thread — concurrent serve executor
-    threads never share arena buffers.
+    threads never share arena buffers — and every binding on a thread,
+    of this plan or another, views that thread's one storage.
 
     A call splits a batch of ``n`` across the usable cores into ``parts
-    = min(n, cores, ⌊n · sample_macs / SPLIT_MIN_MACS⌋)`` contiguous row
-    ranges when that is 2 or more: the calling thread runs the first,
-    the process's helper threads the others, each on its own
-    per-(thread, shape) binding, and the rows come back in order.  The
-    caller runs any part no helper has started yet, and waits for every
-    part before it returns or raises.  ``sample_macs`` is one sample's
+    = min(n, ⌊cores / BLAS threads⌋, ⌊n · sample_macs /
+    SPLIT_MIN_MACS⌋)`` contiguous row ranges when that is 2 or more (a
+    BLAS whose thread count cannot be read counts as one thread): a
+    second part on a core a BLAS thread already uses only adds
+    switches.  The calling thread runs the first, the process's helper
+    threads the others, each on its own per-(thread, shape) binding,
+    and the rows come back in order.  The caller runs any part no
+    helper has started yet, and waits for every part before it returns
+    or raises.  ``sample_macs`` is one sample's
     forward MACs, which :func:`compile_model` sets; a plan built from
     bare stages keeps 0 and never splits.
     """
@@ -899,6 +936,7 @@ class CompiledPlan:
     def __init__(self, stages):
         self.stages = list(stages)
         self._local = threading.local()
+        self._constants = {}
 
     @staticmethod
     def supported(model) -> bool:
@@ -906,14 +944,30 @@ class CompiledPlan:
         :func:`~repro.compile.ir.unsupported_reason`)."""
         return unsupported_reason(model) is None
 
+    def _constant(self, key, make):
+        """The bind-time constant *key*, derived by *make* on the first
+        bind that asks for it and shared read-only by every binding on
+        any thread.  Two threads' first binds may both derive it; the
+        first one stored is kept."""
+        value = self._constants.get(key)
+        if value is None:
+            value = self._constants.setdefault(key, make())
+        return value
+
     def _bound(self, shape, dtype):
+        """This thread's binding for *shape*: made on first use, and
+        made again once an array of this thread's storage has grown.
+        A new binding drops this plan's stale ones on this thread, so
+        the arrays only they held are freed."""
         cache = getattr(self._local, "bound", None)
         if cache is None:
             cache = self._local.bound = {}
         key = (shape, np.dtype(dtype).str)
         bound = cache.get(key)
-        if bound is None:
+        if bound is None or bound.arena.stale:
             bound = cache[key] = _BoundPlan(self, shape, dtype)
+            for old in [k for k, b in cache.items() if b.arena.stale]:
+                del cache[old]
         return bound
 
     def _run(self, x):
@@ -921,8 +975,10 @@ class CompiledPlan:
 
     def _parts(self, n):
         """How many row ranges a batch of *n* runs as (1: unsplit)."""
-        parts = n * self.sample_macs // SPLIT_MIN_MACS
-        return 1 if min(n, parts) < 2 else min(n, parts, _usable_cores())
+        parts = min(n, n * self.sample_macs // SPLIT_MIN_MACS)
+        if parts >= 2:
+            parts = min(parts, _usable_cores() // (blas_threads() or 1))
+        return parts if parts >= 2 else 1
 
     def __call__(self, x):
         x = np.asarray(x)

@@ -94,6 +94,7 @@ class InferenceSession:
         )
         self.model = model
         self.plan_kind, self._plan = bind_plan(model, self._fast)
+        self._retired = None
 
     # ------------------------------------------------------------------
     @property
@@ -105,11 +106,15 @@ class InferenceSession:
         """Re-derive the bound plan from the model's current weights
         (call after mutating them): an executor drops its cached
         quantized weights, and the plan is rebound — a compiled plan,
-        float or fixed point, is lowered afresh."""
+        float or fixed point, is lowered afresh.  The old plan is kept
+        until the next batch has run, so a compiled plan binds to the
+        arena arrays its predecessor's bindings hold instead of making
+        new ones."""
         from ..fixedpoint import QuantizedODENetExecutor
 
         if isinstance(self.model, QuantizedODENetExecutor):
             self.model.refresh()
+        self._retired = self._plan
         self.plan_kind, self._plan = bind_plan(self.model, self._fast)
 
     # ------------------------------------------------------------------
@@ -124,6 +129,7 @@ class InferenceSession:
         else:
             out = self._dispatch_traced(x, tracer)
         self._stats.record(x.shape[0], time.perf_counter() - start)
+        self._retired = None
         return np.asarray(out)
 
     def _dispatch_traced(self, x, tracer):

@@ -2,7 +2,7 @@
 domains (the fixed-point plan's bit-identity lives in
 ``tests/test_quantized_plan.py``).
 
-Eight contracts:
+Nine contracts:
 
 * **parity** — the compiled plan agrees with the ``reference`` oracle
   to ≤1e-6 on every compilable registry model, at the ``tiny`` test
@@ -30,10 +30,17 @@ Eight contracts:
   never does; the fixed-point plans stay bit-identical to the
   executor, each float row equals its range run alone, a helper's
   error reaches the caller, a traced or collected split covers both
-  threads, and a forked replica starts helpers of its own.
+  threads, and a forked replica starts helpers of its own;
+* **one arena per thread** — every plan and batch size that binds on a
+  thread takes batch-prefix views of that thread's one array per
+  buffer key: interleaved plans and batch sizes keep their answers,
+  bind-time borders survive another plan's run, arrays grow to powers
+  of two and are freed with the last binding that uses them.
 """
 
+import gc
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -49,10 +56,11 @@ from repro.compile import (
     steps,
 )
 from repro.compile import plan as plan_module
+from repro.compile.arena import thread_storage
 from repro.compile.plan import _bind_stem_conv, _depthwise_row_weight
 from repro.fixedpoint import QuantizedODENetExecutor, parse_format_pair
 from repro.kernels import shapes
-from repro.models import MODELS, PROFILES, build_model
+from repro.models import MODELS, PROFILES, build_model, reduced_profile
 from repro.nn import Module
 from repro.runtime import InferenceSession, SessionConfig
 from repro.serve import BUILTIN_TIERS, ProcessReplica, Replica
@@ -623,6 +631,13 @@ def _split_edges(n, parts):
     return [i * n // parts for i in range(parts + 1)]
 
 
+def _set_cores(monkeypatch, cores, blas=1):
+    """Patch the two counts the split reads: the usable cores and the
+    loaded BLAS's threads (``None``: unreadable)."""
+    monkeypatch.setattr(plan_module, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(plan_module, "blas_threads", lambda: blas)
+
+
 def _hold_the_callers_part(monkeypatch, plan, helper_fails=False):
     """Patch *plan* so the calling thread starts its own part only once
     a helper thread has started another: the split then runs on two
@@ -653,22 +668,32 @@ class TestBatchSplit:
     @pytest.mark.parametrize("cores", (2, 4))
     @pytest.mark.parametrize("name", PACKABLE)
     def test_which_batches_split(self, name, cores, monkeypatch):
-        monkeypatch.setattr(plan_module, "_usable_cores", lambda: cores)
+        """At most one part per ``cores ÷ BLAS threads``, for a BLAS of
+        1 or 2 threads: one that runs two threads per GEMM on two cores
+        leaves no core for a second part.  An unreadable thread count
+        (``None``) counts as one."""
+        small, large = [], []
         for profile in ("tiny", "small"):
-            plan = compile_model(build_model(name, profile=profile,
-                                             inference=True))
-            assert [plan._parts(n) for n in range(1, 9)] == [1] * 8
+            small.append(compile_model(build_model(name, profile=profile,
+                                                   inference=True)))
         for profile in ("paper", "paper-reduced"):
             model = build_model(name, profile=profile, inference=True)
             for formats in (None, BUILTIN_TIERS["int8"].formats(),
                             BUILTIN_TIERS["int4"].formats()):
-                plan = compile_model(model, formats)
+                large.append(compile_model(model, formats))
+        for blas in (1, 2, None):
+            _set_cores(monkeypatch, cores, blas)
+            cap = cores // (blas or 1)
+            for plan in small:
+                assert [plan._parts(n) for n in range(1, 9)] == [1] * 8
+            for plan in large:
                 assert [plan._parts(n) for n in range(1, 9)] == [
-                    1 if n == 1 else min(n, cores) for n in range(1, 9)
-                ]
+                    1 if min(n, cap) < 2 else min(n, cap)
+                    for n in range(1, 9)
+                ], blas
 
     def test_one_core_never_splits(self, monkeypatch):
-        monkeypatch.setattr(plan_module, "_usable_cores", lambda: 1)
+        _set_cores(monkeypatch, 1)
 
         def no_helpers():
             raise AssertionError("a helper pool was asked for")
@@ -687,7 +712,7 @@ class TestBatchSplit:
     @pytest.mark.parametrize("tier", ("int8", "int4"))
     def test_fixed_point_split_equals_the_executor(self, tier, batch,
                                                    monkeypatch):
-        monkeypatch.setattr(plan_module, "_usable_cores", lambda: 2)
+        _set_cores(monkeypatch, 2)
         model = build_model("ode_botnet", profile="paper-reduced",
                             inference=True)
         formats = BUILTIN_TIERS[tier].formats()
@@ -701,7 +726,7 @@ class TestBatchSplit:
     @pytest.mark.parametrize("name", PACKABLE)
     def test_float_rows_equal_their_part_run_alone(self, name,
                                                    monkeypatch):
-        monkeypatch.setattr(plan_module, "_usable_cores", lambda: 2)
+        _set_cores(monkeypatch, 2)
         model = build_model(name, profile="paper-reduced", inference=True)
         plan = compile_model(model)
         x = _batch("paper-reduced", 8)
@@ -717,7 +742,7 @@ class TestBatchSplit:
             np.testing.assert_allclose(out, ref[:n], rtol=0, atol=1e-6)
 
     def test_a_helper_error_reaches_the_caller(self, monkeypatch):
-        monkeypatch.setattr(plan_module, "_usable_cores", lambda: 2)
+        _set_cores(monkeypatch, 2)
         model = build_model("ode_botnet", profile="paper-reduced",
                             inference=True)
         plan = compile_model(model)
@@ -727,11 +752,12 @@ class TestBatchSplit:
         with pytest.raises(_PartFailed, match=_HELPER_PREFIX):
             plan(x)
         monkeypatch.undo()
+        _set_cores(monkeypatch, 2)
         np.testing.assert_array_equal(plan(x), expected)
 
     def test_traced_split_nests_both_threads_under_one_session(
             self, monkeypatch):
-        monkeypatch.setattr(plan_module, "_usable_cores", lambda: 2)
+        _set_cores(monkeypatch, 2)
         model = build_model("ode_botnet", profile="paper-reduced",
                             inference=True)
         session = InferenceSession(model,
@@ -751,7 +777,7 @@ class TestBatchSplit:
         assert tracer.dropped == 0
 
     def test_kernel_collectors_count_both_parts(self, monkeypatch):
-        monkeypatch.setattr(plan_module, "_usable_cores", lambda: 2)
+        _set_cores(monkeypatch, 2)
         model = build_model("ode_botnet", profile="paper-reduced",
                             inference=True)
         plan = compile_model(model)
@@ -773,7 +799,7 @@ class TestBatchSplit:
         helper threads the child inherited the pool of do not exist
         there, so a child reusing that pool would never hand its part
         off."""
-        monkeypatch.setattr(plan_module, "_usable_cores", lambda: 2)
+        _set_cores(monkeypatch, 2)
         model = build_model("ode_botnet", profile="paper-reduced",
                             inference=True)
         session = InferenceSession(model,
@@ -792,3 +818,286 @@ class TestBatchSplit:
         threads = {s.thread for s in tracer.spans()
                    if s.name == "solver.step"}
         assert len(threads) == 2
+
+
+# ----------------------------------------------------------------------
+# one arena per thread
+# ----------------------------------------------------------------------
+#: batch sizes in an order that grows, shrinks and regrows the arrays
+_BATCHES = (4, 1, 8, 2, 3, 8, 5)
+
+
+def _on_fresh_thread(fn, *args):
+    """``fn(*args)`` on a new thread, whose storage starts empty: its
+    result, or its exception raised here."""
+    result = {}
+
+    def target():
+        try:
+            result["value"] = fn(*args)
+        except BaseException as exc:  # handed to the calling thread
+            result["error"] = exc
+
+    thread = threading.Thread(target=target)
+    thread.start()
+    thread.join(300)
+    assert not thread.is_alive(), "the fresh thread did not finish"
+    if "error" in result:
+        raise result["error"]
+    return result["value"]
+
+
+def _held_arrays(plan):
+    """The storage arrays this thread's bindings of *plan* view, by key:
+    every binding views the same one array per key."""
+    held = {}
+    for bound in plan._local.bound.values():
+        for key, array in bound.arena.arrays.items():
+            assert held.setdefault(key, array) is array, key
+    return held
+
+
+class TestThreadArena:
+    """Every plan and batch size that binds on a thread shares that
+    thread's storage, and answers as the plan alone does on a fresh
+    thread, whose storage starts empty."""
+
+    @pytest.mark.parametrize("tier", (None, "int8", "int4"))
+    @pytest.mark.parametrize("profile", ("tiny", "paper-reduced"))
+    def test_batch_sizes_in_turn_keep_their_answers(self, profile, tier,
+                                                    monkeypatch):
+        _set_cores(monkeypatch, 1)
+        model = build_model("ode_botnet", profile=profile, inference=True)
+        formats = None if tier is None else BUILTIN_TIERS[tier].formats()
+        fresh = compile_model(model, formats)
+        x = _batch(profile, max(_BATCHES))
+
+        def in_turn():
+            plan = compile_model(model, formats)
+            for n in _BATCHES:
+                want = _on_fresh_thread(fresh._run, x[:n])
+                got = plan(x[:n])
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+            gc.collect()
+            held = _held_arrays(plan)
+            assert {len(a) for a in held.values()} == {8}
+            storage = dict(thread_storage().arrays)
+            assert storage.keys() == held.keys()
+            assert all(storage[k] is a for k, a in held.items())
+
+        _on_fresh_thread(in_turn)
+
+    def test_interleaved_plans_keep_their_answers(self, monkeypatch):
+        """The primary plan and the three rungs of the degrade ladder,
+        as one replica's executor thread runs them: the primary and
+        ``reduced`` plans view the same arrays, int8 and int4 share
+        theirs, and each plan answers as it does alone.  In the second
+        round the primary and int8 plans grow the arrays the 1-row
+        bindings of ``reduced`` and int4 view, which then bind again
+        onto the grown ones."""
+        _set_cores(monkeypatch, 1)
+        primary = build_model("ode_botnet", profile="paper", inference=True)
+        reduced = build_model("ode_botnet", profile=reduced_profile("paper"),
+                              pretrained_state=primary.state_dict(),
+                              inference=True)
+        plans = {
+            "primary": compile_model(primary),
+            "reduced": compile_model(reduced),
+            "int8": compile_model(reduced, BUILTIN_TIERS["int8"].formats()),
+            "int4": compile_model(reduced, BUILTIN_TIERS["int4"].formats()),
+        }
+        x = _batch("paper", 4)
+        rounds = ((1, 1, 1, 1), (4, 1, 4, 1), (3, 3, 3, 3))
+        solo = {(name, n): _on_fresh_thread(plan._run, x[:n])
+                for name, plan in plans.items() for n in (1, 3, 4)}
+
+        def interleaved():
+            for sizes in rounds:
+                for (name, plan), n in zip(plans.items(), sizes):
+                    np.testing.assert_array_equal(plan(x[:n]), solo[name, n])
+                storage = dict(thread_storage().arrays)
+                for plan in plans.values():
+                    assert all(storage[k] is a
+                               for k, a in _held_arrays(plan).items())
+            held = {name: _held_arrays(plan) for name, plan in plans.items()}
+            assert held["primary"].keys() == held["reduced"].keys()
+            assert all(held["reduced"][k] is a
+                       for k, a in held["primary"].items())
+            assert held["int8"].keys() & held["int4"].keys()
+
+        _on_fresh_thread(interleaved)
+
+    def test_equal_planes_with_other_windows_get_their_own_arrays(self):
+        """Two stems whose zero-padded phase planes have one shape but
+        different interiors (30 rows padded by 2, 32 padded by 1): in
+        one array each would write data where the other reads its zero
+        border."""
+        rng = np.random.default_rng(7)
+        weight = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
+        ref = kernels.get_backend("reference")
+        runs = []
+        for side, pad in ((30, 2), (32, 1)):
+            spec = ir.ConvSpec(weight, None, (2, 2), (pad, pad))
+            x = rng.standard_normal((2, 3, side, side)).astype(np.float32)
+            arena = Arena()
+            fn, _ = _bind_stem_conv("stem.conv", *x.shape, spec, arena,
+                                    np.float32)
+            want = ref.conv2d(x, weight, (2, 2), (pad, pad))
+            runs.append((fn, x, want.transpose(0, 2, 3, 1), arena))
+        (a,), (b,) = ([v for k, v in arena.arrays.items()
+                       if k[0] == "stem.conv.phases"]
+                      for *_, arena in runs)
+        assert a.shape == b.shape
+        assert a is not b
+        for fn, x, want, _ in runs + runs:
+            np.testing.assert_allclose(fn(x), want, rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize("name", PACKABLE)
+    def test_borders_survive_another_plans_run(self, name):
+        """The reduced plan binds every canvas of the primary one; after
+        it ran, each canvas border still reads its fill (0, or −inf
+        around the max-pool) and the primary's answer is unchanged."""
+        model = build_model(name, profile="tiny", inference=True)
+        other = build_model(name, profile=reduced_profile("tiny"),
+                            pretrained_state=model.state_dict(),
+                            inference=True)
+        plan, other_plan = compile_model(model), compile_model(other)
+        x = _batch("tiny", 3)
+
+        def check():
+            want = plan(x)
+            other_plan(x)
+            mine = plan._bound(x.shape, x.dtype).arena.arrays
+            theirs = other_plan._bound(x.shape, x.dtype).arena.arrays
+            canvases = {k: a for k, a in mine.items() if len(k) == 5}
+            fills = {k[3] for k in canvases}
+            assert fills == {0, -np.inf}
+            for key, array in canvases.items():
+                assert theirs[key] is array
+                if len(key[4]) != 4:  # the stem's phase planes
+                    continue
+                h, w, ph, pw = key[4]
+                interior = np.zeros(array.shape[1:3], dtype=bool)
+                interior[ph : ph + h, pw : pw + w] = True
+                assert (array[:, ~interior] == key[3]).all(), key[0]
+            np.testing.assert_array_equal(plan(x), want)
+
+        _on_fresh_thread(check)
+
+    def test_arrays_are_sized_by_the_largest_part(self, monkeypatch):
+        """A caller that ran parts of 1, 3 and 2 rows holds one array
+        per key, of 4 rows, and nothing else: the 1-row arrays went with
+        the binding that grew stale."""
+        _set_cores(monkeypatch, 2)
+        model = build_model("ode_botnet", profile="paper-reduced",
+                            inference=True)
+        plan = compile_model(model)
+        _hold_the_callers_part(monkeypatch, plan)
+        x = _batch("paper-reduced", 7)
+
+        def run():
+            for n in (3, 7, 5):
+                plan(x[:n])
+            gc.collect()
+            held = _held_arrays(plan)
+            assert {len(a) for a in held.values()} == {4}
+            storage = dict(thread_storage().arrays)
+            assert storage.keys() == held.keys()
+            assert all(storage[k] is a for k, a in held.items())
+
+        _on_fresh_thread(run)
+
+    def test_arrays_go_with_the_last_plan_that_uses_them(self,
+                                                         monkeypatch):
+        """Storage holds its arrays weakly: once the plan is gone, the
+        caller's storage is empty and the helper thread, which outlives
+        it, keeps none of the arrays its part was bound to."""
+        _set_cores(monkeypatch, 2)
+        model = build_model("ode_botnet", profile="paper-reduced",
+                            inference=True)
+        x = _batch("paper-reduced", 2)
+        helper_arrays = []
+        helper_started = threading.Event()
+
+        def run():
+            plan = compile_model(model)
+            run_part = plan._run
+
+            def held_part(part):
+                if threading.current_thread().name.startswith(
+                        _HELPER_PREFIX):
+                    out = run_part(part)
+                    bound = plan._bound(part.shape, part.dtype)
+                    helper_arrays.extend(
+                        weakref.ref(a) for a in bound.arena.arrays.values())
+                    helper_started.set()
+                    return out
+                assert helper_started.wait(20), "no helper took a part"
+                return run_part(part)
+
+            plan._run = held_part
+            plan(x)
+            assert len(thread_storage().arrays) > 0
+            del plan, run_part, held_part
+            gc.collect()
+            return len(thread_storage().arrays)
+
+        assert _on_fresh_thread(run) == 0
+        assert helper_arrays
+        gc.collect()
+        assert [r for r in helper_arrays if r() is not None] == []
+
+    @pytest.mark.parametrize("formats", (None, "8(4)-8(4)"),
+                             ids=("float", "fixed"))
+    def test_a_refreshed_session_binds_to_the_arrays_it_had(self,
+                                                            formats):
+        """The first batch after ``refresh()`` allocates no storage
+        array: the new plan binds to the ones the old plan's bindings
+        hold, and the old plan goes after that batch."""
+        def run():
+            model = build_model("ode_botnet", profile="tiny",
+                                inference=True)
+            net = model if formats is None else QuantizedODENetExecutor(
+                model, *parse_format_pair(formats))
+            session = InferenceSession(
+                net, config=SessionConfig(backend="fused"))
+            x = _batch("tiny", 3)
+            old = session.predict_batch(x)
+            before = {k: weakref.ref(a)
+                      for k, a in thread_storage().arrays.items()}
+            model.load_state_dict(build_model(
+                "ode_botnet", profile="tiny", seed=1, inference=True,
+            ).state_dict())
+            session.refresh()
+            assert not np.array_equal(session.predict_batch(x), old)
+            gc.collect()
+            after = dict(thread_storage().arrays)
+            assert after.keys() == before.keys()
+            assert all(after[k] is ref() for k, ref in before.items())
+
+        _on_fresh_thread(run)
+
+    def test_bind_time_constants_are_derived_once(self, monkeypatch):
+        """Each time conv's planes and weights are derived on the first
+        bind at an input size and shared, read-only, by every later
+        binding of the plan, whatever its batch or thread."""
+        calls = []
+        derive = plan_module._time_conv_constants
+
+        def counted(tc, h, w, *args):
+            calls.append((id(tc), h, w))
+            return derive(tc, h, w, *args)
+
+        monkeypatch.setattr(plan_module, "_time_conv_constants", counted)
+        model = build_model("ode_botnet", profile="tiny", inference=True)
+        plan = compile_model(model)
+        for n in (1, 2, 4):
+            plan(_batch("tiny", n))
+        _on_fresh_thread(plan, _batch("tiny", 3))
+        assert len(calls) == len(set(calls)) == 6  # 3 blocks × 2 convs
+        shared = [v for k, v in plan._constants.items() if len(k) == 3]
+        assert len(shared) == 6
+        for planes, wmat_t, w_rows in shared:
+            for array in (*planes, wmat_t, w_rows):
+                assert array is None or not array.flags.writeable
